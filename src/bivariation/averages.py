@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .bodies import ConvexBody, GammaBody, enumerate_lattice, gamma_body, slice_interval
+from .bodies import ConvexBody, GammaBody, enumerate_lattice, gamma_body, slice_table
 from .fields import Field
 
 __all__ = [
@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 MODES = ("continuum_quadrature", "lattice_counting")
+
+_CHUNK_CELLS = 16_384  # slice terms per chunk of the d = 1 kernel; bounds its scratch memory
 
 
 class DegenerateScale(Exception):
@@ -128,7 +130,7 @@ def _body_key(body: ConvexBody):
     elif hasattr(body, "halfspaces") and body.halfspaces is not None:
         extra = (body.halfspaces.tobytes(),)
     elif hasattr(body, "predicate"):
-        extra = (id(body.predicate),)
+        extra = (body.predicate,)
     return (body.kind, body.d, body.r_in, extra)
 
 
@@ -212,35 +214,44 @@ def avg_field(body: ConvexBody, t: float, f1: Field, f2: Field,
 
 
 def _sliced_values(req: AvgRequest, xs: np.ndarray) -> tuple[np.ndarray, int]:
-    """d = 1 kernel: sum over slices k of f1(x +- k) * (prefix window of f2)."""
+    """d = 1 kernel: sum over slices k of f1(x +- k) * (prefix window of f2).
+
+    The slice terms are built a chunk of rows at a time and added into a
+    running total in increasing k, starting from +0.0, so every cell gets
+    the same floating-point sum as a plain loop over k.
+    """
     body, f1, f2 = req.body, req.f1, req.f2
-    T = req.scaled_t
     sgn = req.sign
     o1, n1 = f1.box.origin[0], f1.box.extent[0]
     o2, n2 = f2.box.origin[0], f2.box.extent[0]
     prefix = np.concatenate([[0.0], np.cumsum(f2.samples)])
     xs = np.asarray(xs, dtype=np.int64)
-    total = np.zeros(xs.shape, dtype=np.float64)
-    count = 0
-    K = int(np.ceil(T * body.r_out))
-    for k in range(-K, K + 1):
-        iv = slice_interval(body, T, k)
-        if iv is None:
-            continue
-        mlo, mhi = iv
-        count += mhi - mlo + 1
+    ks, mlo, mhi = slice_table(body, req.scaled_t)
+    count = int(np.sum(mhi - mlo + 1))
+    if count == 0:
+        raise DegenerateScale(f"no nodes in the body dilate at t={req.t}")
+    step = max(1, _CHUNK_CELLS // xs.size)
+    # row 0 carries the running total; rows 1.. take one chunk of slice terms
+    buf = np.zeros((min(step, len(ks)) + 1, xs.size))
+    for start in range(0, len(ks), step):
+        k, lo, hi = (v[start : start + step, None] for v in (ks, mlo, mhi))
+        rows = len(k)
         idx1 = xs + sgn * k - o1
         w1 = np.where((idx1 >= 0) & (idx1 < n1), f1.samples[np.clip(idx1, 0, n1 - 1)], 0.0)
         # window of f2 in lattice coordinates
         if sgn > 0:
-            a, b = xs + mlo, xs + mhi
+            a, b = xs + lo, xs + hi
         else:
-            a, b = xs - mhi, xs - mlo
+            a, b = xs - hi, xs - lo
         s = prefix[np.clip(b - o2 + 1, 0, n2)] - prefix[np.clip(a - o2, 0, n2)]
-        total += w1 * s
-    if count == 0:
-        raise DegenerateScale(f"no nodes in the body dilate at t={req.t}")
-    return total / count, count
+        np.multiply(w1, s, out=buf[1 : rows + 1])
+        if xs.size == 1:
+            # a single column would be reduced pairwise; accumulate stays in order
+            buf[0] = np.add.accumulate(buf[: rows + 1], axis=0)[rows]
+        else:
+            # along the slow axis the reduction adds row after row
+            buf[0] = np.add.reduce(buf[: rows + 1], axis=0)
+    return buf[0] / count, count
 
 
 def fast_slice_avg(req: AvgRequest, x) -> float:
@@ -295,6 +306,8 @@ def dtt_avg_field(lam: np.ndarray, t: float, f1: Field, f2: Field) -> Field:
     L = np.asarray(lam, dtype=np.float64).reshape(2, 2)
     if abs(np.linalg.det(L)) < 1e-14:
         raise ValueError("matrix must be nonsingular")
+    if not t > 0:
+        raise ValueError("t must be positive")
     if f1.box != f2.box:
         raise ValueError("f1 and f2 must share one box")
     if f1.box.dim != 1:

@@ -34,6 +34,7 @@ __all__ = [
     "symmetric_difference_volume",
     "boundary_cube_count",
     "slice_interval",
+    "slice_table",
     "body_from_descriptor",
     "spot_check",
 ]
@@ -407,73 +408,69 @@ def _linear_rows(body: ConvexBody):
 # ---------------------------------------------------------------------------
 # One-dimensional slices (d = 1 only): {m : (k, m) in G_t} is an integer interval
 
-def slice_interval(body: ConvexBody, t: float, k: int) -> tuple[int, int] | None:
-    """Integer m-interval of the k-th slice of G_t for d = 1, or None if empty.
+def slice_table(body: ConvexBody, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every nonempty slice of G_t for d = 1 at once, as int64 arrays (ks, lo, hi).
 
-    Candidate bounds come from per-kind closed forms and are corrected with the
-    body's own membership test, so slice sums agree exactly with pointwise
-    enumeration.
+    Row i is the integer interval [lo[i], hi[i]] of the k = ks[i] slice, with
+    ks increasing.  Candidate bounds come from per-kind closed forms and are
+    corrected by unit steps against the body's own membership test, all rows
+    stepping together, so slice sums agree exactly with pointwise enumeration.
     """
     if body.d != 1:
-        raise ValueError("slice_interval requires d = 1")
-    if isinstance(body, Ball):
-        r2 = t * t - float(k) * float(k)
-        if r2 < 0:
-            return None
-        m = int(np.floor(np.sqrt(r2)))
-    elif isinstance(body, CubeBody):
-        h = body.r_in * t
-        if abs(k) > h:
-            return None
-        m = int(np.floor(h))
-    else:
-        lo_f, hi_f = -t, t
-        rows = _linear_rows(body)
-        if rows is not None:
-            A, _ = rows
-            for a1, a2 in A:
-                if a2 == 0.0:
-                    continue
-                b1, b2 = sorted(((-t - a1 * k) / a2, (t - a1 * k) / a2))
-                lo_f, hi_f = max(lo_f, b1), min(hi_f, b2)
-        return _fixup_interval(body, t, k, int(np.floor(lo_f)) - 1, int(np.ceil(hi_f)) + 1)
-    lo, hi = _fixup_symmetric(body, t, k, m)
-    return (lo, hi) if lo <= hi else None
-
-
-def _fixup_symmetric(body, t, k, m):
-    # symmetric bodies: slice is [-M, M]; adjust M by +-2 against membership
-    def inside(mm):
-        return body.contains_point((float(k), float(mm)), t)
-
-    M = m
-    for _ in range(3):
-        if inside(M + 1):
-            M += 1
+        raise ValueError("slice_table requires d = 1")
+    K = int(np.ceil(t * body.r_out))
+    ks = np.arange(-K, K + 1, dtype=np.int64)
+    kf = ks.astype(np.float64)
+    if isinstance(body, (Ball, CubeBody)):
+        # symmetric candidates [-M, M]; M = -1 marks a row the body misses
+        if isinstance(body, Ball):
+            r2 = t * t - kf * kf
+            M = np.where(r2 >= 0, np.floor(np.sqrt(np.abs(r2))), -1.0)
         else:
-            break
-    while M >= 0 and not inside(M):
-        M -= 1
-    if M < 0:
-        return 1, 0
-    return -M, M
+            h = body.r_in * t
+            M = np.where(np.abs(kf) <= h, np.floor(h), -1.0)
+        lo, hi = -M.astype(np.int64), M.astype(np.int64)
+    else:
+        lo_f = np.full(len(ks), -t)
+        hi_f = np.full(len(ks), t)
+        linear = _linear_rows(body)
+        for a1, a2 in linear[0] if linear is not None else ():
+            if a2 != 0.0:
+                b1, b2 = (-t - a1 * kf) / a2, (t - a1 * kf) / a2
+                lo_f = np.maximum(lo_f, np.minimum(b1, b2))
+                hi_f = np.minimum(hi_f, np.maximum(b1, b2))
+        lo = np.floor(lo_f).astype(np.int64) - 1
+        hi = np.ceil(hi_f).astype(np.int64) + 1
+
+    def inside(rows, m):
+        return body.contains_dilated(np.stack([kf[rows], m.astype(np.float64)], axis=1), t)
+
+    def step_while(rows, m, delta, test):
+        # m[i] += delta while test holds at m[i], for every row at once
+        active = np.ones(len(rows), dtype=bool)
+        while active.any():
+            active[active] = test(rows[active], m[active])
+            m[active] += delta
+        return m
+
+    # shrink the candidate onto its outermost members, then grow to the full run
+    rows = np.arange(len(ks))
+    lo = step_while(rows, lo, 1, lambda r, m: (m <= hi[r]) & ~inside(r, m))
+    hi = step_while(rows, hi, -1, lambda r, m: (m >= lo[r]) & ~inside(r, m))
+    rows = np.flatnonzero(lo <= hi)
+    lo = step_while(rows, lo[rows], -1, lambda r, m: inside(r, m - 1))
+    hi = step_while(rows, hi[rows], 1, lambda r, m: inside(r, m + 1))
+    return ks[rows], lo, hi
 
 
-def _fixup_interval(body, t, k, lo, hi):
-    def inside(mm):
-        return body.contains_point((float(k), float(mm)), t)
-
-    while lo <= hi and not inside(lo):
-        lo += 1
-    while hi >= lo and not inside(hi):
-        hi -= 1
-    if lo > hi:
-        return None
-    while inside(lo - 1):
-        lo -= 1
-    while inside(hi + 1):
-        hi += 1
-    return lo, hi
+def slice_interval(body: ConvexBody, t: float, k: int) -> tuple[int, int] | None:
+    """Integer m-interval of the k-th slice of G_t for d = 1, or None if empty;
+    one row of :func:`slice_table`."""
+    ks, lo, hi = slice_table(body, t)
+    i = int(np.searchsorted(ks, k))
+    if i < len(ks) and ks[i] == k:
+        return int(lo[i]), int(hi[i])
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ construction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
@@ -108,8 +109,15 @@ def cell_cube_ids(box, level: int) -> tuple[np.ndarray, np.ndarray, int]:
 
     Returns ``(ids, table, ncubes)`` where ``ids`` maps each cell (row-major)
     to a slot in ``table`` of cube coordinates, covering exactly the cubes
-    that intersect the box.
+    that intersect the box.  Results are memoized per (box, level) and the
+    arrays are read-only.
     """
+    # a plain function around the memo, so call tracers (perfbench/) still see each call
+    return _cell_cube_ids(box, level)
+
+
+@functools.lru_cache(maxsize=128)
+def _cell_cube_ids(box, level: int) -> tuple[np.ndarray, np.ndarray, int]:
     groups = _axis_groups(box, level)
     shape = tuple(len(uq) for uq, _ in groups)
     ids = np.zeros(box.extent, dtype=np.int64)
@@ -119,7 +127,10 @@ def cell_cube_ids(box, level: int) -> tuple[np.ndarray, np.ndarray, int]:
         ids = ids * shape[axis] + inv[tuple(sl)]
     grids = np.meshgrid(*[uq for uq, _ in groups], indexing="ij")
     table = np.stack([g.ravel() for g in grids], axis=-1)
-    return ids.ravel(), table, int(np.prod(shape))
+    ids = ids.ravel()
+    ids.flags.writeable = False
+    table.flags.writeable = False
+    return ids, table, int(np.prod(shape))
 
 
 def iter_cubes(f: "Field", level: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:

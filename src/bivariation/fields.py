@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import iter_cubes
+from .dyadic import cell_cube_ids
 
 __all__ = [
     "Box",
@@ -179,13 +179,19 @@ def bmo_dyadic_norm(f: Field) -> float:
     if not np.any(f.samples):
         return 0.0
     j_top = max(int(np.ceil(np.log2(max(f.box.extent)))), 0) + 1
+    flat = f.samples.ravel()
     best = 0.0
     for level in range(0, j_top + 1):
-        for _, values in iter_cubes(f, level):
-            a = np.median(values)
-            osc = float(np.mean(np.abs(values - a)))
-            if osc > best:
-                best = osc
+        ids, _, ncubes = cell_cube_ids(f.box, level)
+        # cells grouped by cube, row-major within each cube
+        values = flat[np.argsort(ids, kind="stable")]
+        sizes = np.bincount(ids, minlength=ncubes)
+        starts = np.cumsum(sizes) - sizes
+        for size in np.unique(sizes):
+            block = values[starts[sizes == size, None] + np.arange(size)]
+            a = np.median(block, axis=1)
+            osc = np.mean(np.abs(block - a[:, None]), axis=1)
+            best = max(best, float(osc.max()))
     return best
 
 

@@ -6,6 +6,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from ..bodies import body_from_descriptor
+
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_file", "SUITES"]
 
 SUITES = (
@@ -66,6 +68,10 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.norm not in ("strong", "weak", "bmo"):
             raise ConfigError("norm must be strong, weak, or bmo")
+        try:
+            body_from_descriptor(self.body, self.d)
+        except ValueError as exc:
+            raise ConfigError(f"bad body {self.body!r}: {exc}") from exc
         if self.mesh is not None and not self.mesh > 0:
             raise ConfigError("mesh must be positive")
         for name in ("p1", "p2", "p"):

@@ -1,6 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bivariation import averages
 from bivariation.averages import (
     AvgRequest,
     DegenerateScale,
@@ -13,7 +19,7 @@ from bivariation.averages import (
     dtt_avg_via_body,
     fast_slice_avg,
 )
-from bivariation.bodies import CustomBody, ball, cube, gamma_body
+from bivariation.bodies import CustomBody, ball, cube, gamma_body, normalize, polytope_body
 from bivariation.fields import Box, Field
 
 
@@ -106,6 +112,20 @@ def test_degenerate_scale_via_hollow_predicate():
     f = Field(box, np.ones(33))
     with pytest.raises(DegenerateScale):
         avg_at(AvgRequest(hollow, 0.5, f, f, "lattice_counting"), [0])
+
+
+def test_point_cache_keeps_custom_predicate_alive():
+    # a cache keyed by id(predicate) could hand a dead body's points to a new
+    # body whose predicate reuses that id
+    body = normalize(1, lambda y: np.abs(y).sum(axis=1) <= 3.0, 3.0 / np.sqrt(2), 3.0)
+    box = wide_box()
+    f = Field(box, np.ones(33))
+    avg_at(AvgRequest(body, 2.5, f, f), [0])
+    ref = weakref.ref(body.predicate)
+    del body
+    gc.collect()
+    assert ref() is not None
+    assert any(ref() in key[0][3] for key in averages._POINT_CACHE)
 
 
 def test_request_validation():
@@ -240,6 +260,43 @@ def test_avg_field_matches_avg_at_d2():
         )
 
 
+D1_BODIES = [
+    BALL,
+    cube(1),
+    gamma_body(1, [[1.0, 0.4], [-0.2, 0.8]]),
+    polytope_body(1, [[1.0, 1.0], [-1.0, -1.0], [1.0, -0.5], [-1.0, 0.5]]),
+    normalize(1, lambda y: np.abs(y).sum(axis=1) <= 5.0, 5.0 / np.sqrt(2), 5.0),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, len(D1_BODIES) - 1),
+    st.integers(-40, 10),
+    st.integers(1, 40),
+    st.sampled_from([0.25, 0.37, 2.0]),
+    st.one_of(st.floats(0.3, 9.0), st.integers(1, 8).map(float)),
+    st.integers(0, 2**32 - 1),
+)
+def test_sliced_kernel_matches_pointwise(which, origin, n, mesh, t, seed):
+    body = D1_BODIES[which]
+    box = Box(1, (origin,), (n,), mesh)
+    rng = np.random.default_rng(seed)
+    f1 = Field(box, rng.normal(size=n))
+    f2 = Field(box, rng.normal(size=n))
+    g1 = Field(box, rng.integers(-9, 10, size=n).astype(float))
+    g2 = Field(box, rng.integers(-9, 10, size=n).astype(float))
+    for mode in ("continuum_quadrature", "lattice_counting"):
+        fld = avg_field(body, t, f1, f2, mode)
+        for i, x in enumerate(box.lattice_axes()[0]):
+            assert fld.samples[i] == pytest.approx(
+                avg_at(AvgRequest(body, t, f1, f2, mode), [x]), rel=1e-12, abs=1e-13
+            )
+    req = AvgRequest(body, t, g1, g2, "lattice_counting")
+    for x in range(origin - 3, origin + n + 3):
+        assert fast_slice_avg(req, x) == avg_at(req, [x])
+
+
 # ---------------------------------------------------------------------------
 # linear-change-of-variables route
 
@@ -269,6 +326,15 @@ def test_dtt_rejects_singular():
     f = Field(box, np.ones(33))
     with pytest.raises(ValueError):
         dtt_avg([[1.0, 2.0], [2.0, 4.0]], 1.0, f, f, [0])
+
+
+def test_dtt_field_rejects_nonpositive_t():
+    box = wide_box()
+    f = Field(box, np.ones(33))
+    lam = np.array([[0.9, 0.3], [-0.2, 1.1]])
+    for t in (0.0, -1.0):
+        with pytest.raises(ValueError, match="t must be positive"):
+            dtt_avg_field(lam, t, f, f)
 
 
 def test_dtt_field_matches_pointwise():

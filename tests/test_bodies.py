@@ -186,12 +186,16 @@ def test_boundary_cube_count_rejects_n_ge_k():
     lambda: ball(1),
     lambda: cube(1),
     lambda: gamma_body(1, [[1.0, 0.4], [-0.3, 0.9]]),
+    lambda: polytope_body(1, [[1.0, 1.0], [-1.0, -1.0], [1.0, -0.5], [-1.0, 0.5]]),
+    lambda: normalize(1, lambda y: np.abs(y).sum(axis=1) <= 5.0, 5.0 / np.sqrt(2), 5.0),
+    lambda: normalize(1, lambda y: (y[:, 0] / 5) ** 2 + (y[:, 1] / 3) ** 2 <= 1.0, 3.0, 5.0),
 ])
 def test_slice_interval_matches_enumeration(maker):
     body = maker()
     rng = np.random.default_rng(6)
-    for _ in range(20):
-        t = rng.uniform(0.5, 9.0)
+    # random scales, integers, and scales a rounding step either side of lattice radii
+    near = [np.nextafter(r, r + s) for r in (3.0, np.sqrt(5.0), 5.0) for s in (-1, 1)]
+    for t in [*rng.uniform(0.5, 9.0, size=20), 1.0, 2.0, 7.0, *near]:
         pts = enumerate_lattice(body, t)
         by_k = {}
         for k, m in pts.points:

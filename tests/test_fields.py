@@ -177,6 +177,24 @@ def test_bmo_below_twice_sup():
         assert bmo_dyadic_norm(f) <= 2.0 * lp_norm(f, np.inf) + 1e-12
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_bmo_matches_per_cube_loop(dim):
+    from bivariation.dyadic import iter_cubes
+
+    rng = np.random.default_rng(11 + dim)
+    for _ in range(30):
+        origin = tuple(int(v) for v in rng.integers(-20, 20, size=dim))
+        extent = tuple(int(v) for v in rng.integers(1, 70 if dim == 1 else 20, size=dim))
+        box = Box(dim, origin, extent)
+        f = Field(box, rng.normal(size=box.cell_count) * 10.0 ** rng.integers(-6, 6, size=box.cell_count))
+        j_top = max(int(np.ceil(np.log2(max(extent)))), 0) + 1
+        best = 0.0
+        for level in range(j_top + 1):
+            for _, values in iter_cubes(f, level):
+                best = max(best, float(np.mean(np.abs(values - np.median(values)))))
+        assert bmo_dyadic_norm(f) == best
+
+
 def test_bmo_2d():
     f = Field(Box(2, (0, 0), (2, 2)), [[1.0, 1.0], [-1.0, -1.0]])
     assert bmo_dyadic_norm(f) == pytest.approx(1.0, rel=1e-15)

@@ -194,6 +194,12 @@ def test_cli_bad_config_file(tmp_path):
     assert main(["run", "interp", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("body", ["gamma:1,2", "pentagon", "custom:1,0;0,1"])
+def test_cli_malformed_body_is_config_error(tmp_path, body):
+    cfg = write_config(tmp_path, f"body = {body}\n")
+    assert main(["run", "sweep", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+
+
 def test_cli_missing_config_file(tmp_path):
     assert main(["run", "interp", "--config", str(tmp_path / "nope.cfg")]) == 2
 

@@ -3,7 +3,7 @@ import pytest
 
 from bivariation.averages import avg_field
 from bivariation.bodies import ball, cube
-from bivariation.dyadic import DyadicCube
+from bivariation.dyadic import DyadicCube, cell_cube_ids
 from bivariation.fields import Box, Field, lp_norm
 from bivariation.martingale import (
     MeasurabilityError,
@@ -36,6 +36,15 @@ def aligned_random(rng, n=64):
 
 # ---------------------------------------------------------------------------
 # conditional expectation
+
+def test_cell_cube_ids_memo_is_shared_and_read_only():
+    ids, table, _ = cell_cube_ids(Box(2, (-3, 5), (6, 7)), 1)
+    assert cell_cube_ids(Box(2, (-3, 5), (6, 7)), 1)[0] is ids
+    with pytest.raises(ValueError):
+        ids[0] = 1
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+
 
 def test_cond_expect_fixes_constants():
     f = line(np.full(8, 2.5))
