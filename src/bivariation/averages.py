@@ -272,9 +272,8 @@ def fast_slice_avg(req: AvgRequest, x) -> float:
 # ---------------------------------------------------------------------------
 # Linear-change-of-variables averages
 
-def dtt_avg(lam: np.ndarray, t: float, f1: Field, f2: Field, x) -> float:
-    """Average of f1(x + L11 u1 + L12 u2) f2(x + L21 u1 + L22 u2) over
-    |u1| < t, |u2| < t, by grid quadrature at the fields' mesh."""
+def _dtt_matrix(lam: np.ndarray, t: float, f1: Field, f2: Field) -> np.ndarray:
+    """The 2x2 matrix of a dtt average, after checking it and its inputs."""
     L = np.asarray(lam, dtype=np.float64).reshape(2, 2)
     if abs(np.linalg.det(L)) < 1e-14:
         raise ValueError("matrix must be nonsingular")
@@ -282,6 +281,13 @@ def dtt_avg(lam: np.ndarray, t: float, f1: Field, f2: Field, x) -> float:
         raise ValueError("t must be positive")
     if f1.box != f2.box:
         raise ValueError("f1 and f2 must share one box")
+    return L
+
+
+def dtt_avg(lam: np.ndarray, t: float, f1: Field, f2: Field, x) -> float:
+    """Average of f1(x + L11 u1 + L12 u2) f2(x + L21 u1 + L22 u2) over
+    |u1| < t, |u2| < t, by grid quadrature at the fields' mesh."""
+    L = _dtt_matrix(lam, t, f1, f2)
     d = f1.box.dim
     h = f1.box.mesh
     T = t / h
@@ -303,13 +309,7 @@ def dtt_avg(lam: np.ndarray, t: float, f1: Field, f2: Field, x) -> float:
 
 def dtt_avg_field(lam: np.ndarray, t: float, f1: Field, f2: Field) -> Field:
     """The u-cube quadrature average at every cell (vectorized d = 1 path)."""
-    L = np.asarray(lam, dtype=np.float64).reshape(2, 2)
-    if abs(np.linalg.det(L)) < 1e-14:
-        raise ValueError("matrix must be nonsingular")
-    if not t > 0:
-        raise ValueError("t must be positive")
-    if f1.box != f2.box:
-        raise ValueError("f1 and f2 must share one box")
+    L = _dtt_matrix(lam, t, f1, f2)
     if f1.box.dim != 1:
         vals = [
             dtt_avg(L, t, f1, f2, x)

@@ -33,7 +33,6 @@ __all__ = [
     "shell",
     "symmetric_difference_volume",
     "boundary_cube_count",
-    "slice_interval",
     "slice_table",
     "body_from_descriptor",
     "spot_check",
@@ -461,16 +460,6 @@ def slice_table(body: ConvexBody, t: float) -> tuple[np.ndarray, np.ndarray, np.
     lo = step_while(rows, lo[rows], -1, lambda r, m: inside(r, m - 1))
     hi = step_while(rows, hi[rows], 1, lambda r, m: inside(r, m + 1))
     return ks[rows], lo, hi
-
-
-def slice_interval(body: ConvexBody, t: float, k: int) -> tuple[int, int] | None:
-    """Integer m-interval of the k-th slice of G_t for d = 1, or None if empty;
-    one row of :func:`slice_table`."""
-    ks, lo, hi = slice_table(body, t)
-    i = int(np.searchsorted(ks, k))
-    if i < len(ks) and ks[i] == k:
-        return int(lo[i]), int(hi[i])
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,14 @@ the origin grows without bound in the number of annuli.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import ConvexBody
+from .bodies import ConvexBody, enumerate_lattice
 from .fields import Field
 from .variation import vq_exact
 
@@ -157,19 +158,14 @@ def make_instance(d: int, n: int, growth_ratio: float | None = None,
     return CounterexampleInstance(d=d, growth_ratio=growth_ratio, n=n, eps0=eps0)
 
 
-_NODE_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _unit_ball_nodes(dim: int, refine: int) -> np.ndarray:
-    key = (dim, refine)
-    if key not in _NODE_CACHE:
-        g = (np.arange(refine) + 0.5) / refine * 2.0 - 1.0
-        grids = np.meshgrid(*([g] * dim), indexing="ij")
-        pts = np.stack([a.ravel() for a in grids], axis=-1)
-        if len(_NODE_CACHE) > 8:
-            _NODE_CACHE.clear()
-        _NODE_CACHE[key] = pts[np.einsum("ij,ij->i", pts, pts) <= 1.0]
-    return _NODE_CACHE[key]
+    g = (np.arange(refine) + 0.5) / refine * 2.0 - 1.0
+    grids = np.meshgrid(*([g] * dim), indexing="ij")
+    pts = np.stack([a.ravel() for a in grids], axis=-1)
+    pts = pts[np.einsum("ij,ij->i", pts, pts) <= 1.0]
+    pts.flags.writeable = False
+    return pts
 
 
 def counterexample_average(inst: CounterexampleInstance, i: int, x,
@@ -311,15 +307,6 @@ def sample_torus(fn, m: int, d: int) -> np.ndarray:
     return np.asarray(fn(*grids), dtype=np.float64)
 
 
-def _rotation_nodes(body: ConvexBody, t: float, h: float, d: int) -> np.ndarray:
-    T = t / h
-    R = int(np.ceil(T * body.r_out))
-    axes = [np.arange(-R, R + 1, dtype=np.int64)] * (2 * d)
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2 * d)
-    keep = body.contains_dilated(grid.astype(np.float64), T)
-    return grid[keep].astype(np.float64)
-
-
 def default_rotation_mesh(t: float, scale: int = 32) -> float:
     """Power-of-two mesh ~ t/scale, clipped to divide 1."""
     j = int(np.floor(np.log2(max(t, 1e-12)))) - int(np.log2(scale))
@@ -343,7 +330,7 @@ def ergodic_avg_profile(
     m = f1.size
     h = default_rotation_mesh(t) if quad_mesh is None else float(quad_mesh)
     beta = float(np.asarray(beta, dtype=np.float64).reshape(1)[0])
-    pts = _rotation_nodes(body, t, h, 1)
+    pts = enumerate_lattice(body, t / h).points
     if len(pts) == 0:
         raise ValueError(f"no quadrature nodes at t={t}")
     s1 = np.mod(np.rint(beta * h * pts[:, 0] * m).astype(np.int64), m)
@@ -378,7 +365,7 @@ def ergodic_bilinear_avg(
         raise ValueError("quadrature mesh must divide 1")
     beta = np.asarray(beta, dtype=np.float64).reshape(d)
     omega = np.asarray(omega, dtype=np.float64).reshape(d)
-    pts = _rotation_nodes(body, t, h, d)
+    pts = enumerate_lattice(body, t / h).points
     if len(pts) == 0:
         raise ValueError(f"no quadrature nodes at t={t}")
 

@@ -8,9 +8,7 @@ library versions are quarantined to the manifest.
 from __future__ import annotations
 
 import csv
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -75,22 +73,6 @@ class RatioReport:
     extra: dict
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("BIVARIATION_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_trials(fn, n: int):
-    """Run fn(trial) for trial in 0..n-1; results ordered by trial index."""
-    workers = _thread_count()
-    if workers == 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n)))
-
-
 def _fmt(v) -> str:
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
@@ -147,7 +129,7 @@ def run_norm_sweep(cfg: ExperimentConfig) -> RatioReport:
         ratio = 0.0 if num == 0.0 else (np.inf if den == 0.0 else num / den)
         return trial, fam1, fam2, len(grid), num, den, ratio
 
-    rows = _map_trials(one, cfg.trials)
+    rows = [one(trial) for trial in range(cfg.trials)]
     ratios = np.array([r[-1] for r in rows])
     finite = ratios[np.isfinite(ratios)]
     ceiling = ceiling_for(sweep_key(cfg.norm, cfg.p1, cfg.p2, cfg.p, cfg.q), cfg.ceiling)
@@ -291,8 +273,8 @@ def _suite_domination(cfg: ExperimentConfig, outdir: Path) -> bool:
     box = standard_box(with_updates(cfg, grid=min(cfg.grid, 64)))
     cover = int(np.log2(max(box.extent)))
     rows, ratios = [], []
-
-    def one(trial: int):
+    degenerate = 0
+    for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, trial)
         n = int(rng.integers(1, min(5, cover) + 1))
         k = int(rng.integers(0, n))
@@ -309,16 +291,12 @@ def _suite_domination(cfg: ExperimentConfig, outdir: Path) -> bool:
         ratio = num / den if den > 0.0 else np.nan
         st = star_maximal(h1, n)
         star_ok = float(np.sum(st.samples**2)) <= 3**box.dim * float(np.sum(h1.samples**2)) + 1e-9
-        return (trial, n, k, body.kind, sparse, rep.max_excess, rep.holds, ratio, star_ok)
-
-    degenerate = 0
-    for row in _map_trials(one, cfg.trials):
-        rows.append(row)
-        if np.isnan(row[7]):
+        rows.append((trial, n, k, body.kind, sparse, rep.max_excess, rep.holds, ratio, star_ok))
+        if np.isnan(ratio):
             degenerate += 1
         else:
-            ratios.append(row[7])
-        ok &= bool(row[6]) and bool(row[8])
+            ratios.append(ratio)
+        ok &= bool(rep.holds) and bool(star_ok)
     ceiling = ceiling_for("bilinear_maximal_sq", cfg.ceiling)
     sup_ratio = max(ratios) if ratios else 0.0
     ok &= all(np.isfinite(r) for r in ratios) and sup_ratio <= ceiling

@@ -28,6 +28,7 @@ __all__ = [
     "bilinear_maximal",
     "domination_check",
     "DominationReport",
+    "square_piece",
     "paraproduct_telescope",
     "TelescopeReport",
     "carleson_tent_mass",
@@ -177,11 +178,14 @@ def domination_check(body: ConvexBody, h1: Field, h2: Field, n: int, k: int) -> 
 # ---------------------------------------------------------------------------
 # Paraproduct telescoping
 
-def _piece(f1: Field, f2: Field, body: ConvexBody, k: int) -> np.ndarray:
+def square_piece(f1: Field, f2: Field, body: ConvexBody, k: int) -> Field:
+    """Average at scale 2^k minus the product of the level-k projections."""
+    if f1.box != f2.box:
+        raise ValueError("fields must share one box")
     t = (2.0**k) * f1.box.mesh
     a = avg_field(body, t, f1, f2, "continuum_quadrature")
     e = cond_expect(f1, k).samples * cond_expect(f2, k).samples
-    return a.samples - e
+    return Field(f1.box, a.samples - e)
 
 
 @dataclass(frozen=True)
@@ -209,15 +213,15 @@ def paraproduct_telescope(
         raise ValueError("need l >= 1 so that E_(l-1) is defined")
     e1 = {m: cond_expect(f1, m) for m in range(l - 1, j + 1)}
     e2 = {m: cond_expect(f2, m) for m in range(l - 1, j + 1)}
-    fine = _piece(e1[l - 1], e2[l - 1], body, k)
-    coarse = _piece(e1[j], e2[j], body, k)
+    fine = square_piece(e1[l - 1], e2[l - 1], body, k).samples
+    coarse = square_piece(e1[j], e2[j], body, k).samples
     lhs = fine - coarse
     rhs = np.zeros_like(lhs)
     for m in range(l, j + 1):
         d1 = Field(f1.box, e1[m - 1].samples - e1[m].samples)
         d2 = Field(f2.box, e2[m - 1].samples - e2[m].samples)
-        rhs += _piece(d1, e2[m - 1], body, k)
-        rhs += _piece(e1[m], d2, body, k)
+        rhs += square_piece(d1, e2[m - 1], body, k).samples
+        rhs += square_piece(e1[m], d2, body, k).samples
     residual = float(np.abs(lhs - rhs).max())
     return TelescopeReport(
         residual_max=residual,

@@ -6,11 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averages import avg_field
 from .bodies import ConvexBody
 from .dyadic import level_range
 from .fields import Field
-from .martingale import cond_expect
+from .martingale import square_piece
 
 __all__ = ["SquarePieces", "square_piece", "square_function", "default_k_range"]
 
@@ -21,16 +20,6 @@ class SquarePieces:
     pieces: dict[int, Field]
     aggregate: Field
     tail_max: float
-
-
-def square_piece(f1: Field, f2: Field, body: ConvexBody, k: int) -> Field:
-    """Average at scale 2^k minus the product of the level-k projections."""
-    if f1.box != f2.box:
-        raise ValueError("fields must share one box")
-    t = (2.0**k) * f1.box.mesh
-    a = avg_field(body, t, f1, f2, "continuum_quadrature")
-    e = cond_expect(f1, k).samples * cond_expect(f2, k).samples
-    return Field(f1.box, a.samples - e)
 
 
 def default_k_range(f: Field) -> tuple[int, int]:

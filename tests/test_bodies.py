@@ -12,7 +12,7 @@ from bivariation.bodies import (
     normalize,
     polytope_body,
     shell,
-    slice_interval,
+    slice_table,
     spot_check,
     symmetric_difference_volume,
 )
@@ -200,14 +200,12 @@ def test_slice_interval_matches_enumeration(maker):
         by_k = {}
         for k, m in pts.points:
             by_k.setdefault(int(k), []).append(int(m))
-        K = int(np.ceil(t)) + 1
-        for k in range(-K, K + 1):
-            iv = slice_interval(body, t, k)
-            if k in by_k:
-                assert iv == (min(by_k[k]), max(by_k[k]))
-                assert len(by_k[k]) == iv[1] - iv[0] + 1  # contiguous
-            else:
-                assert iv is None
+        ks, lo, hi = slice_table(body, t)
+        # one row per k with points, none for the other k, in increasing k
+        assert ks.tolist() == sorted(by_k)
+        for k, a, b in zip(ks.tolist(), lo.tolist(), hi.tolist()):
+            assert (a, b) == (min(by_k[k]), max(by_k[k]))
+            assert len(by_k[k]) == b - a + 1  # contiguous
 
 
 # ---------------------------------------------------------------------------

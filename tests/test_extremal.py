@@ -174,6 +174,15 @@ def test_rotation_mesh_must_divide_one():
         ergodic_bilinear_avg([0.5], f, f, ball(1), 1.0, [0.0], quad_mesh=0.3)
 
 
+@pytest.mark.parametrize("t", [0.0, -1.0])
+def test_rotation_averages_reject_nonpositive_t(t):
+    f = np.ones(8)
+    with pytest.raises(ValueError, match="t must be positive"):
+        ergodic_bilinear_avg([0.3], f, f, ball(1), t, [0.1])
+    with pytest.raises(ValueError, match="t must be positive"):
+        ergodic_avg_profile([0.3], f, f, ball(1), t)
+
+
 def test_profile_matches_pointwise():
     rng = np.random.default_rng(2)
     m = 16

@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -115,22 +114,6 @@ def test_seed_changes_reports(tmp_path):
     a = _read_all_csv(tmp_path / "a")
     b = _read_all_csv(tmp_path / "b")
     assert a != b
-
-
-def test_thread_count_does_not_change_reports(tmp_path):
-    env_key = "BIVARIATION_THREADS"
-    old = os.environ.get(env_key)
-    try:
-        os.environ[env_key] = "1"
-        run_suite("cz", ExperimentConfig(suite="cz", trials=6, seed=3, out=str(tmp_path / "a")))
-        os.environ[env_key] = "4"
-        run_suite("cz", ExperimentConfig(suite="cz", trials=6, seed=3, out=str(tmp_path / "b")))
-    finally:
-        if old is None:
-            os.environ.pop(env_key, None)
-        else:
-            os.environ[env_key] = old
-    assert _read_all_csv(tmp_path / "a") == _read_all_csv(tmp_path / "b")
 
 
 # ---------------------------------------------------------------------------
