@@ -38,7 +38,7 @@ __all__ = [
 
 MODES = ("continuum_quadrature", "lattice_counting")
 
-_CHUNK_CELLS = 16_384  # slice terms per chunk of the d = 1 kernel; bounds its scratch memory
+_CHUNK_CELLS = 16_384  # values per block of an ordered sum; bounds its scratch memory
 
 
 class DegenerateScale(Exception):
@@ -159,99 +159,84 @@ def avg_at(req: AvgRequest, x) -> float:
 
 def avg_sweep(body: ConvexBody, grid: TimeGrid, f1: Field, f2: Field, x,
               mode: str = "continuum_quadrature") -> np.ndarray:
-    """Averages at one point across all grid scales.
-
-    Nodes are enumerated once at the largest scale and tagged with the first
-    scale at which they appear; each scale then sums exactly the lexicographic
-    prefix that ``avg_at`` would use, so the result is bit-identical to
-    independent per-scale evaluation.
-    """
-    if len(grid) == 0:
-        return np.empty(0)
-    reqs = [AvgRequest(body, t, f1, f2, mode) for t in grid.times]
-    d = body.d
-    pts = _points(body, reqs[-1].scaled_t)
-    entry = np.full(len(pts), len(grid), dtype=np.int64)
-    for i in range(len(grid) - 1, -1, -1):
-        entry[body.contains_dilated(pts.astype(np.float64), reqs[i].scaled_t)] = i
-    x = np.asarray(x, dtype=np.int64).reshape(d)
-    vals1 = f1.values_at(x[None, :] + reqs[0].sign * pts[:, :d])
-    vals2 = f2.values_at(x[None, :] + reqs[0].sign * pts[:, d:])
-    prods = vals1 * vals2
-    out = np.empty(len(grid))
-    for i in range(len(grid)):
-        sel = prods[entry <= i]
-        if sel.size == 0:
-            raise DegenerateScale(f"no nodes at t={grid.times[i]}")
-        out[i] = np.sum(sel) / sel.size
-    return out
+    """Averages at one point across all grid scales: ``avg_at`` per scale."""
+    return np.array([avg_at(AvgRequest(body, t, f1, f2, mode), x) for t in grid.times])
 
 
 # ---------------------------------------------------------------------------
 # Whole-grid evaluation (the workhorse used by the martingale/square modules)
+
+def _ordered_sum(n_rows: int, width: int, step: int, fill) -> np.ndarray:
+    """Sum of ``n_rows`` rows of ``width`` values, added in increasing row order.
+
+    ``fill(start, stop, out)`` writes rows ``start..stop-1`` into ``out``, at
+    most ``step`` rows at a time.  Each block is added row after row into a
+    running total that starts at +0.0 and lives in row 0 of the same buffer,
+    so every column gets the floating-point sum of a plain ``acc += row``
+    loop (see docs/notes.md, note 4).
+    """
+    buf = np.zeros((min(step, n_rows) + 1, width))
+    for start in range(0, n_rows, step):
+        rows = min(step, n_rows - start)
+        fill(start, start + rows, buf[1 : rows + 1])
+        if width == 1:
+            # a single column would be reduced pairwise; accumulate stays in order
+            buf[0] = np.add.accumulate(buf[: rows + 1], axis=0)[rows]
+        else:
+            # along the slow axis the reduction adds row after row
+            buf[0] = np.add.reduce(buf[: rows + 1], axis=0)
+    return buf[0]
+
 
 def avg_field(body: ConvexBody, t: float, f1: Field, f2: Field,
               mode: str = "continuum_quadrature") -> Field:
     """Average at every cell of the shared box; fast sliced path for d = 1."""
     req = AvgRequest(body, t, f1, f2, mode)
     if body.d == 1:
-        vals, _ = _sliced_values(req, f1.box.lattice_axes()[0])
-        return Field(f1.box, vals)
+        return Field(f1.box, _sliced_values(req, f1.box.lattice_axes()[0]))
     d = body.d
     pts = _points(body, req.scaled_t)
     if len(pts) == 0:
         raise DegenerateScale(f"no nodes in the body dilate at t={t}")
-    axes = f1.box.lattice_axes()
-    grids = np.meshgrid(*axes, indexing="ij")
+    grids = np.meshgrid(*f1.box.lattice_axes(), indexing="ij")
     xs = np.stack([g.ravel() for g in grids], axis=-1)
-    acc = np.zeros(len(xs))
-    for start in range(0, len(pts), 1024):
-        chunk = pts[start : start + 1024]
+
+    def fill(start, stop, out):
+        # one row is one chunk of 1024 nodes, summed pairwise per cell
+        chunk = pts[start * 1024 : stop * 1024]
         v1 = f1.values_at(xs[:, None, :] + req.sign * chunk[None, :, :d])
         v2 = f2.values_at(xs[:, None, :] + req.sign * chunk[None, :, d:])
-        acc += np.sum(v1 * v2, axis=1)
+        out[0] = np.sum(v1 * v2, axis=1)
+
+    acc = _ordered_sum(math.ceil(len(pts) / 1024), len(xs), 1, fill)
     return Field(f1.box, acc / len(pts))
 
 
-def _sliced_values(req: AvgRequest, xs: np.ndarray) -> tuple[np.ndarray, int]:
+def _sliced_values(req: AvgRequest, xs: np.ndarray) -> np.ndarray:
     """d = 1 kernel: sum over slices k of f1(x +- k) * (prefix window of f2).
 
-    The slice terms are built a chunk of rows at a time and added into a
-    running total in increasing k, starting from +0.0, so every cell gets
-    the same floating-point sum as a plain loop over k.
+    One row per slice k, summed in increasing k by ``_ordered_sum``.
     """
     body, f1, f2 = req.body, req.f1, req.f2
     sgn = req.sign
-    o1, n1 = f1.box.origin[0], f1.box.extent[0]
-    o2, n2 = f2.box.origin[0], f2.box.extent[0]
+    n = f1.box.extent[0]
+    padded = np.pad(f1.samples, 1)  # zero extension: index i of f1 is padded[i + 1]
     prefix = np.concatenate([[0.0], np.cumsum(f2.samples)])
-    xs = np.asarray(xs, dtype=np.int64)
+    xo = np.asarray(xs, dtype=np.int64) - f1.box.origin[0]  # offsets into the box
     ks, mlo, mhi = slice_table(body, req.scaled_t)
     count = int(np.sum(mhi - mlo + 1))
     if count == 0:
         raise DegenerateScale(f"no nodes in the body dilate at t={req.t}")
-    step = max(1, _CHUNK_CELLS // xs.size)
-    # row 0 carries the running total; rows 1.. take one chunk of slice terms
-    buf = np.zeros((min(step, len(ks)) + 1, xs.size))
-    for start in range(0, len(ks), step):
-        k, lo, hi = (v[start : start + step, None] for v in (ks, mlo, mhi))
-        rows = len(k)
-        idx1 = xs + sgn * k - o1
-        w1 = np.where((idx1 >= 0) & (idx1 < n1), f1.samples[np.clip(idx1, 0, n1 - 1)], 0.0)
-        # window of f2 in lattice coordinates
-        if sgn > 0:
-            a, b = xs + lo, xs + hi
-        else:
-            a, b = xs - hi, xs - lo
-        s = prefix[np.clip(b - o2 + 1, 0, n2)] - prefix[np.clip(a - o2, 0, n2)]
-        np.multiply(w1, s, out=buf[1 : rows + 1])
-        if xs.size == 1:
-            # a single column would be reduced pairwise; accumulate stays in order
-            buf[0] = np.add.accumulate(buf[: rows + 1], axis=0)[rows]
-        else:
-            # along the slow axis the reduction adds row after row
-            buf[0] = np.add.reduce(buf[: rows + 1], axis=0)
-    return buf[0] / count, count
+
+    def fill(start, stop, out):
+        k, lo, hi = (v[start:stop, None] for v in (ks, mlo, mhi))
+        if sgn < 0:
+            lo, hi = -hi, -lo  # the window of f2 is x - [lo, hi]
+        w1 = padded[np.clip(xo + (sgn * k + 1), 0, n + 1)]
+        s = prefix[np.clip(xo + (hi + 1), 0, n)] - prefix[np.clip(xo + lo, 0, n)]
+        np.multiply(w1, s, out=out)
+
+    return _ordered_sum(len(ks), xo.size, max(1, _CHUNK_CELLS // xo.size), fill) / count
 
 
 def fast_slice_avg(req: AvgRequest, x) -> float:
@@ -265,7 +250,7 @@ def fast_slice_avg(req: AvgRequest, x) -> float:
         raise ValueError("fast_slice_avg requires d = 1")
     if req.mode != "lattice_counting":
         raise ValueError("fast_slice_avg requires lattice_counting mode")
-    vals, _ = _sliced_values(req, np.asarray([int(np.asarray(x).reshape(()))], dtype=np.int64))
+    vals = _sliced_values(req, np.asarray([int(np.asarray(x).reshape(()))], dtype=np.int64))
     return float(vals[0])
 
 
@@ -325,17 +310,20 @@ def dtt_avg_field(lam: np.ndarray, t: float, f1: Field, f2: Field) -> Field:
     j = j[np.abs(j) < T]
     if j.size == 0:
         raise DegenerateScale(f"no quadrature nodes at t={t}")
-    o, n = f1.box.origin[0], f1.box.extent[0]
-    xs = np.arange(o, o + n, dtype=np.int64)
-    acc = np.zeros(n)
-    for u1 in j:
+    n = f1.box.extent[0]
+    xs = np.arange(n, dtype=np.int64)[None, :, None] + 1  # index into the padded samples
+    p1, p2 = np.pad(f1.samples, 1), np.pad(f2.samples, 1)
+
+    def fill(start, stop, out):
+        # one row per u1; its u2 terms are summed pairwise
+        u1 = j[start:stop, None, None]
         y1 = np.rint(L[0, 0] * u1 + L[0, 1] * j).astype(np.int64)
         y2 = np.rint(L[1, 0] * u1 + L[1, 1] * j).astype(np.int64)
-        i1 = xs[:, None] + y1[None, :] - o
-        i2 = xs[:, None] + y2[None, :] - o
-        v1 = np.where((i1 >= 0) & (i1 < n), f1.samples[np.clip(i1, 0, n - 1)], 0.0)
-        v2 = np.where((i2 >= 0) & (i2 < n), f2.samples[np.clip(i2, 0, n - 1)], 0.0)
-        acc += np.sum(v1 * v2, axis=1)
+        v1 = p1[np.clip(xs + y1, 0, n + 1)]
+        v2 = p2[np.clip(xs + y2, 0, n + 1)]
+        out[:] = np.sum(v1 * v2, axis=-1)
+
+    acc = _ordered_sum(j.size, n, max(1, _CHUNK_CELLS // (n * j.size)), fill)
     return Field(f1.box, acc / (j.size**2))
 
 

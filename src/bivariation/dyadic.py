@@ -19,8 +19,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "DyadicCube",
-    "cube_coords",
-    "cube_of",
     "covering_level",
     "level_range",
     "single_cube_covers_box",
@@ -46,21 +44,8 @@ class DyadicCube:
     def parent(self) -> "DyadicCube":
         return DyadicCube(self.level + 1, tuple(c >> 1 for c in self.coords))
 
-    def physical_side(self, mesh: float) -> float:
-        return self.side_cells * mesh
-
     def volume(self, mesh: float, dim: int) -> float:
         return (self.side_cells * mesh) ** dim
-
-
-def cube_coords(lattice: np.ndarray, level: int) -> np.ndarray:
-    """Cube coordinates of lattice points (floor division, correct for negatives)."""
-    return np.asarray(lattice, dtype=np.int64) >> np.int64(level)
-
-
-def cube_of(lattice, level: int) -> DyadicCube:
-    lat = np.atleast_1d(np.asarray(lattice, dtype=np.int64))
-    return DyadicCube(level, tuple(int(c) for c in cube_coords(lat, level)))
 
 
 def covering_level(lo, hi) -> int:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .averages import _CHUNK_CELLS, _ordered_sum
 from .bodies import ConvexBody, enumerate_lattice
 from .fields import Field
 from .variation import vq_exact
@@ -321,12 +322,14 @@ def ergodic_avg_profile(
 
     Because torus nodes are equally spaced, each quadrature point shifts the
     whole profile by a fixed number of grid cells, so the average is a mean of
-    rolled sample products.
+    rolled sample products, one row per node.
     """
-    f1 = np.asarray(f1, dtype=np.float64).ravel()
-    f2 = np.asarray(f2, dtype=np.float64).ravel()
+    f1 = np.asarray(f1, dtype=np.float64)
+    f2 = np.asarray(f2, dtype=np.float64)
     if f1.shape != f2.shape:
         raise ValueError("torus sample arrays must share a shape")
+    if body.d != f1.ndim or f1.ndim != 1:
+        raise ValueError("body dimension does not match the torus (the profile needs d = 1)")
     m = f1.size
     h = default_rotation_mesh(t) if quad_mesh is None else float(quad_mesh)
     beta = float(np.asarray(beta, dtype=np.float64).reshape(1)[0])
@@ -335,11 +338,14 @@ def ergodic_avg_profile(
         raise ValueError(f"no quadrature nodes at t={t}")
     s1 = np.mod(np.rint(beta * h * pts[:, 0] * m).astype(np.int64), m)
     s2 = np.mod(np.rint(beta * h * pts[:, 1] * m).astype(np.int64), m)
+    # the doubled arrays wrap every shift in [0, m) around the torus
+    f1d, f2d = np.concatenate([f1, f1]), np.concatenate([f2, f2])
     base = np.arange(m)
-    acc = np.zeros(m)
-    for a, b in zip(s1, s2):
-        acc += f1[(base + a) % m] * f2[(base + b) % m]
-    return acc / len(pts)
+
+    def fill(start, stop, out):
+        np.multiply(f1d[base + s1[start:stop, None]], f2d[base + s2[start:stop, None]], out=out)
+
+    return _ordered_sum(len(pts), m, max(1, _CHUNK_CELLS // m), fill) / len(pts)
 
 
 def ergodic_bilinear_avg(

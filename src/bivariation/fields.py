@@ -90,10 +90,6 @@ class Field:
     def zeros(cls, box: Box) -> "Field":
         return cls(box, np.zeros(box.extent))
 
-    def with_samples(self, samples: np.ndarray) -> "Field":
-        """New field on the same box."""
-        return Field(self.box, samples)
-
     def values_at(self, lattice: np.ndarray) -> np.ndarray:
         """Values at integer lattice coordinates (…, dim), zero outside the box."""
         lattice = np.asarray(lattice, dtype=np.int64)

@@ -7,6 +7,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from ..bodies import body_from_descriptor
+from ..variation import Q_MAX
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_file", "SUITES"]
 
@@ -72,14 +73,20 @@ class ExperimentConfig:
             body_from_descriptor(self.body, self.d)
         except ValueError as exc:
             raise ConfigError(f"bad body {self.body!r}: {exc}") from exc
-        if self.mesh is not None and not self.mesh > 0:
-            raise ConfigError("mesh must be positive")
+        if self.mesh is not None and not 0 < self.mesh < np.inf:
+            raise ConfigError("mesh must be positive and finite")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.ceiling is not None and not self.ceiling > 0:
+            raise ConfigError("ceiling must be positive")
         for name in ("p1", "p2", "p"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
         if self.norm != "bmo" and np.isfinite(self.p1) and np.isfinite(self.p2):
             if abs(1.0 / self.p - (1.0 / self.p1 + 1.0 / self.p2)) > 1e-9:
                 raise ConfigError("exponents must satisfy 1/p = 1/p1 + 1/p2")
+        if not 1.0 < self.q <= Q_MAX:
+            raise ConfigError(f"q must lie in (1, {Q_MAX:g}]")
         if self.suite in BOUNDEDNESS_SUITES and not self.q > 2:
             raise ConfigError(f"suite {self.suite!r} requires q > 2")
         if not (1.0 < self.l < 2.0):

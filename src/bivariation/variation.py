@@ -17,7 +17,6 @@ from .averages import TimeGrid
 __all__ = [
     "VariationOutcome",
     "vq_exact",
-    "vq_value",
     "vq_value_batch",
     "long_variation",
     "short_variation",
@@ -88,10 +87,6 @@ def vq_exact(a, q: float) -> VariationOutcome:
         path.append(end)
         end = int(prev[end])
     return VariationOutcome(q, value, tuple(reversed(path)))
-
-
-def vq_value(a, q: float) -> float:
-    return vq_exact(a, q).value
 
 
 def vq_value_batch(seqs: np.ndarray, q: float) -> np.ndarray:

@@ -183,6 +183,13 @@ def test_rotation_averages_reject_nonpositive_t(t):
         ergodic_avg_profile([0.3], f, f, ball(1), t)
 
 
+@pytest.mark.parametrize("d_body, shape", [(2, (8,)), (1, (8, 8)), (2, (8, 8))])
+def test_profile_rejects_other_than_d1(d_body, shape):
+    f = np.ones(shape)
+    with pytest.raises(ValueError, match="body dimension does not match the torus"):
+        ergodic_avg_profile([0.3], f, f, ball(d_body), 2.0)
+
+
 def test_profile_matches_pointwise():
     rng = np.random.default_rng(2)
     m = 16

@@ -183,6 +183,23 @@ def test_cli_malformed_body_is_config_error(tmp_path, body):
     assert main(["run", "sweep", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
 
 
+@pytest.mark.parametrize("suite, text", [
+    ("identities", "q = nan\n"),
+    ("identities", "q = 20\n"),
+    ("identities", "q = 1\n"),
+    ("interp", "seed = -1\n"),
+    ("carleson", "ceiling = nan\n"),
+    ("carleson", "ceiling = 0\n"),
+    ("sweep", "mesh = inf\n"),
+    ("sweep", "mesh = nan\n"),
+])
+def test_cli_malformed_value_is_config_error(tmp_path, capsys, suite, text):
+    cfg = write_config(tmp_path, text)
+    assert main(["run", suite, "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err
+
+
 def test_cli_missing_config_file(tmp_path):
     assert main(["run", "interp", "--config", str(tmp_path / "nope.cfg")]) == 2
 

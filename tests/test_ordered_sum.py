@@ -1,0 +1,309 @@
+"""The ordered-sum kernel and its four callers, bit for bit.
+
+``_ordered_sum`` is checked against a plain ``acc += row`` loop.  Each caller
+is checked against the loop it replaced, copied below unchanged as an oracle:
+the d = 1 sliced kernel, the d >= 2 gather, ``dtt_avg_field`` and
+``ergodic_avg_profile``.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from bivariation import averages
+from bivariation.averages import (
+    AvgRequest,
+    DegenerateScale,
+    _ordered_sum,
+    _points,
+    avg_field,
+    dtt_avg_field,
+    fast_slice_avg,
+)
+from bivariation.bodies import (
+    ball,
+    cube,
+    enumerate_lattice,
+    gamma_body,
+    normalize,
+    polytope_body,
+    slice_table,
+)
+from bivariation.extremal import default_rotation_mesh, ergodic_avg_profile
+from bivariation.fields import Box, Field
+
+_CHUNK_CELLS = averages._CHUNK_CELLS
+
+D1_BODIES = [
+    ball(1),
+    cube(1),
+    gamma_body(1, [[1.0, 0.4], [-0.2, 0.8]]),
+    polytope_body(1, [[1.0, 1.0], [-1.0, -1.0], [1.0, -0.5], [-1.0, 0.5]]),
+    normalize(1, lambda y: np.abs(y).sum(axis=1) <= 5.0, 5.0 / np.sqrt(2), 5.0),
+]
+
+D2_BODIES = [
+    ball(2),
+    cube(2),
+    gamma_body(2, [[1.0, 0.3], [-0.2, 0.9]]),
+    polytope_body(2, np.vstack([np.eye(4), -np.eye(4), [[0.5, 0.5, 0.5, 0.5]],
+                                [[-0.5, -0.5, -0.5, -0.5]]])),
+    normalize(2, lambda y: np.abs(y).sum(axis=1) <= 5.0, 2.5, 5.0),
+]
+
+MESHES = [0.25, 0.37, 2.0]
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the loops the kernel replaced
+
+def oracle_sliced_values(req: AvgRequest, xs: np.ndarray) -> tuple[np.ndarray, int]:
+    body, f1, f2 = req.body, req.f1, req.f2
+    sgn = req.sign
+    o1, n1 = f1.box.origin[0], f1.box.extent[0]
+    o2, n2 = f2.box.origin[0], f2.box.extent[0]
+    prefix = np.concatenate([[0.0], np.cumsum(f2.samples)])
+    xs = np.asarray(xs, dtype=np.int64)
+    ks, mlo, mhi = slice_table(body, req.scaled_t)
+    count = int(np.sum(mhi - mlo + 1))
+    if count == 0:
+        raise DegenerateScale(f"no nodes in the body dilate at t={req.t}")
+    step = max(1, _CHUNK_CELLS // xs.size)
+    # row 0 carries the running total; rows 1.. take one chunk of slice terms
+    buf = np.zeros((min(step, len(ks)) + 1, xs.size))
+    for start in range(0, len(ks), step):
+        k, lo, hi = (v[start : start + step, None] for v in (ks, mlo, mhi))
+        rows = len(k)
+        idx1 = xs + sgn * k - o1
+        w1 = np.where((idx1 >= 0) & (idx1 < n1), f1.samples[np.clip(idx1, 0, n1 - 1)], 0.0)
+        # window of f2 in lattice coordinates
+        if sgn > 0:
+            a, b = xs + lo, xs + hi
+        else:
+            a, b = xs - hi, xs - lo
+        s = prefix[np.clip(b - o2 + 1, 0, n2)] - prefix[np.clip(a - o2, 0, n2)]
+        np.multiply(w1, s, out=buf[1 : rows + 1])
+        if xs.size == 1:
+            # a single column would be reduced pairwise; accumulate stays in order
+            buf[0] = np.add.accumulate(buf[: rows + 1], axis=0)[rows]
+        else:
+            # along the slow axis the reduction adds row after row
+            buf[0] = np.add.reduce(buf[: rows + 1], axis=0)
+    return buf[0] / count, count
+
+
+def oracle_gather_field(body, t, f1, f2, mode="continuum_quadrature") -> Field:
+    req = AvgRequest(body, t, f1, f2, mode)
+    d = body.d
+    pts = _points(body, req.scaled_t)
+    if len(pts) == 0:
+        raise DegenerateScale(f"no nodes in the body dilate at t={t}")
+    axes = f1.box.lattice_axes()
+    grids = np.meshgrid(*axes, indexing="ij")
+    xs = np.stack([g.ravel() for g in grids], axis=-1)
+    acc = np.zeros(len(xs))
+    for start in range(0, len(pts), 1024):
+        chunk = pts[start : start + 1024]
+        v1 = f1.values_at(xs[:, None, :] + req.sign * chunk[None, :, :d])
+        v2 = f2.values_at(xs[:, None, :] + req.sign * chunk[None, :, d:])
+        acc += np.sum(v1 * v2, axis=1)
+    return Field(f1.box, acc / len(pts))
+
+
+def oracle_dtt_field(L, t, f1, f2) -> Field:
+    h = f1.box.mesh
+    T = t / h
+    R = int(np.ceil(T))
+    j = np.arange(-R, R + 1, dtype=np.int64)
+    j = j[np.abs(j) < T]
+    if j.size == 0:
+        raise DegenerateScale(f"no quadrature nodes at t={t}")
+    o, n = f1.box.origin[0], f1.box.extent[0]
+    xs = np.arange(o, o + n, dtype=np.int64)
+    acc = np.zeros(n)
+    for u1 in j:
+        y1 = np.rint(L[0, 0] * u1 + L[0, 1] * j).astype(np.int64)
+        y2 = np.rint(L[1, 0] * u1 + L[1, 1] * j).astype(np.int64)
+        i1 = xs[:, None] + y1[None, :] - o
+        i2 = xs[:, None] + y2[None, :] - o
+        v1 = np.where((i1 >= 0) & (i1 < n), f1.samples[np.clip(i1, 0, n - 1)], 0.0)
+        v2 = np.where((i2 >= 0) & (i2 < n), f2.samples[np.clip(i2, 0, n - 1)], 0.0)
+        acc += np.sum(v1 * v2, axis=1)
+    return Field(f1.box, acc / (j.size**2))
+
+
+def oracle_ergodic_profile(beta, f1, f2, body, t, quad_mesh=None) -> np.ndarray:
+    f1 = np.asarray(f1, dtype=np.float64).ravel()
+    f2 = np.asarray(f2, dtype=np.float64).ravel()
+    m = f1.size
+    h = default_rotation_mesh(t) if quad_mesh is None else float(quad_mesh)
+    beta = float(np.asarray(beta, dtype=np.float64).reshape(1)[0])
+    pts = enumerate_lattice(body, t / h).points
+    s1 = np.mod(np.rint(beta * h * pts[:, 0] * m).astype(np.int64), m)
+    s2 = np.mod(np.rint(beta * h * pts[:, 1] * m).astype(np.int64), m)
+    base = np.arange(m)
+    acc = np.zeros(m)
+    for a, b in zip(s1, s2):
+        acc += f1[(base + a) % m] * f2[(base + b) % m]
+    return acc / len(pts)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_outcome(new, old) -> bool:
+    """Both raise DegenerateScale, or both return the same bits."""
+    try:
+        expected = old()
+    except DegenerateScale:
+        with pytest.raises(DegenerateScale):
+            new()
+        return True
+    return same_bits(new(), expected)
+
+
+# ---------------------------------------------------------------------------
+# The kernel against a plain loop
+
+@pytest.mark.parametrize("width", [1, 2, 1000])
+@pytest.mark.parametrize("n_rows", [1, 6, 7, 8, 13, 50])
+def test_ordered_sum_matches_plain_loop(width, n_rows):
+    step = 7  # row counts below, at and across one block
+    rng = np.random.default_rng(width * 100 + n_rows)
+    mat = rng.normal(size=(n_rows, width)) * 10.0 ** rng.integers(-8, 9, size=(n_rows, 1))
+    mat[n_rows // 2] = -0.0
+    calls = []
+
+    def fill(start, stop, out):
+        calls.append((start, stop))
+        out[:] = mat[start:stop]
+
+    got = _ordered_sum(n_rows, width, step, fill)
+    acc = np.zeros(width)
+    for row in mat:
+        acc += row
+    assert same_bits(got, acc)
+    assert calls == [(s, min(s + step, n_rows)) for s in range(0, n_rows, step)]
+
+
+@pytest.mark.parametrize("width", [1, 2, 1000])
+def test_ordered_sum_of_negative_zeros_is_positive_zero(width):
+    def fill(start, stop, out):
+        out[:] = -0.0
+
+    got = _ordered_sum(9, width, 4, fill)
+    assert np.all(got == 0.0) and not np.any(np.signbit(got))
+
+
+def test_ordered_sum_is_sequential_for_one_column():
+    # np.sum of this column gives 14.0; added in order, each 1e16 + 1.0 rounds back to 1e16
+    col = np.array([1e16] + [1.0] * 15 + [-1e16])
+
+    def fill(start, stop, out):
+        out[:, 0] = col[start:stop]
+
+    acc = 0.0
+    for v in col:
+        acc += v
+    assert same_bits(_ordered_sum(col.size, 1, 64, fill), [acc])
+
+
+# ---------------------------------------------------------------------------
+# Each caller against the loop it replaced
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, len(D1_BODIES) - 1),
+    st.integers(-40, 10),
+    st.one_of(st.integers(1, 40), st.integers(1500, 2500)),
+    st.sampled_from(MESHES),
+    st.floats(0.3, 12.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_sliced_kernel_matches_oracle(which, origin, n, mesh, t, seed):
+    body = D1_BODIES[which]
+    box = Box(1, (origin,), (n,), mesh)
+    rng = np.random.default_rng(seed)
+    f1 = Field(box, rng.normal(size=n))
+    f2 = Field(box, rng.normal(size=n))
+    for mode in averages.MODES:
+        req = AvgRequest(body, t, f1, f2, mode)
+        assert same_outcome(
+            lambda: avg_field(body, t, f1, f2, mode).samples,
+            lambda: oracle_sliced_values(req, box.lattice_axes()[0])[0],
+        )
+    req = AvgRequest(body, t, f1, f2, "lattice_counting")
+    for x in (origin - 10**6, origin - 3, origin + n // 2, origin + n + 3, 10**9):
+        assert same_outcome(
+            lambda: fast_slice_avg(req, x),
+            lambda: oracle_sliced_values(req, np.asarray([x], dtype=np.int64))[0][0],
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, len(D2_BODIES) - 1),
+    st.tuples(st.integers(-12, 4), st.integers(-12, 4)),
+    st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    st.sampled_from(MESHES),
+    st.floats(0.3, 6.0),
+    st.integers(0, 2**32 - 1),
+)
+@example(0, (-3, -2), (3, 4), 1.0, 5.5, 0)  # 12 cells; 4785 nodes fill five chunks of 1024
+def test_gather_field_matches_oracle(which, origin, extent, mesh, T, seed):
+    body = D2_BODIES[which]
+    box = Box(2, origin, extent, mesh)
+    rng = np.random.default_rng(seed)
+    f1 = Field(box, rng.normal(size=extent))
+    f2 = Field(box, rng.normal(size=extent))
+    for mode, t in (("continuum_quadrature", T * mesh), ("lattice_counting", T)):
+        assert same_outcome(
+            lambda: avg_field(body, t, f1, f2, mode).samples,
+            lambda: oracle_gather_field(body, t, f1, f2, mode).samples,
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(-300, 10),
+    st.one_of(st.integers(1, 40), st.integers(300, 700)),
+    st.sampled_from(MESHES),
+    st.floats(0.1, 12.0),
+    st.integers(0, 2**32 - 1),
+)
+@example(-3, 5, 1.0, 2.5, 1)  # n J = 25: blocks of many rows
+@example(-350, 700, 0.25, 8.0, 2)  # n J = 44100: one row per block
+def test_dtt_field_matches_oracle(origin, n, mesh, t, seed):
+    box = Box(1, (origin,), (n,), mesh)
+    rng = np.random.default_rng(seed)
+    f1 = Field(box, rng.normal(size=n))
+    f2 = Field(box, rng.normal(size=n))
+    L = rng.normal(size=(2, 2)) + 2.0 * np.eye(2)
+    assert same_outcome(
+        lambda: dtt_avg_field(L, t, f1, f2).samples,
+        lambda: oracle_dtt_field(L, t, f1, f2).samples,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2),
+    st.one_of(st.just(1), st.integers(2, 200)),
+    st.floats(0.0, 3.0),
+    st.floats(0.5, 16.0),
+    st.sampled_from([None, 0.5, 0.125]),
+    st.integers(0, 2**32 - 1),
+)
+@example(0, 1, 1.3, 8.0, None, 0)
+def test_ergodic_profile_matches_oracle(which, m, beta, t, quad_mesh, seed):
+    body = D1_BODIES[which]
+    rng = np.random.default_rng(seed)
+    f1 = rng.normal(size=m)
+    f2 = rng.normal(size=m)
+    assert same_bits(
+        ergodic_avg_profile([beta], f1, f2, body, t, quad_mesh=quad_mesh),
+        oracle_ergodic_profile([beta], f1, f2, body, t, quad_mesh=quad_mesh),
+    )
