@@ -11,16 +11,22 @@ from __future__ import annotations
 
 __all__ = ["DEFAULT_CEILINGS", "ceiling_for"]
 
-# calibration: seed 20240801; sizes: bilinear_maximal_sq 10000 trials,
-# sweep entries 200 paired trials per grid in {64,128,256}, others 1000 trials
-# (ergodic_vq 200); each ceiling is 4x the observed max, noted alongside
+# calibration: seed 20240801, one full `python3 tools/calibrate.py` run of the
+# suites' own statistics; sizes: bilinear_maximal_sq 10000 trials, sweep
+# entries 200 paired trials per grid in {64,128,256}, others 1000 trials
+# (ergodic_vq 200).  Each ceiling is 4x the max observed when it was set.  The
+# first three entries were set on earlier copies of their statistics (dense
+# pairs only; mesh 1; f2 from a second pair); the values are kept because
+# they are written into the CSVs, and the comment gives the suite statistic's
+# max observed now.
 DEFAULT_CEILINGS: dict[str, float] = {
-    # integral of the squared bilinear neighbor-maximal against |h1 h2|^2
-    "bilinear_maximal_sq": 2028.03,  # max 507.008
-    # weighted Carleson level sum over ||f||_2^2 ||b||_bmo^2
-    "carleson_weighted": 10.5926,  # max 2.64816
-    # levelwise product-variation L2 ratio
-    "martingale_product_variation": 5.11372,  # max 1.27843
+    # integral of the squared bilinear neighbor-maximal against |h1 h2|^2;
+    # exceeded, see docs/notes.md note 3 (set at max 507.008)
+    "bilinear_maximal_sq": 2028.03,  # max 1.49683e+08
+    # weighted Carleson level sum over ||f||_2^2 ||b||_bmo^2 (set at max 2.64816)
+    "carleson_weighted": 10.5926,  # max 2.6302
+    # levelwise product-variation L2 ratio (set at max 1.27843)
+    "martingale_product_variation": 5.11372,  # max 1.27026
     # square-function L2 ratio against ||f1||_inf ||f2||_2
     "square_l2": 3.85912,  # max 0.964781
     # rotation-average variation ratio on the torus
@@ -45,6 +51,4 @@ def sweep_key(norm: str, p1: float, p2: float, p: float, q: float) -> str:
 def ceiling_for(key: str, override: float | None = None) -> float:
     if override is not None:
         return override
-    if key in DEFAULT_CEILINGS:
-        return DEFAULT_CEILINGS[key]
-    return DEFAULT_CEILINGS.get(key.split(":", 1)[0], 1e6)
+    return DEFAULT_CEILINGS.get(key, 1e6)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -58,19 +58,34 @@ from .generators import (
     trial_rng,
 )
 
-__all__ = ["run_suite", "run_norm_sweep", "RatioReport", "sweep_time_grid"]
+__all__ = ["run_suite", "run_norm_sweep", "RatioReport", "TRACKED"]
 
 
 @dataclass(frozen=True)
 class RatioReport:
-    suite: str
-    label: str
-    ratios: tuple[float, ...]
+    """One tracked constant over a run of trials: the per-trial CSV rows, the
+    largest ratio, its ceiling and the verdict."""
+
+    rows: list[tuple]
     max_ratio: float
-    mean_ratio: float
     ceiling: float
     passed: bool
-    extra: dict
+
+
+def _report(cfg: ExperimentConfig, key: str, rows: list[tuple], max_ratio: float,
+            all_finite: bool = True) -> RatioReport:
+    ceiling = ceiling_for(key, cfg.ceiling)
+    return RatioReport(rows, max_ratio, ceiling, bool(all_finite and max_ratio <= ceiling))
+
+
+def _ratio(num: float, den: float) -> float:
+    return 0.0 if num == 0.0 else (np.inf if den == 0.0 else num / den)
+
+
+def _sup_finite(ratios) -> float:
+    """The largest finite ratio, 0.0 if there is none: a ratio made infinite
+    by a zero denominator is left out."""
+    return max([0.0, *(r for r in ratios if np.isfinite(r))])
 
 
 def _fmt(v) -> str:
@@ -89,10 +104,11 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]):
             w.writerow([_fmt(v) for v in row])
 
 
-def sweep_time_grid(rng, k_min: int = 0, k_max: int = 6, per_block: int = 1) -> TimeGrid:
-    """Scales for the norm sweeps; the floor stays at the coarsest grid's mesh
-    so refinements quadrature the same scales rather than adding sub-cell ones."""
-    return TimeGrid.dyadic_spanning(k_min, k_max, per_block=per_block, rng=rng)
+def _write_constant(path: Path, rep: RatioReport, passed: bool, **extra):
+    """The one-row CSV of a tracked constant; ``extra`` columns sit between
+    the ceiling and the verdict."""
+    _write_csv(path, ["sup_ratio", "ceiling", *extra, "pass"],
+               [(rep.max_ratio, rep.ceiling, *extra.values(), passed)])
 
 
 def sweep_matrix(body, grid: TimeGrid, f1: Field, f2: Field) -> np.ndarray:
@@ -113,7 +129,9 @@ def run_norm_sweep(cfg: ExperimentConfig) -> RatioReport:
     def one(trial: int) -> tuple:
         rng = trial_rng(cfg.seed, trial)
         f1, f2, fam1, fam2 = random_pair(box, rng)
-        grid = sweep_time_grid(rng)
+        # the floor stays at the coarsest grid's mesh, so refinements
+        # quadrature the same scales rather than adding sub-cell ones
+        grid = TimeGrid.dyadic_spanning(0, 6, per_block=1, rng=rng)
         mat = sweep_matrix(body, grid, f1, f2)
         vq = vq_value_batch(mat.T, cfg.q).reshape(box.extent)
         vfield = Field(box, vq)
@@ -126,25 +144,13 @@ def run_norm_sweep(cfg: ExperimentConfig) -> RatioReport:
         else:
             num = bmo_dyadic_norm(vfield)
             den = lp_norm(f1, np.inf) * lp_norm(f2, np.inf)
-        ratio = 0.0 if num == 0.0 else (np.inf if den == 0.0 else num / den)
-        return trial, fam1, fam2, len(grid), num, den, ratio
+        return trial, fam1, fam2, len(grid), num, den, _ratio(num, den)
 
     rows = [one(trial) for trial in range(cfg.trials)]
     ratios = np.array([r[-1] for r in rows])
-    finite = ratios[np.isfinite(ratios)]
-    ceiling = ceiling_for(sweep_key(cfg.norm, cfg.p1, cfg.p2, cfg.p, cfg.q), cfg.ceiling)
-    max_ratio = float(finite.max()) if finite.size else 0.0
-    passed = bool(np.all(np.isfinite(ratios))) and max_ratio <= ceiling
-    return RatioReport(
-        suite="sweep",
-        label=sweep_key(cfg.norm, cfg.p1, cfg.p2, cfg.p, cfg.q),
-        ratios=tuple(float(r) for r in ratios),
-        max_ratio=max_ratio,
-        mean_ratio=float(finite.mean()) if finite.size else 0.0,
-        ceiling=ceiling,
-        passed=passed,
-        extra={"rows": rows},
-    )
+    # unlike the other tracked constants, an infinite ratio fails the sweep
+    return _report(cfg, sweep_key(cfg.norm, cfg.p1, cfg.p2, cfg.p, cfg.q), rows,
+                   _sup_finite(ratios), all(np.isfinite(ratios)))
 
 
 def _suite_sweep(cfg: ExperimentConfig, outdir: Path) -> bool:
@@ -157,7 +163,7 @@ def _suite_sweep(cfg: ExperimentConfig, outdir: Path) -> bool:
         _write_csv(
             outdir / f"sweep_grid{grid}.csv",
             ["trial", "family1", "family2", "n_scales", "numerator", "denominator", "ratio"],
-            rep.extra["rows"],
+            rep.rows,
         )
         ok &= rep.passed
     spread = (max(maxima) - min(maxima)) / min(maxima) if min(maxima) > 0 else np.inf
@@ -268,12 +274,12 @@ def _suite_identities(cfg: ExperimentConfig, outdir: Path) -> bool:
 # ---------------------------------------------------------------------------
 # domination suite
 
-def _suite_domination(cfg: ExperimentConfig, outdir: Path) -> bool:
-    ok = True
+def _bilinear_maximal_sq(cfg: ExperimentConfig) -> RatioReport:
+    """Pointwise domination trials, tracking the squared bilinear maximal
+    against |h1 h2|^2 on the pairs whose product does not vanish."""
     box = standard_box(with_updates(cfg, grid=min(cfg.grid, 64)))
     cover = int(np.log2(max(box.extent)))
-    rows, ratios = [], []
-    degenerate = 0
+    rows = []
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, trial)
         n = int(rng.integers(1, min(5, cover) + 1))
@@ -292,29 +298,56 @@ def _suite_domination(cfg: ExperimentConfig, outdir: Path) -> bool:
         st = star_maximal(h1, n)
         star_ok = float(np.sum(st.samples**2)) <= 3**box.dim * float(np.sum(h1.samples**2)) + 1e-9
         rows.append((trial, n, k, body.kind, sparse, rep.max_excess, rep.holds, ratio, star_ok))
-        if np.isnan(ratio):
-            degenerate += 1
-        else:
-            ratios.append(ratio)
-        ok &= bool(rep.holds) and bool(star_ok)
-    ceiling = ceiling_for("bilinear_maximal_sq", cfg.ceiling)
-    sup_ratio = max(ratios) if ratios else 0.0
-    ok &= all(np.isfinite(r) for r in ratios) and sup_ratio <= ceiling
+    # an infinite ratio makes the sup infinite, which fails the ceiling
+    sup_ratio = max((r[7] for r in rows if not np.isnan(r[7])), default=0.0)
+    return _report(cfg, "bilinear_maximal_sq", rows, sup_ratio)
+
+
+def _suite_domination(cfg: ExperimentConfig, outdir: Path) -> bool:
+    rep = _bilinear_maximal_sq(cfg)
     _write_csv(
         outdir / "domination.csv",
         ["trial", "n", "k", "body", "sparse", "max_excess", "dominated", "sq_ratio", "star_l2_ok"],
-        rows,
+        rep.rows,
     )
-    _write_csv(
-        outdir / "bilinear_maximal_constant.csv",
-        ["sup_ratio", "ceiling", "degenerate_pairs", "pass"],
-        [(sup_ratio, ceiling, degenerate, sup_ratio <= ceiling)],
-    )
-    return ok
+    degenerate = sum(1 for r in rep.rows if np.isnan(r[7]))
+    _write_constant(outdir / "bilinear_maximal_constant.csv", rep, rep.passed,
+                    degenerate_pairs=degenerate)
+    return rep.passed and all(r[6] and r[8] for r in rep.rows)
 
 
 # ---------------------------------------------------------------------------
 # carleson suite
+
+def _carleson_weighted(cfg: ExperimentConfig) -> RatioReport:
+    """The weighted Carleson level sum over ||f||_2^2 ||b||_bmo^2."""
+    wbox = standard_box(with_updates(cfg, d=1, grid=32))
+    rows = []
+    for trial in range(cfg.trials):
+        rng = trial_rng(cfg.seed, 50_000 + trial)
+        f, _, fam, _ = random_pair(wbox, rng)
+        b = random_step_field(wbox, rng, block=4)
+        denom = lp_norm(f, 2.0) ** 2 * bmo_dyadic_norm(b) ** 2
+        if denom == 0.0:
+            continue
+        n = int(rng.integers(0, 5))
+        val = carleson_weighted_sum(f, b, cfg.l, cfg.eps, n)
+        rows.append((trial, fam, n, val, val / denom))
+    return _report(cfg, "carleson_weighted", rows, max([0.0, *(r[-1] for r in rows)]))
+
+
+def _martingale_product_variation(cfg: ExperimentConfig) -> RatioReport:
+    """The L2 norm of the levelwise product variation against the mixed
+    L2 x L-infinity norms."""
+    wbox = standard_box(with_updates(cfg, d=1, grid=32))
+    rows = []
+    for trial in range(cfg.trials):
+        rng = trial_rng(cfg.seed, 60_000 + trial)
+        f1, f2, _, _ = random_pair(wbox, rng)
+        rep = martingale_product_variation_check(f1, f2, cfg.q)
+        rows.append((trial, rep.lhs, rep.rhs, rep.ratio))
+    return _report(cfg, "martingale_product_variation", rows, _sup_finite(r[-1] for r in rows))
+
 
 def _suite_carleson(cfg: ExperimentConfig, outdir: Path) -> bool:
     ok = True
@@ -342,44 +375,14 @@ def _suite_carleson(cfg: ExperimentConfig, outdir: Path) -> bool:
         [(n, per_n_max[n], stable, nongrowing) for n in n_values],
     )
 
-    rows_w = []
-    sup_w = 0.0
-    wbox = standard_box(with_updates(cfg, d=1, grid=32))
-    for trial in range(min(cfg.trials, 20)):
-        rng = trial_rng(cfg.seed, 50_000 + trial)
-        f, _, fam, _ = random_pair(wbox, rng)
-        b = random_step_field(wbox, rng, block=4)
-        denom = lp_norm(f, 2.0) ** 2 * bmo_dyadic_norm(b) ** 2
-        if denom == 0.0:
-            continue
-        n = int(rng.integers(0, 5))
-        val = carleson_weighted_sum(f, b, cfg.l, cfg.eps, n)
-        ratio = val / denom
-        sup_w = max(sup_w, ratio)
-        rows_w.append((trial, fam, n, val, ratio))
-    ceiling = ceiling_for("carleson_weighted", cfg.ceiling)
-    ok &= sup_w <= ceiling
-    _write_csv(outdir / "weighted_sum.csv", ["trial", "family", "n", "value", "ratio"], rows_w)
-    _write_csv(
-        outdir / "weighted_sum_constant.csv",
-        ["sup_ratio", "ceiling", "pass"],
-        [(sup_w, ceiling, sup_w <= ceiling)],
-    )
+    weighted = _carleson_weighted(with_updates(cfg, trials=min(cfg.trials, 20)))
+    _write_csv(outdir / "weighted_sum.csv", ["trial", "family", "n", "value", "ratio"],
+               weighted.rows)
+    _write_constant(outdir / "weighted_sum_constant.csv", weighted, weighted.passed)
 
-    rows_mpv, sup_mpv = [], 0.0
-    for trial in range(min(cfg.trials, 30)):
-        rng = trial_rng(cfg.seed, 60_000 + trial)
-        f1, f2, _, _ = random_pair(wbox, rng)
-        rep = martingale_product_variation_check(f1, f2, cfg.q)
-        if np.isfinite(rep.ratio):
-            sup_mpv = max(sup_mpv, rep.ratio)
-        rows_mpv.append((trial, rep.lhs, rep.rhs, rep.ratio))
-    ceiling_mpv = ceiling_for("martingale_product_variation", cfg.ceiling)
-    ok &= sup_mpv <= ceiling_mpv
-    _write_csv(
-        outdir / "product_variation.csv", ["trial", "lhs", "rhs", "ratio"], rows_mpv
-    )
-    return ok
+    mpv = _martingale_product_variation(with_updates(cfg, trials=min(cfg.trials, 30)))
+    _write_csv(outdir / "product_variation.csv", ["trial", "lhs", "rhs", "ratio"], mpv.rows)
+    return ok and weighted.passed and mpv.passed
 
 
 # ---------------------------------------------------------------------------
@@ -419,22 +422,20 @@ def _suite_cz(cfg: ExperimentConfig, outdir: Path) -> bool:
 # ---------------------------------------------------------------------------
 # square suite
 
-def _suite_square(cfg: ExperimentConfig, outdir: Path) -> bool:
-    ok = True
+def _square_l2(cfg: ExperimentConfig) -> RatioReport:
+    """Square-function trials, tracking its L2 norm against
+    ||f1||_inf ||f2||_2."""
     box = standard_box(with_updates(cfg, d=1, grid=min(cfg.grid, 64)))
     body = body_from_descriptor(cfg.body, 1)
     rows = []
-    sup_ratio = 0.0
-    for trial in range(min(cfg.trials, 30)):
+    for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, trial)
         f1, f2, fam1, fam2 = random_pair(box, rng)
         sp = square_function(f1, f2, body)
         recompute = np.sqrt(sum(p.samples**2 for p in sp.pieces.values()))
         agg_err = float(np.abs(recompute - sp.aggregate.samples).max())
         den = lp_norm(f1, np.inf) * lp_norm(f2, 2.0)
-        num = lp_norm(sp.aggregate, 2.0)
-        ratio = 0.0 if num == 0.0 else (np.inf if den == 0.0 else num / den)
-        sup_ratio = max(sup_ratio, ratio) if np.isfinite(ratio) else sup_ratio
+        ratio = _ratio(lp_norm(sp.aggregate, 2.0), den)
 
         ks = sorted(sp.pieces)
         avg_rows = np.stack(
@@ -452,21 +453,19 @@ def _suite_square(cfg: ExperimentConfig, outdir: Path) -> bool:
         rel = 1e-12 * max(1.0, float(np.abs(sp.aggregate.samples).max()))
         good = agg_err <= rel and lv_ok
         rows.append((trial, fam1, fam2, agg_err, sp.tail_max, ratio, lv_ok, good))
-        ok &= good
-    ceiling = ceiling_for("square_l2", cfg.ceiling)
-    ok &= sup_ratio <= ceiling
+    return _report(cfg, "square_l2", rows, _sup_finite(r[5] for r in rows))
+
+
+def _suite_square(cfg: ExperimentConfig, outdir: Path) -> bool:
+    rep = _square_l2(with_updates(cfg, trials=min(cfg.trials, 30)))
     _write_csv(
         outdir / "square_function.csv",
         ["trial", "family1", "family2", "aggregate_err", "tail_max", "l2_ratio",
          "long_variation_dominated", "pass"],
-        rows,
+        rep.rows,
     )
-    _write_csv(
-        outdir / "square_constant.csv",
-        ["sup_ratio", "ceiling", "pass"],
-        [(sup_ratio, ceiling, sup_ratio <= ceiling)],
-    )
-    return ok
+    _write_constant(outdir / "square_constant.csv", rep, rep.passed)
+    return rep.passed and all(r[-1] for r in rep.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -530,33 +529,30 @@ def _suite_interp(cfg: ExperimentConfig, outdir: Path) -> bool:
 # ---------------------------------------------------------------------------
 # ergodic suite
 
-def _suite_ergodic(cfg: ExperimentConfig, outdir: Path) -> bool:
-    ok = True
+def _random_trig(rng):
+    coeffs = rng.uniform(-1.0, 1.0, size=4)
+    freqs = rng.integers(1, 7, size=4)
+    phases = rng.uniform(0, 2 * np.pi, size=4)
+
+    def fn(x):
+        return sum(c * np.cos(2 * np.pi * k * x + p) for c, k, p in zip(coeffs, freqs, phases))
+
+    return fn
+
+
+def _ergodic_vq(cfg: ExperimentConfig) -> RatioReport:
+    """Rotation averages on the torus: each row holds the mean |average| at
+    t = 4, 8, 16, then the variation ratio's numerator, denominator and value."""
     m = 64
     body = ball(1)
     beta = np.array([np.sqrt(2.0)])
-    rows_trend = []
-    rows_ratio = []
-    sup_ratio = 0.0
-    for trial in range(min(cfg.trials, 20)):
+    rows = []
+    for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, trial)
-
-        def trig(rng_local):
-            coeffs = rng_local.uniform(-1.0, 1.0, size=4)
-            freqs = rng_local.integers(1, 7, size=4)
-            phases = rng_local.uniform(0, 2 * np.pi, size=4)
-
-            def fn(x):
-                return sum(c * np.cos(2 * np.pi * k * x + p)
-                           for c, k, p in zip(coeffs, freqs, phases))
-
-            return fn
-
-        f1 = sample_torus(trig(rng), m, 1)
-        f2 = sample_torus(trig(rng), m, 1)
-        prof = {t: ergodic_avg_profile(beta, f1, f2, body, float(t)) for t in (4.0, 8.0, 16.0)}
-        means = [float(np.mean(np.abs(prof[t]))) for t in (4.0, 8.0, 16.0)]
-        rows_trend.append((trial, means[0], means[1], means[2]))
+        f1 = sample_torus(_random_trig(rng), m, 1)
+        f2 = sample_torus(_random_trig(rng), m, 1)
+        means = [float(np.mean(np.abs(ergodic_avg_profile(beta, f1, f2, body, t))))
+                 for t in (4.0, 8.0, 16.0)]
 
         tg = TimeGrid.dyadic_spanning(0, 4, per_block=1, rng=rng)
         mat = np.stack([ergodic_avg_profile(beta, f1, f2, body, t) for t in tg.times])
@@ -564,22 +560,21 @@ def _suite_ergodic(cfg: ExperimentConfig, outdir: Path) -> bool:
         num = float(np.mean(vq**cfg.p) ** (1.0 / cfg.p))
         den = float(np.mean(np.abs(f1) ** cfg.p1) ** (1.0 / cfg.p1)
                     * np.mean(np.abs(f2) ** cfg.p2) ** (1.0 / cfg.p2))
-        ratio = 0.0 if num == 0.0 else (np.inf if den == 0.0 else num / den)
-        sup_ratio = max(sup_ratio, ratio) if np.isfinite(ratio) else sup_ratio
-        rows_ratio.append((trial, num, den, ratio))
+        rows.append((trial, *means, num, den, _ratio(num, den)))
+    return _report(cfg, "ergodic_vq", rows, _sup_finite(r[-1] for r in rows))
+
+
+def _suite_ergodic(cfg: ExperimentConfig, outdir: Path) -> bool:
+    rep = _ergodic_vq(with_updates(cfg, trials=min(cfg.trials, 20)))
     _write_csv(outdir / "equidistribution.csv",
-               ["trial", "mean_abs_t4", "mean_abs_t8", "mean_abs_t16"], rows_trend)
-    t4 = np.mean([r[1] for r in rows_trend])
-    t16 = np.mean([r[3] for r in rows_trend])
-    trend_ok = t16 < t4
-    ceiling = ceiling_for("ergodic_vq", cfg.ceiling)
-    ok &= trend_ok and sup_ratio <= ceiling
+               ["trial", "mean_abs_t4", "mean_abs_t8", "mean_abs_t16"],
+               [r[:4] for r in rep.rows])
+    trend_ok = np.mean([r[3] for r in rep.rows]) < np.mean([r[1] for r in rep.rows])
     _write_csv(outdir / "variation_ratio.csv",
-               ["trial", "numerator", "denominator", "ratio"], rows_ratio)
-    _write_csv(outdir / "ergodic_constant.csv",
-               ["sup_ratio", "ceiling", "trend_decreasing", "pass"],
-               [(sup_ratio, ceiling, trend_ok, sup_ratio <= ceiling and trend_ok)])
-    return ok
+               ["trial", "numerator", "denominator", "ratio"], [(r[0], *r[4:]) for r in rep.rows])
+    _write_constant(outdir / "ergodic_constant.csv", rep, rep.passed and trend_ok,
+                    trend_decreasing=trend_ok)
+    return rep.passed and trend_ok
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +592,16 @@ _SUITE_FNS = {
     "sweep": _suite_sweep,
 }
 
+# every tracked constant but the sweeps' (run_norm_sweep): its ceiling key,
+# and the suite and function that measure it
+TRACKED = {
+    "bilinear_maximal_sq": ("domination", _bilinear_maximal_sq),
+    "carleson_weighted": ("carleson", _carleson_weighted),
+    "martingale_product_variation": ("carleson", _martingale_product_variation),
+    "square_l2": ("square", _square_l2),
+    "ergodic_vq": ("ergodic", _ergodic_vq),
+}
+
 
 def run_suite(name: str, cfg: ExperimentConfig) -> int:
     """Run one suite; writes reports under cfg.out/<name>/ and returns 0 or 1."""
@@ -609,9 +614,9 @@ def run_suite(name: str, cfg: ExperimentConfig) -> int:
     ok = _SUITE_FNS[name](cfg, outdir)
     elapsed = time.time() - started
     lines = [f"suite = {name}", f"status = {'pass' if ok else 'FAIL'}"]
-    for key in ("body", "d", "grid", "mesh", "p1", "p2", "p", "q", "l", "eps", "s",
-                "n", "trials", "seed", "norm", "ceiling"):
-        lines.append(f"{key} = {getattr(cfg, key)}")
+    for f in fields(ExperimentConfig):
+        if f.name not in ("suite", "out"):
+            lines.append(f"{f.name} = {getattr(cfg, f.name)}")
     lines.append(f"package_version = {__version__}")
     lines.append(f"numpy_version = {np.__version__}")
     lines.append(f"elapsed_seconds = {elapsed:.3f}")

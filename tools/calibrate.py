@@ -2,6 +2,8 @@
 
 Runs the seeded calibration described in bivariation/harness/ceilings.py and
 prints the observed maxima together with the 4x ceilings to paste there.
+Each statistic is the suite's own: the functions in ``suites.TRACKED`` and
+``run_norm_sweep``, run at the seed below with the suite's default config.
 Invoke as: python3 tools/calibrate.py [--quick]
 """
 
@@ -13,114 +15,26 @@ import time
 
 import numpy as np
 
-from bivariation.bodies import ball
-from bivariation.fields import Box, Field, bmo_dyadic_norm, lp_norm
 from bivariation.harness.ceilings import sweep_key
 from bivariation.harness.config import ExperimentConfig
-from bivariation.harness.generators import (
-    random_measurable_pair,
-    random_pair,
-    random_step_field,
-    standard_box,
-    trial_rng,
-)
-from bivariation.harness.suites import run_norm_sweep
-from bivariation.martingale import (
-    bilinear_maximal,
-    carleson_weighted_sum,
-    martingale_product_variation_check,
-)
-from bivariation.squarefn import square_function
-from bivariation.variation import vq_value_batch
-from bivariation.extremal import ergodic_avg_profile, sample_torus
-from bivariation.averages import TimeGrid
+from bivariation.harness.suites import TRACKED, run_norm_sweep
 
 SEED = 20240801
 
-
-def cal_bilinear_maximal(trials: int) -> float:
-    box = Box(1, (0,), (32,), 1.0)
-    worst = 0.0
-    for trial in range(trials):
-        rng = trial_rng(SEED, trial)
-        n = int(rng.integers(1, 5))
-        h1, h2 = random_measurable_pair(box, n - 1, rng, sparse=False)
-        bb = bilinear_maximal(h1, h2, n)
-        num = float(np.sum(bb.samples**2))
-        den = float(np.sum((h1.samples * h2.samples) ** 2))
-        if den > 0:
-            worst = max(worst, num / den)
-    return worst
+# trials per tracked constant: (--quick, full)
+TRIALS = {
+    "bilinear_maximal_sq": (1000, 10_000),
+    "carleson_weighted": (100, 1000),
+    "martingale_product_variation": (100, 1000),
+    "square_l2": (100, 1000),
+    "ergodic_vq": (30, 200),
+}
 
 
-def cal_carleson_weighted(trials: int) -> float:
-    box = Box(1, (0,), (32,), 1.0)
-    worst = 0.0
-    for trial in range(trials):
-        rng = trial_rng(SEED, trial)
-        f, _, _, _ = random_pair(box, rng)
-        b = random_step_field(box, rng, block=4)
-        denom = lp_norm(f, 2.0) ** 2 * bmo_dyadic_norm(b) ** 2
-        if denom == 0.0:
-            continue
-        n = int(rng.integers(0, 5))
-        worst = max(worst, carleson_weighted_sum(f, b, 1.5, 1.0, n) / denom)
-    return worst
-
-
-def cal_product_variation(trials: int) -> float:
-    box = Box(1, (0,), (32,), 1.0)
-    worst = 0.0
-    for trial in range(trials):
-        rng = trial_rng(SEED, trial)
-        f1, _, _, _ = random_pair(box, rng)
-        f2, _, _, _ = random_pair(box, rng)
-        rep = martingale_product_variation_check(f1, f2, 3.0)
-        if np.isfinite(rep.ratio):
-            worst = max(worst, rep.ratio)
-    return worst
-
-
-def cal_square(trials: int) -> float:
-    box = Box(1, (0,), (64,), 1.0)
-    body = ball(1)
-    worst = 0.0
-    for trial in range(trials):
-        rng = trial_rng(SEED, trial)
-        f1, f2, _, _ = random_pair(box, rng)
-        den = lp_norm(f1, np.inf) * lp_norm(f2, 2.0)
-        if den == 0.0:
-            continue
-        sp = square_function(f1, f2, body)
-        worst = max(worst, lp_norm(sp.aggregate, 2.0) / den)
-    return worst
-
-
-def cal_ergodic(trials: int) -> float:
-    m = 64
-    body = ball(1)
-    beta = np.array([np.sqrt(2.0)])
-    worst = 0.0
-    for trial in range(trials):
-        rng = trial_rng(SEED, trial)
-
-        def trig():
-            c = rng.uniform(-1, 1, size=4)
-            k = rng.integers(1, 7, size=4)
-            ph = rng.uniform(0, 2 * np.pi, size=4)
-            return lambda x: sum(ci * np.cos(2 * np.pi * ki * x + pi)
-                                 for ci, ki, pi in zip(c, k, ph))
-
-        f1 = sample_torus(trig(), m, 1)
-        f2 = sample_torus(trig(), m, 1)
-        tg = TimeGrid.dyadic_spanning(0, 4, per_block=1, rng=rng)
-        mat = np.stack([ergodic_avg_profile(beta, f1, f2, body, t) for t in tg.times])
-        vq = vq_value_batch(mat.T, 3.0)
-        num = float(np.mean(vq) )
-        den = float(np.mean(np.abs(f1) ** 2) ** 0.5 * np.mean(np.abs(f2) ** 2) ** 0.5)
-        if den > 0:
-            worst = max(worst, num / den)
-    return worst
+def tracked_max(key: str, trials: int) -> float:
+    """The largest ratio of the tracked constant ``key`` over ``trials`` trials."""
+    suite, fn = TRACKED[key]
+    return fn(ExperimentConfig(suite=suite, trials=trials, seed=SEED).validate()).max_ratio
 
 
 def cal_sweeps(trials: int) -> dict:
@@ -147,21 +61,14 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--quick", action="store_true", help="reduced trial counts")
     args = ap.parse_args()
-    q = args.quick
-    jobs = [
-        ("bilinear_maximal_sq", lambda: cal_bilinear_maximal(1000 if q else 10_000)),
-        ("carleson_weighted", lambda: cal_carleson_weighted(100 if q else 1000)),
-        ("martingale_product_variation", lambda: cal_product_variation(100 if q else 1000)),
-        ("square_l2", lambda: cal_square(100 if q else 1000)),
-        ("ergodic_vq", lambda: cal_ergodic(30 if q else 200)),
-    ]
     print("# calibration results (seed %d)" % SEED)
-    for name, fn in jobs:
+    for key in TRACKED:
+        quick, full = TRIALS[key]
         t0 = time.time()
-        worst = fn()
-        print(f'    "{name}": {4.0 * worst:.6g},  # max {worst:.6g} in {time.time()-t0:.0f}s')
+        worst = tracked_max(key, quick if args.quick else full)
+        print(f'    "{key}": {4.0 * worst:.6g},  # max {worst:.6g} in {time.time()-t0:.0f}s')
     t0 = time.time()
-    for key, worst in cal_sweeps(40 if q else 200).items():
+    for key, worst in cal_sweeps(40 if args.quick else 200).items():
         print(f'    "{key}": {4.0 * worst:.6g},  # max {worst:.6g}')
     print(f"# sweeps took {time.time()-t0:.0f}s")
     return 0
