@@ -145,13 +145,22 @@ def _points(body: ConvexBody, T: float) -> np.ndarray:
     return pts
 
 
+def _lattice_point(x, d: int) -> np.ndarray:
+    """x as d int64 coordinates; a point off the integer lattice is rejected,
+    not truncated."""
+    a = np.asarray(x).reshape(d)
+    if a.dtype.kind not in "iu" and not np.all(np.isfinite(a) & (a == np.round(a))):
+        raise ValueError("x must be a lattice point")
+    return a.astype(np.int64, copy=False)
+
+
 def avg_at(req: AvgRequest, x) -> float:
     """Average at one lattice point x, summed in lexicographic point order."""
     d = req.body.d
+    x = _lattice_point(x, d)
     pts = _points(req.body, req.scaled_t)
     if len(pts) == 0:
         raise DegenerateScale(f"no nodes in the body dilate at t={req.t}")
-    x = np.asarray(x, dtype=np.int64).reshape(d)
     vals1 = req.f1.values_at(x[None, :] + req.sign * pts[:, :d])
     vals2 = req.f2.values_at(x[None, :] + req.sign * pts[:, d:])
     return float(np.sum(vals1 * vals2) / len(pts))
@@ -198,17 +207,23 @@ def avg_field(body: ConvexBody, t: float, f1: Field, f2: Field,
     pts = _points(body, req.scaled_t)
     if len(pts) == 0:
         raise DegenerateScale(f"no nodes in the body dilate at t={t}")
-    grids = np.meshgrid(*f1.box.lattice_axes(), indexing="ij")
-    xs = np.stack([g.ravel() for g in grids], axis=-1)
+    # zero extension: pad past the largest node offset, then gather by flat index
+    R = int(np.abs(pts).max()) + 1
+    p1, p2 = (np.pad(f.samples, R).ravel() for f in (f1, f2))
+    shape = tuple(e + 2 * R for e in f1.box.extent)
+    strides = np.array([math.prod(shape[a + 1 :]) for a in range(d)], dtype=np.int64)
+    base = (np.indices(f1.box.extent).reshape(d, -1).T + R) @ strides
+    off1 = req.sign * pts[:, :d] @ strides
+    off2 = req.sign * pts[:, d:] @ strides
 
     def fill(start, stop, out):
         # one row is one chunk of 1024 nodes, summed pairwise per cell
-        chunk = pts[start * 1024 : stop * 1024]
-        v1 = f1.values_at(xs[:, None, :] + req.sign * chunk[None, :, :d])
-        v2 = f2.values_at(xs[:, None, :] + req.sign * chunk[None, :, d:])
+        chunk = slice(start * 1024, stop * 1024)
+        v1 = p1.take(base[:, None] + off1[None, chunk])
+        v2 = p2.take(base[:, None] + off2[None, chunk])
         out[0] = np.sum(v1 * v2, axis=1)
 
-    acc = _ordered_sum(math.ceil(len(pts) / 1024), len(xs), 1, fill)
+    acc = _ordered_sum(math.ceil(len(pts) / 1024), base.size, 1, fill)
     return Field(f1.box, acc / len(pts))
 
 
@@ -250,7 +265,7 @@ def fast_slice_avg(req: AvgRequest, x) -> float:
         raise ValueError("fast_slice_avg requires d = 1")
     if req.mode != "lattice_counting":
         raise ValueError("fast_slice_avg requires lattice_counting mode")
-    vals = _sliced_values(req, np.asarray([int(np.asarray(x).reshape(()))], dtype=np.int64))
+    vals = _sliced_values(req, _lattice_point(x, 1))
     return float(vals[0])
 
 
@@ -274,6 +289,7 @@ def dtt_avg(lam: np.ndarray, t: float, f1: Field, f2: Field, x) -> float:
     |u1| < t, |u2| < t, by grid quadrature at the fields' mesh."""
     L = _dtt_matrix(lam, t, f1, f2)
     d = f1.box.dim
+    x = _lattice_point(x, d)
     h = f1.box.mesh
     T = t / h
     R = int(np.ceil(T))
@@ -283,7 +299,6 @@ def dtt_avg(lam: np.ndarray, t: float, f1: Field, f2: Field, x) -> float:
     J = grid[inside].astype(np.float64)
     if len(J) == 0:
         raise DegenerateScale(f"no quadrature nodes at t={t}")
-    x = np.asarray(x, dtype=np.int64).reshape(d)
     u1 = J[:, None, :]
     u2 = J[None, :, :]
     y1 = np.rint(L[0, 0] * u1 + L[0, 1] * u2).astype(np.int64) + x

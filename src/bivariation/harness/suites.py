@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -96,12 +97,19 @@ def _fmt(v) -> str:
     return str(v)
 
 
+# (file name, perf_counter time) of each CSV the running suite has written
+_CSV_WRITES: ContextVar[list[tuple[str, float]] | None] = ContextVar("csv_writes", default=None)
+
+
 def _write_csv(path: Path, header: list[str], rows: list[tuple]):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
             w.writerow([_fmt(v) for v in row])
+    writes = _CSV_WRITES.get()
+    if writes is not None:
+        writes.append((path.name, time.perf_counter()))
 
 
 def _write_constant(path: Path, rep: RatioReport, passed: bool, **extra):
@@ -610,16 +618,31 @@ def run_suite(name: str, cfg: ExperimentConfig) -> int:
     cfg = with_updates(cfg, suite=name)
     outdir = Path(cfg.out) / name
     outdir.mkdir(parents=True, exist_ok=True)
-    started = time.time()
-    ok = _SUITE_FNS[name](cfg, outdir)
-    elapsed = time.time() - started
+    writes: list[tuple[str, float]] = []
+    token = _CSV_WRITES.set(writes)
+    started = time.perf_counter()
+    try:
+        ok = _SUITE_FNS[name](cfg, outdir)
+    finally:
+        _CSV_WRITES.reset(token)
+
+    def ms(at: float) -> int:
+        return round((at - started) * 1000)
+
+    elapsed_ms = ms(time.perf_counter())
     lines = [f"suite = {name}", f"status = {'pass' if ok else 'FAIL'}"]
     for f in fields(ExperimentConfig):
         if f.name not in ("suite", "out"):
             lines.append(f"{f.name} = {getattr(cfg, f.name)}")
     lines.append(f"package_version = {__version__}")
     lines.append(f"numpy_version = {np.__version__}")
-    lines.append(f"elapsed_seconds = {elapsed:.3f}")
+    lines.append(f"elapsed_seconds = {elapsed_ms / 1000:.3f}")
+    # each CSV is charged the time since the previous one (or the start); whole
+    # milliseconds since the start keep the lines summing to at most the total
+    prev = 0
+    for csv_name, at in writes:
+        lines.append(f"check_seconds.{csv_name} = {(ms(at) - prev) / 1000:.3f}")
+        prev = ms(at)
     lines.append(f"finished_unix = {time.time():.0f}")
     (outdir / "manifest.txt").write_text("\n".join(lines) + "\n")
     return 0 if ok else 1

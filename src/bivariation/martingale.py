@@ -121,6 +121,24 @@ def measurable_field(box, level: int, cube_values: np.ndarray) -> Field:
     return Field(box, vals[ids])
 
 
+def _neighbor_max(a: np.ndarray) -> np.ndarray:
+    """Max of ``a`` over each cube and its 3Q neighbors on the cube-value grid;
+    cubes beyond the grid count as zeros."""
+    padded = np.pad(a, 1, mode="constant")
+    out = np.zeros_like(a)
+    for shift in np.ndindex(*([3] * a.ndim)):
+        sl = tuple(slice(s, s + a.shape[ax]) for ax, s in enumerate(shift))
+        np.maximum(out, padded[sl], out=out)
+    return out
+
+
+def _cells_of_grid(box, level: int, grid: np.ndarray, qlo) -> Field:
+    """The field that takes each cube's grid value on the cells of that cube."""
+    ids, table, _ = cell_cube_ids(box, level)
+    idx = tuple(table[:, ax] - qlo[ax] for ax in range(box.dim))
+    return Field(box, grid[idx][ids])
+
+
 def star_maximal(h: Field, n: int) -> Field:
     """Neighbor maximum of |h| over the level-(n-1) cube containing x and the
     cubes in its 3Q neighborhood; cubes beyond the box count as zeros."""
@@ -128,25 +146,26 @@ def star_maximal(h: Field, n: int) -> Field:
     if level < 0:
         raise ValueError("need n >= 1")
     grid, qlo = _cube_value_grid(h, level)
-    a = np.abs(grid)
-    padded = np.pad(a, 1, mode="constant")
-    out = np.zeros_like(a)
-    d = h.box.dim
-    for shift in np.ndindex(*([3] * d)):
-        sl = tuple(slice(s, s + a.shape[ax]) for ax, s in enumerate(shift))
-        np.maximum(out, padded[sl], out=out)
-    ids, table, _ = cell_cube_ids(h.box, level)
-    idx = tuple(table[:, ax] - qlo[ax] for ax in range(d))
-    return Field(h.box, out[idx][ids])
+    return _cells_of_grid(h.box, level, _neighbor_max(np.abs(grid)), qlo)
 
 
 def bilinear_maximal(h1: Field, h2: Field, n: int) -> Field:
-    """max{ (h1* |h2|)*, (|h1| h2*)* } for level-(n-1)-measurable inputs."""
+    """max{ (h1* |h2|)*, (|h1| h2*)* } for level-(n-1)-measurable inputs.
+
+    Both products are constant on level-(n-1) cubes, so every star maximal is
+    taken on the cube-value grids and the result is expanded to cells once.
+    """
     if h1.box != h2.box:
         raise ValueError("h1 and h2 must share one box")
-    a = Field(h1.box, star_maximal(h1, n).samples * np.abs(h2.samples))
-    b = Field(h1.box, np.abs(h1.samples) * star_maximal(h2, n).samples)
-    return Field(h1.box, np.maximum(star_maximal(a, n).samples, star_maximal(b, n).samples))
+    level = n - 1
+    if level < 0:
+        raise ValueError("need n >= 1")
+    g1, qlo = _cube_value_grid(h1, level)
+    g2, _ = _cube_value_grid(h2, level)
+    a1, a2 = np.abs(g1), np.abs(g2)
+    a = _neighbor_max(_neighbor_max(a1) * a2)
+    b = _neighbor_max(a1 * _neighbor_max(a2))
+    return _cells_of_grid(h1.box, level, np.maximum(a, b), qlo)
 
 
 @dataclass(frozen=True)

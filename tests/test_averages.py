@@ -3,7 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bivariation import averages
@@ -140,6 +140,22 @@ def test_request_validation():
         AvgRequest(BALL, 1.0, f, f, mode="fourier")
 
 
+def test_avg_at_rejects_non_lattice_point():
+    box = wide_box()
+    rng = np.random.default_rng(12)
+    f1 = Field(box, rng.normal(size=33))
+    f2 = Field(box, rng.normal(size=33))
+    req = AvgRequest(BALL, 2.5, f1, f2)
+    assert avg_at(req, [3.0]) == avg_at(req, [3])
+    for x in ([2.7], [np.nan], [np.inf]):
+        with pytest.raises(ValueError, match="x must be a lattice point"):
+            avg_at(req, x)
+    box2 = Box(2, (-4, -4), (9, 9))
+    g = Field(box2, rng.normal(size=81))
+    with pytest.raises(ValueError, match="x must be a lattice point"):
+        avg_at(AvgRequest(ball(2), 1.8, g, g), (1.0, -0.5))
+
+
 # ---------------------------------------------------------------------------
 # avg_sweep
 
@@ -182,6 +198,17 @@ def test_fast_slice_requires_d1_lattice():
     f2 = Field(box2, np.ones(16))
     with pytest.raises(ValueError):
         fast_slice_avg(AvgRequest(ball(2), 1.0, f2, f2, "lattice_counting"), (0, 0))
+
+
+def test_fast_slice_rejects_non_lattice_point():
+    box = wide_box()
+    rng = np.random.default_rng(13)
+    f1 = Field(box, rng.integers(-9, 10, size=33).astype(float))
+    f2 = Field(box, rng.integers(-9, 10, size=33).astype(float))
+    req = AvgRequest(BALL, 3.5, f1, f2, "lattice_counting")
+    assert fast_slice_avg(req, 3.0) == fast_slice_avg(req, 3) == avg_at(req, [3])
+    with pytest.raises(ValueError, match="x must be a lattice point"):
+        fast_slice_avg(req, 2.7)
 
 
 def test_fast_slice_exact_on_integer_fields():
@@ -297,6 +324,50 @@ def test_sliced_kernel_matches_pointwise(which, origin, n, mesh, t, seed):
         assert fast_slice_avg(req, x) == avg_at(req, [x])
 
 
+D2_BODIES = [
+    ball(2),
+    cube(2),
+    gamma_body(2, [[1.0, 0.3], [-0.2, 0.9]]),
+    polytope_body(2, np.vstack([np.eye(4), -np.eye(4), [[0.5, 0.5, 0.5, 0.5]],
+                                [[-0.5, -0.5, -0.5, -0.5]]])),
+    normalize(2, lambda y: np.abs(y).sum(axis=1) <= 5.0, 2.5, 5.0),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, len(D2_BODIES) - 1),
+    st.tuples(st.integers(-12, 4), st.integers(-12, 4)),
+    st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    st.sampled_from([0.25, 0.37, 2.0]),
+    st.floats(0.3, 5.0),
+    st.integers(0, 2**32 - 1),
+)
+# one-cell boxes with T above the box side: most node offsets leave the box
+@example(0, (-3, -5), (1, 1), 0.37, 4.5, 0)
+@example(3, (2, -1), (1, 1), 2.0, 3.0, 1)
+@example(4, (-12, 4), (1, 1), 0.25, 5.0, 2)
+def test_avg_field_matches_avg_at_every_d2_body(which, origin, extent, mesh, T, seed):
+    body = D2_BODIES[which]
+    box = Box(2, origin, extent, mesh)
+    rng = np.random.default_rng(seed)
+    f1 = Field(box, rng.normal(size=extent))
+    f2 = Field(box, rng.normal(size=extent))
+    # avg_at sums the same nodes in another order, so agreement is to rounding
+    tol = 1e-9 * float(np.abs(f1.samples).max() * np.abs(f2.samples).max())
+    cells = np.stack(np.meshgrid(*box.lattice_axes(), indexing="ij"), axis=-1).reshape(-1, 2)
+    for mode, t in (("continuum_quadrature", T * mesh), ("lattice_counting", T)):
+        req = AvgRequest(body, t, f1, f2, mode)
+        try:
+            fld = avg_field(body, t, f1, f2, mode).samples.ravel()
+        except DegenerateScale:
+            with pytest.raises(DegenerateScale):
+                avg_at(req, cells[0])
+            continue
+        for got, x in zip(fld, cells):
+            assert abs(got - avg_at(req, x)) <= tol
+
+
 # ---------------------------------------------------------------------------
 # linear-change-of-variables route
 
@@ -319,6 +390,17 @@ def test_dtt_constants():
     f1 = Field(box, np.full(65, 2.0))
     f2 = Field(box, np.full(65, 3.0))
     assert dtt_avg([[1.0, 0.5], [-0.25, 1.0]], 3.0, f1, f2, [0]) == pytest.approx(6.0, rel=1e-12)
+
+
+def test_dtt_rejects_non_lattice_point():
+    box = wide_box()
+    rng = np.random.default_rng(14)
+    f1 = Field(box, rng.normal(size=33))
+    f2 = Field(box, rng.normal(size=33))
+    lam = [[1.0, 0.5], [-0.25, 1.0]]
+    assert dtt_avg(lam, 3.0, f1, f2, [3.0]) == dtt_avg(lam, 3.0, f1, f2, [3])
+    with pytest.raises(ValueError, match="x must be a lattice point"):
+        dtt_avg(lam, 3.0, f1, f2, [2.7])
 
 
 def test_dtt_rejects_singular():

@@ -116,6 +116,19 @@ def test_seed_changes_reports(tmp_path):
     assert a != b
 
 
+def test_manifest_times_every_csv(tmp_path):
+    cfg = ExperimentConfig(suite="identities", trials=3, seed=1, out=str(tmp_path))
+    run_suite("identities", cfg)
+    outdir = tmp_path / "identities"
+    lines = [ln.split(" = ", 1) for ln in (outdir / "manifest.txt").read_text().splitlines()]
+    checks = [(k.removeprefix("check_seconds."), float(v))
+              for k, v in lines if k.startswith("check_seconds.")]
+    assert sorted(name for name, _ in checks) == sorted(p.name for p in outdir.glob("*.csv"))
+    assert len(checks) > 1 and all(v >= 0.0 for _, v in checks)
+    elapsed = float(dict(lines)["elapsed_seconds"])
+    assert sum(round(v * 1000) for _, v in checks) <= round(elapsed * 1000)
+
+
 # ---------------------------------------------------------------------------
 # norm sweep
 

@@ -5,6 +5,7 @@ from bivariation.averages import avg_field
 from bivariation.bodies import ball, cube
 from bivariation.dyadic import DyadicCube, cell_cube_ids
 from bivariation.fields import Box, Field, lp_norm
+from bivariation.harness.generators import random_measurable_pair
 from bivariation.martingale import (
     MeasurabilityError,
     bilinear_maximal,
@@ -191,6 +192,38 @@ def test_bilinear_maximal_dominates_product():
         bb = bilinear_maximal(h1, h2, n)
         assert np.all(bb.samples >= np.abs(h1.samples * h2.samples) - 1e-15)
         assert np.all(star_maximal(h1, n).samples >= np.abs(h1.samples) - 1e-15)
+
+
+def four_star_calls(h1, h2, n):
+    """bilinear_maximal composed of four star maximals on cell fields."""
+    a = Field(h1.box, star_maximal(h1, n).samples * np.abs(h2.samples))
+    b = Field(h1.box, np.abs(h1.samples) * star_maximal(h2, n).samples)
+    return np.maximum(star_maximal(a, n).samples, star_maximal(b, n).samples)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_bilinear_maximal_matches_four_star_calls(dim):
+    rng = np.random.default_rng(40 + dim)
+    for trial in range(60):
+        n = int(rng.integers(1, 4))
+        origin = rng.integers(-9, 6, size=dim)
+        extent = rng.integers(1, 20 if dim == 1 else 9, size=dim)
+        box = Box(dim, origin, extent, float(rng.choice([0.37, 1.0, 2.0])))
+        h1, h2 = random_measurable_pair(box, n - 1, rng, sparse=bool(trial % 2))
+        got = bilinear_maximal(h1, h2, n).samples
+        assert got.tobytes() == four_star_calls(h1, h2, n).tobytes()
+
+
+def test_bilinear_maximal_rejects_non_measurable():
+    good = line([1.0, 1.0, 2.0, 2.0])
+    bad2 = line([0.0, 1.0, 0.0, 0.0])
+    bad1 = line([3.0, 3.0, 0.0, 1.0])
+    with pytest.raises(MeasurabilityError) as exc:
+        bilinear_maximal(good, bad2, 2)
+    assert exc.value.cube_coords == (0,)
+    with pytest.raises(MeasurabilityError) as exc:
+        bilinear_maximal(bad1, bad2, 2)
+    assert exc.value.cube_coords == (1,)  # h1 is checked first
 
 
 def test_bilinear_maximal_adjacent_cells():

@@ -52,6 +52,8 @@ D2_BODIES = [
     normalize(2, lambda y: np.abs(y).sum(axis=1) <= 5.0, 2.5, 5.0),
 ]
 
+D3_BODIES = [ball(3)]
+
 MESHES = [0.25, 0.37, 2.0]
 
 
@@ -253,9 +255,10 @@ def test_sliced_kernel_matches_oracle(which, origin, n, mesh, t, seed):
     st.integers(0, 2**32 - 1),
 )
 @example(0, (-3, -2), (3, 4), 1.0, 5.5, 0)  # 12 cells; 4785 nodes fill five chunks of 1024
+@example(len(D2_BODIES), (-2, 1, -3), (3, 2, 2), 0.37, 2.5, 3)  # d = 3: 1341 nodes in R^6, two chunks
 def test_gather_field_matches_oracle(which, origin, extent, mesh, T, seed):
-    body = D2_BODIES[which]
-    box = Box(2, origin, extent, mesh)
+    body = (D2_BODIES + D3_BODIES)[which]
+    box = Box(body.d, origin, extent, mesh)
     rng = np.random.default_rng(seed)
     f1 = Field(box, rng.normal(size=extent))
     f2 = Field(box, rng.normal(size=extent))
