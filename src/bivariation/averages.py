@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bodies import ConvexBody, GammaBody, enumerate_lattice, gamma_body, slice_table
 from .fields import Field
@@ -120,7 +121,9 @@ class TimeGrid:
 # ---------------------------------------------------------------------------
 # Reference evaluation (lexicographic point sums)
 
-_POINT_CACHE: dict[tuple, np.ndarray] = {}
+_POINT_CACHE: dict[tuple, object] = {}
+# lookups of _POINT_CACHE that found their entry, and those that built it
+CACHE_COUNTS = {"hits": 0, "misses": 0}
 
 
 def _body_key(body: ConvexBody):
@@ -134,15 +137,30 @@ def _body_key(body: ConvexBody):
     return (body.kind, body.d, body.r_in, extra)
 
 
+def _cached(body: ConvexBody, T: float, tag: str, build):
+    """``build()`` memoized under ``(body key, T, tag)``; its arrays are read-only,
+    because every caller with an equal body and scale shares them."""
+    key = (_body_key(body), float(T), tag)
+    value = _POINT_CACHE.get(key)
+    if value is not None:
+        CACHE_COUNTS["hits"] += 1
+        return value
+    CACHE_COUNTS["misses"] += 1
+    value = build()
+    for a in value if isinstance(value, tuple) else (value,):
+        a.flags.writeable = False
+    if len(_POINT_CACHE) > 256:
+        _POINT_CACHE.clear()
+    _POINT_CACHE[key] = value
+    return value
+
+
 def _points(body: ConvexBody, T: float) -> np.ndarray:
-    key = (_body_key(body), float(T))
-    pts = _POINT_CACHE.get(key)
-    if pts is None:
-        pts = enumerate_lattice(body, T).points
-        if len(_POINT_CACHE) > 256:
-            _POINT_CACHE.clear()
-        _POINT_CACHE[key] = pts
-    return pts
+    return _cached(body, T, "points", lambda: enumerate_lattice(body, T).points)
+
+
+def _slices(body: ConvexBody, T: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return _cached(body, T, "slices", lambda: slice_table(body, T))
 
 
 def _lattice_point(x, d: int) -> np.ndarray:
@@ -202,7 +220,7 @@ def avg_field(body: ConvexBody, t: float, f1: Field, f2: Field,
     """Average at every cell of the shared box; fast sliced path for d = 1."""
     req = AvgRequest(body, t, f1, f2, mode)
     if body.d == 1:
-        return Field(f1.box, _sliced_values(req, f1.box.lattice_axes()[0]))
+        return Field(f1.box, _sliced_values(req, f1.box.origin[0], f1.box.extent[0]))
     d = body.d
     pts = _points(body, req.scaled_t)
     if len(pts) == 0:
@@ -227,31 +245,47 @@ def avg_field(body: ConvexBody, t: float, f1: Field, f2: Field,
     return Field(f1.box, acc / len(pts))
 
 
-def _sliced_values(req: AvgRequest, xs: np.ndarray) -> np.ndarray:
-    """d = 1 kernel: sum over slices k of f1(x +- k) * (prefix window of f2).
+def _sliced_values(req: AvgRequest, x: int, width: int) -> np.ndarray:
+    """d = 1 kernel at the ``width`` lattice points x, x + 1, ... (the whole
+    box, or one point): the sum over slices k of f1(x +- k) * (prefix window
+    of f2).
 
-    One row per slice k, summed in increasing k by ``_ordered_sum``.
+    One row per slice k, summed in increasing k by ``_ordered_sum``.  A row
+    is read as whole windows of f1 extended by zeros and of the f2 prefix
+    sums extended by their end values, so it holds the values a clipped
+    gather reads.
     """
-    body, f1, f2 = req.body, req.f1, req.f2
-    sgn = req.sign
+    f1, f2 = req.f1, req.f2
     n = f1.box.extent[0]
-    padded = np.pad(f1.samples, 1)  # zero extension: index i of f1 is padded[i + 1]
-    prefix = np.concatenate([[0.0], np.cumsum(f2.samples)])
-    xo = np.asarray(xs, dtype=np.int64) - f1.box.origin[0]  # offsets into the box
-    ks, mlo, mhi = slice_table(body, req.scaled_t)
-    count = int(np.sum(mhi - mlo + 1))
+    ks, lo, hi = _slices(req.body, req.scaled_t)
+    count = int(np.sum(hi - lo + 1))
     if count == 0:
         raise DegenerateScale(f"no nodes in the body dilate at t={req.t}")
+    k1 = req.sign * ks
+    if req.sign < 0:
+        lo, hi = -hi, -lo  # the window of f2 is x - [lo, hi]
+    # every offset read (k1, lo, hi + 1) is less than R in size, so one point
+    # below -R or above n + R - 1 reads only the extensions; clamping it there
+    # reads the same values and keeps the arrays O(n + R), not O(|x|) (the
+    # whole box starts at 0, which the clamp leaves alone)
+    R = int(max(np.abs(ks).max(), np.abs(lo).max(), np.abs(hi).max() + 1)) + 1
+    E = 2 * R  # extension on each side; box index i is array index i + E
+    off = min(max(int(x) - f1.box.origin[0], -R), n + R - width) + E
+    ext1 = np.zeros(n + 2 * E)
+    ext1[E : E + n] = f1.samples
+    extp = np.zeros(n + 2 * E + 1)
+    np.cumsum(f2.samples, out=extp[E + 1 : E + n + 1])
+    extp[E + n + 1 :] = extp[E + n]
+    f1w = sliding_window_view(ext1, width)
+    pw = sliding_window_view(extp, width)
 
     def fill(start, stop, out):
-        k, lo, hi = (v[start:stop, None] for v in (ks, mlo, mhi))
-        if sgn < 0:
-            lo, hi = -hi, -lo  # the window of f2 is x - [lo, hi]
-        w1 = padded[np.clip(xo + (sgn * k + 1), 0, n + 1)]
-        s = prefix[np.clip(xo + (hi + 1), 0, n)] - prefix[np.clip(xo + lo, 0, n)]
-        np.multiply(w1, s, out=out)
+        rows = slice(start, stop)
+        w1 = f1w[k1[rows] + off]
+        np.subtract(pw[hi[rows] + (off + 1)], pw[lo[rows] + off], out=out)
+        np.multiply(w1, out, out=out)
 
-    return _ordered_sum(len(ks), xo.size, max(1, _CHUNK_CELLS // xo.size), fill) / count
+    return _ordered_sum(len(ks), width, max(1, _CHUNK_CELLS // width), fill) / count
 
 
 def fast_slice_avg(req: AvgRequest, x) -> float:
@@ -265,8 +299,7 @@ def fast_slice_avg(req: AvgRequest, x) -> float:
         raise ValueError("fast_slice_avg requires d = 1")
     if req.mode != "lattice_counting":
         raise ValueError("fast_slice_avg requires lattice_counting mode")
-    vals = _sliced_values(req, _lattice_point(x, 1))
-    return float(vals[0])
+    return float(_sliced_values(req, _lattice_point(x, 1)[0], 1)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -274,22 +274,29 @@ class LatticePointSet:
         return {tuple(int(v) for v in p) for p in self.points}
 
 
-def _lex_sort(points: np.ndarray) -> np.ndarray:
-    if len(points) == 0:
-        return points
-    order = np.lexsort(points.T[::-1])
-    return points[order]
+_SLAB_ROWS = 1 << 16  # box rows tested at once; bounds the scan's scratch memory
 
 
 def enumerate_lattice(body: ConvexBody, t: float) -> LatticePointSet:
-    """Exact integer points of G_t via a bounding-box scan of [-ceil(t), ceil(t)]^(2d)."""
+    """Exact integer points of G_t by a scan of the box [-ceil(t), ceil(t)]^(2d).
+
+    The box is scanned in row-major order, in slabs of consecutive first
+    coordinates of about ``_SLAB_ROWS`` rows each, so the points come out
+    sorted lexicographically and the scratch memory is about one slab.
+    """
     if not t > 0:
         raise ValueError("t must be positive")
     R = int(np.ceil(t * body.r_out))
-    axes = [np.arange(-R, R + 1, dtype=np.int64)] * body.ambient
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, body.ambient)
-    keep = body.contains_dilated(grid.astype(np.float64), t)
-    return LatticePointSet(t, _lex_sort(grid[keep]))
+    side = np.arange(-R, R + 1, dtype=np.int64)
+    rest = np.stack(np.meshgrid(*[side] * (body.ambient - 1), indexing="ij"), axis=-1)
+    rest = rest.reshape(-1, body.ambient - 1)
+    per_slab = max(1, _SLAB_ROWS // len(rest))
+    kept = []
+    for start in range(0, side.size, per_slab):
+        first = side[start : start + per_slab]
+        slab = np.hstack([np.repeat(first, len(rest))[:, None], np.tile(rest, (first.size, 1))])
+        kept.append(slab[body.contains_dilated(slab.astype(np.float64), t)])
+    return LatticePointSet(t, np.concatenate(kept))
 
 
 def shell(body: ConvexBody, t1: float, t2: float) -> LatticePointSet:

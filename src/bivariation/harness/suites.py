@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from ..averages import TimeGrid, avg_field
+from ..averages import CACHE_COUNTS, TimeGrid, avg_field
 from ..bodies import ball, body_from_descriptor
 from ..cz import cz_certify, cz_decompose, format_cz_report
 from ..extremal import (
@@ -620,6 +620,7 @@ def run_suite(name: str, cfg: ExperimentConfig) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     writes: list[tuple[str, float]] = []
     token = _CSV_WRITES.set(writes)
+    counts_before = dict(CACHE_COUNTS)
     started = time.perf_counter()
     try:
         ok = _SUITE_FNS[name](cfg, outdir)
@@ -643,6 +644,8 @@ def run_suite(name: str, cfg: ExperimentConfig) -> int:
     for csv_name, at in writes:
         lines.append(f"check_seconds.{csv_name} = {(ms(at) - prev) / 1000:.3f}")
         prev = ms(at)
+    for kind, count in CACHE_COUNTS.items():
+        lines.append(f"cache_{kind} = {count - counts_before[kind]}")
     lines.append(f"finished_unix = {time.time():.0f}")
     (outdir / "manifest.txt").write_text("\n".join(lines) + "\n")
     return 0 if ok else 1

@@ -128,6 +128,36 @@ def test_point_cache_keeps_custom_predicate_alive():
     assert any(ref() in key[0][3] for key in averages._POINT_CACHE)
 
 
+def test_slice_cache_keeps_custom_predicate_alive():
+    body = normalize(1, lambda y: np.abs(y).sum(axis=1) <= 3.0, 3.0 / np.sqrt(2), 3.0)
+    box = wide_box()
+    f = Field(box, np.ones(33))
+    avg_field(body, 2.5, f, f)
+    ref = weakref.ref(body.predicate)
+    del body
+    gc.collect()
+    assert ref() is not None
+    assert any(ref() in key[0][3] for key in averages._POINT_CACHE if key[2] == "slices")
+
+
+def test_equal_bodies_share_one_read_only_slice_table():
+    a = gamma_body(1, [[1.0, 0.4], [-0.2, 0.8]])
+    b = gamma_body(1, [[1.0, 0.4], [-0.2, 0.8]])
+    assert a is not b
+    f = Field(wide_box(), np.ones(33))
+    avg_field(a, 2.4375, f, f)
+    before = dict(averages.CACHE_COUNTS)
+    avg_field(b, 2.4375, f, f)
+    assert averages.CACHE_COUNTS["hits"] == before["hits"] + 1
+    assert averages.CACHE_COUNTS["misses"] == before["misses"]
+    keys = [k for k in averages._POINT_CACHE if k[1:] == (2.4375, "slices")]
+    assert len(keys) == 1 and keys[0][0] == averages._body_key(b)
+    for arr in averages._POINT_CACHE[keys[0]]:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
 def test_request_validation():
     box = wide_box()
     f = Field(box, np.ones(33))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bivariation import bodies
 from bivariation.bodies import (
     CustomBody,
     ball,
@@ -90,6 +91,47 @@ def test_enumerate_ball_d2():
 def test_enumerate_rejects_bad_t():
     with pytest.raises(ValueError):
         enumerate_lattice(ball(1), 0.0)
+
+
+def full_box_scan(body, t):
+    # the scan the slabs replaced: the whole box at once, then a lexicographic sort
+    R = int(np.ceil(t * body.r_out))
+    axes = [np.arange(-R, R + 1, dtype=np.int64)] * body.ambient
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, body.ambient)
+    pts = grid[body.contains_dilated(grid.astype(np.float64), t)]
+    return pts[np.lexsort(pts.T[::-1])]
+
+
+SCAN_BODIES = {
+    1: [
+        ball(1),
+        cube(1),
+        gamma_body(1, [[1.0, 0.4], [-0.3, 0.9]]),
+        polytope_body(1, [[1.0, 1.0], [-1.0, -1.0], [1.0, -0.5], [-1.0, 0.5]]),
+        normalize(1, lambda y: np.abs(y).sum(axis=1) <= 5.0, 5.0 / np.sqrt(2), 5.0),
+    ],
+    2: [
+        ball(2),
+        cube(2),
+        gamma_body(2, [[1.0, 0.3], [-0.2, 0.9]]),
+        polytope_body(2, np.vstack([np.eye(4), -np.eye(4), [[0.5, 0.5, 0.5, 0.5]],
+                                    [[-0.5, -0.5, -0.5, -0.5]]])),
+        normalize(2, lambda y: np.abs(y).sum(axis=1) <= 5.0, 2.5, 5.0),
+    ],
+}
+
+
+@pytest.mark.parametrize("slab_rows", [7, bodies._SLAB_ROWS])
+@pytest.mark.parametrize("d, which", [(d, i) for d in (1, 2) for i in range(5)])
+def test_slab_scan_matches_full_box(monkeypatch, d, which, slab_rows):
+    # 7 rows per slab splits every box into many slabs, a partial last one included
+    monkeypatch.setattr(bodies, "_SLAB_ROWS", slab_rows)
+    body = SCAN_BODIES[d][which]
+    for t in ((0.7, 3.0, 12.5, 40.0) if d == 1 else (0.7, 3.0, 5.5, 9.0)):
+        got = enumerate_lattice(body, t).points
+        want = full_box_scan(body, t)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_count_monotone_in_t():

@@ -129,6 +129,17 @@ def test_manifest_times_every_csv(tmp_path):
     assert sum(round(v * 1000) for _, v in checks) <= round(elapsed * 1000)
 
 
+def test_manifest_counts_cache_hits(tmp_path):
+    cfg = ExperimentConfig(suite="sweep", trials=1, seed=0, out=str(tmp_path))
+    assert run_suite("sweep", cfg) == 0
+    lines = dict(ln.split(" = ", 1)
+                 for ln in (tmp_path / "sweep" / "manifest.txt").read_text().splitlines())
+    # each finer grid halves the mesh, so in lattice units most of its dyadic
+    # anchors are anchors of a coarser grid too
+    assert int(lines["cache_hits"]) > 0
+    assert int(lines["cache_misses"]) >= 0
+
+
 # ---------------------------------------------------------------------------
 # norm sweep
 

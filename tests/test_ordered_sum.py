@@ -43,6 +43,10 @@ D1_BODIES = [
     normalize(1, lambda y: np.abs(y).sum(axis=1) <= 5.0, 5.0 / np.sqrt(2), 5.0),
 ]
 
+# a slanted gamma body whose slice table skips rows: ks [-3, 0, 3] at T = 7.3,
+# 17 rows with gaps at T = 30
+SLANTED_BODIES = [gamma_body(1, [[1, 3.1], [0.02, 0.01]])]
+
 D2_BODIES = [
     ball(2),
     cube(2),
@@ -225,8 +229,10 @@ def test_ordered_sum_is_sequential_for_one_column():
     st.floats(0.3, 12.0),
     st.integers(0, 2**32 - 1),
 )
+@example(len(D1_BODIES), -7, 25, 1.0, 7.3, 0)
+@example(len(D1_BODIES), -20, 40, 1.0, 30.0, 1)
 def test_sliced_kernel_matches_oracle(which, origin, n, mesh, t, seed):
-    body = D1_BODIES[which]
+    body = (D1_BODIES + SLANTED_BODIES)[which]
     box = Box(1, (origin,), (n,), mesh)
     rng = np.random.default_rng(seed)
     f1 = Field(box, rng.normal(size=n))
