@@ -341,16 +341,14 @@ def dtt_avg(lam: np.ndarray, t: float, f1: Field, f2: Field, x) -> float:
 
 
 def dtt_avg_field(lam: np.ndarray, t: float, f1: Field, f2: Field) -> Field:
-    """The u-cube quadrature average at every cell (vectorized d = 1 path)."""
-    L = _dtt_matrix(lam, t, f1, f2)
+    """The u-cube quadrature average at every cell of a d = 1 box.
+
+    Demeter-Tao-Thiele averages are one-dimensional, so d >= 2 raises;
+    ``dtt_avg`` still evaluates one point in any d.
+    """
     if f1.box.dim != 1:
-        vals = [
-            dtt_avg(L, t, f1, f2, x)
-            for x in np.stack(
-                np.meshgrid(*f1.box.lattice_axes(), indexing="ij"), axis=-1
-            ).reshape(-1, f1.box.dim)
-        ]
-        return Field(f1.box, np.asarray(vals))
+        raise ValueError("dtt_avg_field requires d = 1")
+    L = _dtt_matrix(lam, t, f1, f2)
     h = f1.box.mesh
     T = t / h
     R = int(np.ceil(T))

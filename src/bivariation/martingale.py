@@ -124,7 +124,8 @@ def measurable_field(box, level: int, cube_values: np.ndarray) -> Field:
 def _neighbor_max(a: np.ndarray) -> np.ndarray:
     """Max of ``a`` over each cube and its 3Q neighbors on the cube-value grid;
     cubes beyond the grid count as zeros."""
-    padded = np.pad(a, 1, mode="constant")
+    padded = np.zeros(tuple(n + 2 for n in a.shape), dtype=a.dtype)
+    padded[(slice(1, -1),) * a.ndim] = a
     out = np.zeros_like(a)
     for shift in np.ndindex(*([3] * a.ndim)):
         sl = tuple(slice(s, s + a.shape[ax]) for ax, s in enumerate(shift))

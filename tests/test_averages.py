@@ -449,6 +449,13 @@ def test_dtt_field_rejects_nonpositive_t():
             dtt_avg_field(lam, t, f, f)
 
 
+def test_dtt_field_rejects_d2():
+    box = Box(2, (-4, -4), (8, 8), 1.0)
+    f = Field(box, np.ones((8, 8)))
+    with pytest.raises(ValueError, match="requires d = 1"):
+        dtt_avg_field(np.eye(2), 2.0, f, f)
+
+
 def test_dtt_field_matches_pointwise():
     box = wide_box(65)
     rng = np.random.default_rng(10)

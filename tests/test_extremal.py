@@ -1,10 +1,16 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bivariation.bodies import ball
 from bivariation.extremal import (
     HullError,
+    _disk_rows,
     _outside_fraction,
+    _unit_ball_nodes,
     counterexample_average,
     counterexample_variation,
     default_rotation_mesh,
@@ -106,6 +112,109 @@ def test_degenerate_instance():
     inst = make_instance(1, 0)
     rep = counterexample_variation(inst, 3.0)
     assert rep.value == 0.0 and rep.derived_bound == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the d = 1 row count against the node scan
+
+
+@functools.lru_cache(maxsize=4)
+def oracle_nodes(dim, refine):
+    g = (np.arange(refine) + 0.5) / refine * 2.0 - 1.0
+    grids = np.meshgrid(*([g] * dim), indexing="ij")
+    pts = np.stack([a.ravel() for a in grids], axis=-1)
+    return pts[np.einsum("ij,ij->i", pts, pts) <= 1.0]
+
+
+def oracle_counterexample_average(inst, i, x, refine=None, max_refine=None):
+    """The node-scan quadrature: the mean of the indicator pair over every node."""
+    if not (1 <= i <= 2 * inst.n + 2):
+        raise ValueError("scale index outside the construction window")
+    if refine is None:
+        refine = 192 if inst.d == 1 else 24
+    if max_refine is None:
+        max_refine = 1536 if inst.d == 1 else 96
+    t = inst.growth_ratio ** i
+    x = np.asarray(x, dtype=np.float64).reshape(inst.d)
+    prev = None
+    r = refine
+    while True:
+        z = oracle_nodes(2 * inst.d, r)
+        y1 = x[None, :] + t * z[:, : inst.d]
+        y2 = x[None, :] + t * z[:, inst.d :]
+        val = float(np.mean(inst.in_annuli(y1) & inst.in_ball(y2)))
+        if prev is not None and abs(val - prev) < 5e-3:
+            return val
+        if r >= max_refine:
+            return val
+        prev = val
+        r *= 2
+
+
+@functools.cache
+def d1_ratio():
+    return find_growth_ratio(1)
+
+
+@pytest.mark.parametrize("refine", [1, 2, 3, 7, 24, 97, 192])
+def test_disk_rows_rebuild_the_disk_nodes(refine):
+    g, lo, hi, total = _disk_rows(refine)
+    rows = np.repeat(np.arange(refine), hi - lo)
+    cols = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
+    nodes = np.stack([g[rows], g[cols]], axis=-1)
+    assert total == len(nodes)
+    assert np.array_equal(nodes, _unit_ball_nodes(2, refine))
+
+
+def test_row_count_matches_node_scan_at_every_scale():
+    a, eps0 = d1_ratio()
+    for n in range(9):
+        inst = make_instance(1, n, a, eps0)
+        for i in range(1, 2 * n + 3):
+            for x in (0.0, -eps0, 0.3 * eps0, -7.5):
+                got = counterexample_average(inst, i, [x], refine=24, max_refine=96)
+                assert got == oracle_counterexample_average(inst, i, [x], 24, 96)
+
+
+@st.composite
+def d1_cases(draw):
+    a, eps0 = d1_ratio()
+    n = draw(st.integers(0, 8))
+    i = draw(st.integers(1, 2 * n + 2))
+    probes = list(np.linspace(-eps0, eps0, 9))
+    x = draw(st.one_of(
+        st.sampled_from(probes),
+        st.floats(-2.0, 0.0),
+        st.floats(-1e4, 1e4),
+    ))
+    refine = draw(st.one_of(st.none(), st.integers(1, 160)))
+    max_refine = draw(st.integers(1, 400)) if refine is not None else None
+    return n, i, x, refine, max_refine
+
+
+@settings(max_examples=60, deadline=None)
+@given(d1_cases())
+@example((3, 2, 0.0, None, None))  # the shipped mesh sequence, 192 up to 1536
+@example((8, 17, -0.634, None, None))
+@example((8, 18, 0.634 * 0.75, None, None))
+@example((1, 3, 40.0, None, None))  # x far outside the eps0-ball
+@example((2, 5, -0.2, 5, 12))  # odd refine; max_refine stops the loop at 20
+@example((0, 1, 0.1, 33, 33))  # a single level
+def test_row_count_matches_node_scan(case):
+    n, i, x, refine, max_refine = case
+    inst = make_instance(1, n, *d1_ratio())
+    got = counterexample_average(inst, i, [x], refine, max_refine)
+    assert got == oracle_counterexample_average(inst, i, [x], refine, max_refine)
+
+
+def test_d2_average_scans_the_nodes():
+    inst = make_instance(2, 1, growth_ratio=3.08, eps0=0.308)
+    for i in (1, 2, 4):
+        # x far out puts nodes outside the ball, so both tests matter
+        for x in ([0.0, 0.0], [0.308, 0.0], [-0.2, 0.1], [30.0, -20.0]):
+            got = counterexample_average(inst, i, x, refine=6, max_refine=12)
+            assert got == oracle_counterexample_average(inst, i, x, 6, 12)
+            assert 0.0 <= got <= 1.0
 
 
 # ---------------------------------------------------------------------------
