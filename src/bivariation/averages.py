@@ -215,6 +215,37 @@ def _ordered_sum(n_rows: int, width: int, step: int, fill) -> np.ndarray:
     return buf[0]
 
 
+def _node_average(a1, a2, y1, y2, run: int, extend: str = "constant") -> np.ndarray:
+    """Mean over the integer offset pairs ``(y1[i], y2[i])`` of ``a1(x + y1)
+    a2(x + y2)`` at every cell x, flattened; the arrays are extended by zeros
+    (``extend="constant"``) or periodically (``"wrap"``).  Each run of ``run``
+    consecutive nodes is summed pairwise per cell, and the runs are added in
+    order (docs/notes.md, note 4)."""
+    ext = np.asarray(a1.shape)
+    # a coordinate past the extent reads only the extension from every cell,
+    # so its class modulo the extent (wrap) or the extent itself (zeros) reads
+    # the same values; the padding stays O(extent)
+    y1, y2 = (np.mod(y, ext) if extend == "wrap" else np.clip(y, -ext, ext) for y in (y1, y2))
+    R = int(max(np.abs(y1).max(), np.abs(y2).max()))
+    p1, p2 = (np.pad(a, R, mode=extend) for a in (a1, a2))
+    strides = np.array(p1.strides) // p1.itemsize  # flat index steps of the padded arrays
+    base = (np.indices(a1.shape).reshape(a1.ndim, -1).T + R) @ strides
+    off1, off2, n = y1 @ strides, y2 @ strides, len(y1)
+
+    def fill(start, stop, out):
+        # one row per run; a short last run is alone in its block
+        nodes = slice(start * run, stop * run)
+        v1 = p1.take(base[:, None] + off1[nodes].reshape(stop - start, 1, -1))
+        v2 = p2.take(base[:, None] + off2[nodes].reshape(stop - start, 1, -1))
+        if run == 1:  # np.sum over a length-1 axis costs more than the product
+            np.multiply(v1, v2, out=out[..., None])
+        else:
+            np.sum(v1 * v2, axis=-1, out=out)
+
+    step = max(1, _CHUNK_CELLS // (base.size * run)) if n % run == 0 else 1
+    return _ordered_sum(-(-n // run), base.size, step, fill) / n
+
+
 def avg_field(body: ConvexBody, t: float, f1: Field, f2: Field,
               mode: str = "continuum_quadrature") -> Field:
     """Average at every cell of the shared box; fast sliced path for d = 1."""
@@ -225,24 +256,9 @@ def avg_field(body: ConvexBody, t: float, f1: Field, f2: Field,
     pts = _points(body, req.scaled_t)
     if len(pts) == 0:
         raise DegenerateScale(f"no nodes in the body dilate at t={t}")
-    # zero extension: pad past the largest node offset, then gather by flat index
-    R = int(np.abs(pts).max()) + 1
-    p1, p2 = (np.pad(f.samples, R).ravel() for f in (f1, f2))
-    shape = tuple(e + 2 * R for e in f1.box.extent)
-    strides = np.array([math.prod(shape[a + 1 :]) for a in range(d)], dtype=np.int64)
-    base = (np.indices(f1.box.extent).reshape(d, -1).T + R) @ strides
-    off1 = req.sign * pts[:, :d] @ strides
-    off2 = req.sign * pts[:, d:] @ strides
-
-    def fill(start, stop, out):
-        # one row is one chunk of 1024 nodes, summed pairwise per cell
-        chunk = slice(start * 1024, stop * 1024)
-        v1 = p1.take(base[:, None] + off1[None, chunk])
-        v2 = p2.take(base[:, None] + off2[None, chunk])
-        out[0] = np.sum(v1 * v2, axis=1)
-
-    acc = _ordered_sum(math.ceil(len(pts) / 1024), base.size, 1, fill)
-    return Field(f1.box, acc / len(pts))
+    y = req.sign * pts
+    # runs of 1024 nodes: the pairwise blocks that fix the bytes (docs/notes.md, note 4)
+    return Field(f1.box, _node_average(f1.samples, f2.samples, y[:, :d], y[:, d:], 1024))
 
 
 def _sliced_values(req: AvgRequest, x: int, width: int) -> np.ndarray:
@@ -308,6 +324,8 @@ def fast_slice_avg(req: AvgRequest, x) -> float:
 def _dtt_matrix(lam: np.ndarray, t: float, f1: Field, f2: Field) -> np.ndarray:
     """The 2x2 matrix of a dtt average, after checking it and its inputs."""
     L = np.asarray(lam, dtype=np.float64).reshape(2, 2)
+    if not np.all(np.isfinite(L)):
+        raise ValueError("matrix entries must be finite")
     if abs(np.linalg.det(L)) < 1e-14:
         raise ValueError("matrix must be nonsingular")
     if not t > 0:
@@ -356,21 +374,10 @@ def dtt_avg_field(lam: np.ndarray, t: float, f1: Field, f2: Field) -> Field:
     j = j[np.abs(j) < T]
     if j.size == 0:
         raise DegenerateScale(f"no quadrature nodes at t={t}")
-    n = f1.box.extent[0]
-    xs = np.arange(n, dtype=np.int64)[None, :, None] + 1  # index into the padded samples
-    p1, p2 = np.pad(f1.samples, 1), np.pad(f2.samples, 1)
-
-    def fill(start, stop, out):
-        # one row per u1; its u2 terms are summed pairwise
-        u1 = j[start:stop, None, None]
-        y1 = np.rint(L[0, 0] * u1 + L[0, 1] * j).astype(np.int64)
-        y2 = np.rint(L[1, 0] * u1 + L[1, 1] * j).astype(np.int64)
-        v1 = p1[np.clip(xs + y1, 0, n + 1)]
-        v2 = p2[np.clip(xs + y2, 0, n + 1)]
-        out[:] = np.sum(v1 * v2, axis=-1)
-
-    acc = _ordered_sum(j.size, n, max(1, _CHUNK_CELLS // (n * j.size)), fill)
-    return Field(f1.box, acc / (j.size**2))
+    # the table in u1-major order; one run per u1, its u2 terms summed pairwise
+    y1 = np.rint(L[0, 0] * j[:, None] + L[0, 1] * j).astype(np.int64).reshape(-1, 1)
+    y2 = np.rint(L[1, 0] * j[:, None] + L[1, 1] * j).astype(np.int64).reshape(-1, 1)
+    return Field(f1.box, _node_average(f1.samples, f2.samples, y1, y2, j.size))
 
 
 def dtt_avg_via_body(lam: np.ndarray, t: float, f1: Field, f2: Field, x) -> float:

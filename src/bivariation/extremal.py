@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averages import _CHUNK_CELLS, _ordered_sum
+from .averages import _node_average
 from .bodies import ConvexBody, enumerate_lattice
 from .fields import Field
 from .variation import vq_exact
@@ -79,6 +79,7 @@ def _outside_fraction(alpha: float, x, d: int) -> float:
     return 1.0 - _strip_volume(alpha, x, d) / _even_ball_volume(alpha, 2 * d)
 
 
+@functools.lru_cache(maxsize=8)
 def find_growth_ratio(d: int, step: float = 0.01, cap: float = 1000.0) -> tuple[float, float]:
     """Smallest lattice ratio passing the 4/5 center condition, with a probe
     radius certified for the 3/4 condition by sampling.
@@ -368,20 +369,15 @@ def ergodic_avg_profile(
         raise ValueError("body dimension does not match the torus (the profile needs d = 1)")
     m = f1.size
     h = default_rotation_mesh(t) if quad_mesh is None else float(quad_mesh)
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError("quadrature mesh must be positive and finite")
     beta = float(np.asarray(beta, dtype=np.float64).reshape(1)[0])
     pts = enumerate_lattice(body, t / h).points
     if len(pts) == 0:
         raise ValueError(f"no quadrature nodes at t={t}")
-    s1 = np.mod(np.rint(beta * h * pts[:, 0] * m).astype(np.int64), m)
-    s2 = np.mod(np.rint(beta * h * pts[:, 1] * m).astype(np.int64), m)
-    # the doubled arrays wrap every shift in [0, m) around the torus
-    f1d, f2d = np.concatenate([f1, f1]), np.concatenate([f2, f2])
-    base = np.arange(m)
-
-    def fill(start, stop, out):
-        np.multiply(f1d[base + s1[start:stop, None]], f2d[base + s2[start:stop, None]], out=out)
-
-    return _ordered_sum(len(pts), m, max(1, _CHUNK_CELLS // m), fill) / len(pts)
+    s1 = np.rint(beta * h * pts[:, :1] * m).astype(np.int64)
+    s2 = np.rint(beta * h * pts[:, 1:] * m).astype(np.int64)
+    return _node_average(f1, f2, s1, s2, 1, "wrap")
 
 
 def ergodic_bilinear_avg(

@@ -440,6 +440,18 @@ def test_dtt_rejects_singular():
         dtt_avg([[1.0, 2.0], [2.0, 4.0]], 1.0, f, f, [0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (1, 0)])
+def test_dtt_rejects_non_finite_matrix(bad, entry):
+    f = Field(wide_box(), np.ones(33))
+    lam = np.eye(2)
+    lam[entry] = bad
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        dtt_avg(lam, 2.0, f, f, [0])
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        dtt_avg_field(lam, 2.0, f, f)
+
+
 def test_dtt_field_rejects_nonpositive_t():
     box = wide_box()
     f = Field(box, np.ones(33))

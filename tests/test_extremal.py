@@ -60,6 +60,13 @@ def test_find_growth_ratio_d2():
     assert eps0 > 0
 
 
+def test_find_growth_ratio_is_memoized():
+    find_growth_ratio.cache_clear()
+    first = find_growth_ratio(1)
+    assert find_growth_ratio(1) is first
+    assert find_growth_ratio.cache_info().hits == 1
+
+
 def test_growth_ratio_rejects_other_dims():
     with pytest.raises(ValueError):
         find_growth_ratio(3)
@@ -151,11 +158,6 @@ def oracle_counterexample_average(inst, i, x, refine=None, max_refine=None):
         r *= 2
 
 
-@functools.cache
-def d1_ratio():
-    return find_growth_ratio(1)
-
-
 @pytest.mark.parametrize("refine", [1, 2, 3, 7, 24, 97, 192])
 def test_disk_rows_rebuild_the_disk_nodes(refine):
     g, lo, hi, total = _disk_rows(refine)
@@ -167,7 +169,7 @@ def test_disk_rows_rebuild_the_disk_nodes(refine):
 
 
 def test_row_count_matches_node_scan_at_every_scale():
-    a, eps0 = d1_ratio()
+    a, eps0 = find_growth_ratio(1)
     for n in range(9):
         inst = make_instance(1, n, a, eps0)
         for i in range(1, 2 * n + 3):
@@ -178,7 +180,7 @@ def test_row_count_matches_node_scan_at_every_scale():
 
 @st.composite
 def d1_cases(draw):
-    a, eps0 = d1_ratio()
+    a, eps0 = find_growth_ratio(1)
     n = draw(st.integers(0, 8))
     i = draw(st.integers(1, 2 * n + 2))
     probes = list(np.linspace(-eps0, eps0, 9))
@@ -202,7 +204,7 @@ def d1_cases(draw):
 @example((0, 1, 0.1, 33, 33))  # a single level
 def test_row_count_matches_node_scan(case):
     n, i, x, refine, max_refine = case
-    inst = make_instance(1, n, *d1_ratio())
+    inst = make_instance(1, n, *find_growth_ratio(1))
     got = counterexample_average(inst, i, [x], refine, max_refine)
     assert got == oracle_counterexample_average(inst, i, [x], refine, max_refine)
 
@@ -290,6 +292,13 @@ def test_rotation_averages_reject_nonpositive_t(t):
         ergodic_bilinear_avg([0.3], f, f, ball(1), t, [0.1])
     with pytest.raises(ValueError, match="t must be positive"):
         ergodic_avg_profile([0.3], f, f, ball(1), t)
+
+
+@pytest.mark.parametrize("quad_mesh", [0.0, -0.5, np.nan, np.inf])
+def test_profile_rejects_bad_quad_mesh(quad_mesh):
+    f = np.ones(8)
+    with pytest.raises(ValueError, match="quadrature mesh must be positive and finite"):
+        ergodic_avg_profile([0.3], f, f, ball(1), 2.0, quad_mesh=quad_mesh)
 
 
 @pytest.mark.parametrize("d_body, shape", [(2, (8,)), (1, (8, 8)), (2, (8, 8))])

@@ -1,10 +1,15 @@
-"""The ordered-sum kernel and its four callers, bit for bit.
+"""The two summation kernels and their callers, bit for bit.
 
-``_ordered_sum`` is checked against a plain ``acc += row`` loop.  Each caller
-is checked against the loop it replaced, copied below unchanged as an oracle:
-the d = 1 sliced kernel, the d >= 2 gather, ``dtt_avg_field`` and
+``_ordered_sum`` is checked against a plain ``acc += row`` loop, and the
+node-table kernel ``_node_average`` against a plain per-node loop.  Each
+caller is checked against the loop it replaced, copied below unchanged as an
+oracle: the d = 1 sliced kernel (``_ordered_sum``'s other caller), and the
+three callers of ``_node_average``: the d >= 2 gather, ``dtt_avg_field`` and
 ``ergodic_avg_profile``.
 """
+
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from bivariation import averages
 from bivariation.averages import (
     AvgRequest,
     DegenerateScale,
+    _node_average,
     _ordered_sum,
     _points,
     avg_field,
@@ -155,9 +161,41 @@ def oracle_ergodic_profile(beta, f1, f2, body, t, quad_mesh=None) -> np.ndarray:
     return acc / len(pts)
 
 
+def oracle_node_average(a1, a2, y1, y2, run, extend) -> np.ndarray:
+    """Each value read cell by cell and node by node, each run summed by
+    ``np.sum`` per cell, the runs added in order."""
+    shape = np.array(a1.shape)
+
+    def value(a, p):
+        if extend == "wrap":
+            p = p % shape
+        elif np.any((p < 0) | (p >= shape)):
+            return 0.0
+        return a[tuple(p)]
+
+    cells = [np.array(c) for c in np.ndindex(*a1.shape)]
+    acc = np.zeros(len(cells))
+    for start in range(0, len(y1), run):
+        nodes = range(start, min(start + run, len(y1)))
+        prods = np.array([[value(a1, x + y1[i]) * value(a2, x + y2[i]) for i in nodes]
+                          for x in cells])
+        acc += np.sum(prods, axis=1)
+    return acc / len(y1)
+
+
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def peak_bytes(fn) -> int:
+    """Peak traced allocation while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def same_outcome(new, old) -> bool:
@@ -215,6 +253,34 @@ def test_ordered_sum_is_sequential_for_one_column():
     for v in col:
         acc += v
     assert same_bits(_ordered_sum(col.size, 1, 64, fill), [acc])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([(1,), (6,), (17,), (1, 5), (3, 4)]),
+    st.integers(1, 120),
+    st.integers(1, 40),
+    st.sampled_from(["constant", "wrap"]),
+    st.one_of(st.integers(0, 8), st.integers(9, 60), st.just(10**6)),
+    st.sampled_from([_CHUNK_CELLS, 40, 7]),
+    st.integers(0, 2**32 - 1),
+)
+@example((6,), 24, 4, "constant", 3, 48, 0)  # blocks of two full runs of 4 nodes
+@example((3, 4), 23, 5, "constant", 2, _CHUNK_CELLS, 1)  # d = 2, a short last run
+@example((1,), 23, 5, "constant", 1, _CHUNK_CELLS, 2)  # one cell, a short last run
+@example((7,), 30, 3, "wrap", 50, 40, 3)  # wrap, offsets past the extent
+@example((3, 4), 40, 10, "wrap", 9, 60, 4)  # wrap in d = 2, several runs per block
+@example((17,), 60, 12, "constant", 10**6, _CHUNK_CELLS, 5)  # offsets far past the extent
+@example((3, 4), 30, 4, "constant", 10**6, _CHUNK_CELLS, 6)
+@example((3, 4), 30, 4, "wrap", 10**6, _CHUNK_CELLS, 7)
+def test_node_average_matches_per_node_loop(shape, n, run, extend, reach, chunk, seed):
+    rng = np.random.default_rng(seed)
+    a1, a2 = (rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape) for _ in "12")
+    a1.flat[0] = -0.0
+    y1, y2 = (rng.integers(-reach, reach + 1, size=(n, len(shape))) for _ in "12")
+    with mock.patch.object(averages, "_CHUNK_CELLS", chunk):
+        got = _node_average(a1, a2, y1, y2, run, extend)
+    assert same_bits(got, oracle_node_average(a1, a2, y1, y2, run, extend))
 
 
 # ---------------------------------------------------------------------------
@@ -282,19 +348,26 @@ def test_gather_field_matches_oracle(which, origin, extent, mesh, T, seed):
     st.sampled_from(MESHES),
     st.floats(0.1, 12.0),
     st.integers(0, 2**32 - 1),
+    st.just(None),
 )
-@example(-3, 5, 1.0, 2.5, 1)  # n J = 25: blocks of many rows
-@example(-350, 700, 0.25, 8.0, 2)  # n J = 44100: one row per block
-def test_dtt_field_matches_oracle(origin, n, mesh, t, seed):
+@example(-3, 5, 1.0, 2.5, 1, None)  # n J = 25: blocks of many rows
+@example(-350, 700, 0.25, 8.0, 2, None)  # n J = 44100: one row per block
+@example(-32, 64, 1.0, 10.0, 3, [[2e5, 0.0], [0.0, 1.0]])  # offsets up to 1.8e6 cells
+def test_dtt_field_matches_oracle(origin, n, mesh, t, seed, lam):
     box = Box(1, (origin,), (n,), mesh)
     rng = np.random.default_rng(seed)
     f1 = Field(box, rng.normal(size=n))
     f2 = Field(box, rng.normal(size=n))
-    L = rng.normal(size=(2, 2)) + 2.0 * np.eye(2)
+    ordinary = rng.normal(size=(2, 2)) + 2.0 * np.eye(2)
+    L = ordinary if lam is None else np.asarray(lam)
     assert same_outcome(
         lambda: dtt_avg_field(L, t, f1, f2).samples,
         lambda: oracle_dtt_field(L, t, f1, f2).samples,
     )
+    if lam is not None:
+        # offsets past the box read zeros; they must not widen the padding
+        assert peak_bytes(lambda: dtt_avg_field(L, t, f1, f2)) <= 2 * peak_bytes(
+            lambda: dtt_avg_field(ordinary, t, f1, f2))
 
 
 @settings(max_examples=40, deadline=None)
