@@ -225,9 +225,11 @@ def _node_average(a1, a2, y1, y2, run: int, extend: str = "constant") -> np.ndar
     # a coordinate past the extent reads only the extension from every cell,
     # so its class modulo the extent (wrap) or the extent itself (zeros) reads
     # the same values; the padding stays O(extent)
-    y1, y2 = (np.mod(y, ext) if extend == "wrap" else np.clip(y, -ext, ext) for y in (y1, y2))
+    clamp = (lambda y: np.mod(y, ext)) if extend == "wrap" else (lambda y: np.clip(y, -ext, ext))
+    y1, y2 = clamp(y1), clamp(y2)
     R = int(max(np.abs(y1).max(), np.abs(y2).max()))
-    p1, p2 = (np.pad(a, R, mode=extend) for a in (a1, a2))
+    p1 = np.pad(a1, R, mode=extend)
+    p2 = np.pad(a2, R, mode=extend)
     strides = np.array(p1.strides) // p1.itemsize  # flat index steps of the padded arrays
     base = (np.indices(a1.shape).reshape(a1.ndim, -1).T + R) @ strides
     off1, off2, n = y1 @ strides, y2 @ strides, len(y1)
@@ -237,10 +239,7 @@ def _node_average(a1, a2, y1, y2, run: int, extend: str = "constant") -> np.ndar
         nodes = slice(start * run, stop * run)
         v1 = p1.take(base[:, None] + off1[nodes].reshape(stop - start, 1, -1))
         v2 = p2.take(base[:, None] + off2[nodes].reshape(stop - start, 1, -1))
-        if run == 1:  # np.sum over a length-1 axis costs more than the product
-            np.multiply(v1, v2, out=out[..., None])
-        else:
-            np.sum(v1 * v2, axis=-1, out=out)
+        np.sum(v1 * v2, axis=-1, out=out)
 
     step = max(1, _CHUNK_CELLS // (base.size * run)) if n % run == 0 else 1
     return _ordered_sum(-(-n // run), base.size, step, fill) / n
