@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicCube, covering_level, cube_cell_values
+from .dyadic import DyadicCube, covering_level, cube_cell_values, cube_slices
 from .fields import Box, Field, lp_norm
 
 __all__ = ["CZOutput", "CZCertificate", "cz_decompose", "cz_certify", "format_cz_report"]
@@ -140,7 +140,7 @@ def cz_decompose(f: Field, p_i: float, alpha: float, p: float) -> CZOutput:
     for cube in sorted(selected, key=lambda c: (c.level, c.coords)):
         mean = _cube_mean(fr, cube)
         piece = np.zeros(root_box.extent)
-        sl = _cube_box_slices(fr, cube)
+        sl = cube_slices(fr.box, cube)
         piece[sl] = fr.samples[sl] - mean
         good[sl] = mean
         pieces.append((cube, Field(root_box, piece)))
@@ -169,15 +169,6 @@ def _orthant_regions(lo, hi):
     return regions
 
 
-def _cube_box_slices(f: Field, cube: DyadicCube):
-    sl = []
-    for o, e, c in zip(f.box.origin, f.box.extent, cube.coords):
-        a = max(c << cube.level, o)
-        b = min((c + 1) << cube.level, o + e)
-        sl.append(slice(a - o, b - o))
-    return tuple(sl)
-
-
 def cz_certify(out: CZOutput, f: Field) -> CZCertificate:
     """Re-check the eight decomposition properties against the original field.
 
@@ -200,7 +191,7 @@ def cz_certify(out: CZOutput, f: Field) -> CZCertificate:
     interiors_disjoint = True
     seen = np.zeros(f.box.extent, dtype=bool)
     for cube, _ in out.bad_pieces:
-        sl = _cube_box_slices(f, cube)
+        sl = cube_slices(f.box, cube)
         if np.any(seen[sl]):
             interiors_disjoint = False
         seen[sl] = True
@@ -209,7 +200,7 @@ def cz_certify(out: CZOutput, f: Field) -> CZCertificate:
 
     supp_ok, mean_ok, mean_worst = True, True, 0.0
     for cube, piece in out.bad_pieces:
-        sl = _cube_box_slices(f, cube)
+        sl = cube_slices(f.box, cube)
         outside = piece.samples.copy()
         outside[sl] = 0.0
         if np.any(outside != 0.0):

@@ -21,7 +21,6 @@ __all__ = [
     "DyadicCube",
     "covering_level",
     "level_range",
-    "single_cube_covers_box",
     "iter_cubes",
     "cube_cell_values",
 ]
@@ -73,70 +72,67 @@ def level_range(box) -> tuple[int, int]:
     return 0, top + 1
 
 
-def single_cube_covers_box(box, level: int) -> bool:
-    lo = np.asarray(box.origin, dtype=np.int64)
-    hi = lo + np.asarray(box.extent, dtype=np.int64) - 1
-    return bool(np.array_equal(lo >> level, hi >> level))
-
-
-def _axis_groups(box, level: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    # per axis: (unique cube coords, inverse map cell -> cube slot)
-    out = []
-    for o, e in zip(box.origin, box.extent):
-        q = np.arange(o, o + e, dtype=np.int64) >> np.int64(level)
-        uq, inv = np.unique(q, return_inverse=True)
-        out.append((uq, inv))
-    return out
-
-
 def cell_cube_ids(box, level: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Flat cube slot per cell plus the cube coordinate table.
 
     Returns ``(ids, table, ncubes)`` where ``ids`` maps each cell (row-major)
     to a slot in ``table`` of cube coordinates, covering exactly the cubes
-    that intersect the box.  Results are memoized per (box, level) and the
+    that intersect the box.  Along each axis those cubes have consecutive
+    coordinates, so the slots number a dense cube grid of shape
+    ``table[-1] - table[0] + 1`` row-major, and ``ncubes == 1`` exactly when
+    one cube covers the box.  Results are memoized per (box, level) and the
     arrays are read-only.
     """
     # a plain function around the memo, so call tracers (perfbench/) still see each call
-    return _cell_cube_ids(box, level)
+    return _cube_layout(box, level)[:3]
+
+
+def cells_by_cube(box, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, starts)``: the flat row-major cell indices grouped by cube
+    slot, row-major within each cube, and the offset in ``order`` of each
+    slot's first cell (every slot holds at least one cell).  Shares the memo
+    of :func:`cell_cube_ids`."""
+    return _cube_layout(box, level)[3:]
 
 
 @functools.lru_cache(maxsize=128)
-def _cell_cube_ids(box, level: int) -> tuple[np.ndarray, np.ndarray, int]:
-    groups = _axis_groups(box, level)
-    shape = tuple(len(uq) for uq, _ in groups)
-    ids = np.zeros(box.extent, dtype=np.int64)
-    for axis, (_, inv) in enumerate(groups):
-        sl = [None] * box.dim
-        sl[axis] = slice(None)
-        ids = ids * shape[axis] + inv[tuple(sl)]
-    grids = np.meshgrid(*[uq for uq, _ in groups], indexing="ij")
+def _cube_layout(box, level: int):
+    # per axis, the cube coordinate of each cell: consecutive from q[0] to q[-1]
+    axes = [np.arange(o, o + e, dtype=np.int64) >> np.int64(level)
+            for o, e in zip(box.origin, box.extent)]
+    shape = tuple(int(q[-1] - q[0]) + 1 for q in axes)
+    slots = np.meshgrid(*[q - q[0] for q in axes], indexing="ij")
+    ids = np.ravel_multi_index(slots, shape).ravel()
+    grids = np.meshgrid(*[np.arange(q[0], q[-1] + 1) for q in axes], indexing="ij")
     table = np.stack([g.ravel() for g in grids], axis=-1)
-    ids = ids.ravel()
-    ids.flags.writeable = False
-    table.flags.writeable = False
-    return ids, table, int(np.prod(shape))
+    order = np.argsort(ids, kind="stable")
+    starts = np.searchsorted(ids[order], np.arange(len(table)))
+    for a in (ids, table, order, starts):
+        a.flags.writeable = False
+    return ids, table, len(table), order, starts
+
+
+def cube_slices(box, cube: DyadicCube) -> tuple[slice, ...]:
+    """Per-axis slices of the box's sample array that the cube covers; all
+    empty when the cube misses the box."""
+    sl = []
+    for o, e, c in zip(box.origin, box.extent, cube.coords):
+        a = max(c << cube.level, o)
+        b = min((c + 1) << cube.level, o + e)
+        if a >= b:
+            return (slice(0, 0),) * box.dim
+        sl.append(slice(a - o, b - o))
+    return tuple(sl)
 
 
 def iter_cubes(f: "Field", level: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
     """Yield (cube coords, in-box sample values) for level cubes meeting the box."""
-    ids, table, ncubes = cell_cube_ids(f.box, level)
-    flat = f.samples.ravel()
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    starts = np.searchsorted(sorted_ids, np.arange(ncubes))
-    ends = np.append(starts[1:], flat.size)
-    for c in range(ncubes):
-        yield tuple(int(v) for v in table[c]), flat[order[starts[c] : ends[c]]]
+    _, table, _ = cell_cube_ids(f.box, level)
+    for coords in table:
+        cube = DyadicCube(level, tuple(int(v) for v in coords))
+        yield cube.coords, cube_cell_values(f, cube)
 
 
 def cube_cell_values(f: "Field", cube: DyadicCube) -> np.ndarray:
     """In-box sample values of one cube (cells outside the box are implicit zeros)."""
-    sl = []
-    for o, e, c in zip(f.box.origin, f.box.extent, cube.coords):
-        a = max(c << cube.level, o)
-        b = min(((c + 1) << cube.level), o + e)
-        if a >= b:
-            return np.empty(0)
-        sl.append(slice(a - o, b - o))
-    return f.samples[tuple(sl)].ravel()
+    return f.samples[cube_slices(f.box, cube)].ravel()

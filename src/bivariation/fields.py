@@ -9,12 +9,13 @@ its box.  The cell at multi-index ``m`` sits at the lattice point
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import cell_cube_ids
+from .dyadic import cells_by_cube, level_range
 
 __all__ = [
     "Box",
@@ -56,7 +57,7 @@ class Box:
 
     @property
     def cell_count(self) -> int:
-        return int(np.prod(self.extent))
+        return math.prod(self.extent)
 
     @property
     def cell_volume(self) -> float:
@@ -174,15 +175,13 @@ def bmo_dyadic_norm(f: Field) -> float:
     """
     if not np.any(f.samples):
         return 0.0
-    j_top = max(int(np.ceil(np.log2(max(f.box.extent)))), 0) + 1
+    _, j_top = level_range(f.box)
     flat = f.samples.ravel()
     best = 0.0
     for level in range(0, j_top + 1):
-        ids, _, ncubes = cell_cube_ids(f.box, level)
-        # cells grouped by cube, row-major within each cube
-        values = flat[np.argsort(ids, kind="stable")]
-        sizes = np.bincount(ids, minlength=ncubes)
-        starts = np.cumsum(sizes) - sizes
+        order, starts = cells_by_cube(f.box, level)
+        values = flat[order]
+        sizes = np.diff(starts, append=flat.size)
         for size in np.unique(sizes):
             block = values[starts[sizes == size, None] + np.arange(size)]
             a = np.median(block, axis=1)

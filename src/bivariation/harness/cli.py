@@ -42,10 +42,7 @@ def main(argv=None) -> int:
         }
         cfg = build_config(file_values, overrides)
         status = run_suite(cfg.suite, cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     print(f"suite {cfg.suite}: {'pass' if status == 0 else 'FAIL'} "

@@ -446,14 +446,10 @@ def _square_l2(cfg: ExperimentConfig) -> RatioReport:
         ratio = _ratio(lp_norm(sp.aggregate, 2.0), den)
 
         ks = sorted(sp.pieces)
-        avg_rows = np.stack(
-            [sp.pieces[k].samples.ravel()
-             + cond_expect(f1, k).samples.ravel() * cond_expect(f2, k).samples.ravel()
-             for k in ks]
-        )
         prod_rows = np.stack(
             [cond_expect(f1, k).samples.ravel() * cond_expect(f2, k).samples.ravel() for k in ks]
         )
+        avg_rows = np.stack([sp.pieces[k].samples.ravel() for k in ks]) + prod_rows
         lv = vq_value_batch(avg_rows.T, cfg.q)
         mart = vq_value_batch(prod_rows.T, cfg.q)
         bound = 2.0 * sp.aggregate.samples.ravel() + mart

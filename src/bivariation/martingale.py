@@ -15,9 +15,9 @@ import numpy as np
 
 from .averages import avg_field
 from .bodies import ConvexBody
-from .dyadic import cell_cube_ids, level_range, single_cube_covers_box
+from .dyadic import cell_cube_ids, cells_by_cube, cube_slices, level_range
 from .fields import Field, bmo_dyadic_norm, lp_norm
-from .variation import InequalityReport, vq_exact
+from .variation import InequalityReport, vq_value_batch
 
 __all__ = [
     "MeasurabilityError",
@@ -66,9 +66,9 @@ def cond_expect(f: Field, j: int) -> Field:
         raise ValueError(f"level {j} is below the cell level (misaligned)")
     if j == 0:
         return f
-    if single_cube_covers_box(f.box, j):
-        return Field(f.box, np.full(f.box.extent, float(np.mean(f.samples))))
     ids, _, ncubes = cell_cube_ids(f.box, j)
+    if ncubes == 1:
+        return Field(f.box, np.full(f.box.extent, float(np.mean(f.samples))))
     sums = np.bincount(ids, weights=f.samples.ravel(), minlength=ncubes)
     means = sums / float(1 << (j * f.box.dim))
     return Field(f.box, means[ids])
@@ -81,27 +81,19 @@ def mart_diff(f: Field, j: int) -> Field:
     return Field(f.box, cond_expect(f, j - 1).samples - cond_expect(f, j).samples)
 
 
-def _cube_value_grid(f: Field, level: int):
-    """Dense per-cube value grid; raises MeasurabilityError on any non-constant cube."""
-    box = f.box
-    qlo = [box.origin[a] >> level for a in range(box.dim)]
-    qhi = [(box.origin[a] + box.extent[a] - 1) >> level for a in range(box.dim)]
-    shape = tuple(h - l + 1 for l, h in zip(qlo, qhi))
-    ids, table, ncubes = cell_cube_ids(box, level)
-    flat = f.samples.ravel()
-    vmax = np.full(ncubes, -np.inf)
-    vmin = np.full(ncubes, np.inf)
-    np.maximum.at(vmax, ids, flat)
-    np.minimum.at(vmin, ids, flat)
-    spread = vmax - vmin
+def _cube_value_grid(f: Field, level: int) -> np.ndarray:
+    """Per-cube values on the dense cube grid of the box (the slots of
+    ``cell_cube_ids`` reshaped); raises MeasurabilityError on any non-constant cube."""
+    _, table, _ = cell_cube_ids(f.box, level)
+    order, starts = cells_by_cube(f.box, level)
+    vals = f.samples.ravel()[order]
+    vmax = np.maximum.reduceat(vals, starts)
+    spread = vmax - np.minimum.reduceat(vals, starts)
     bad = np.nonzero(spread > 0.0)[0]
     if bad.size:
         c = bad[0]
         raise MeasurabilityError(level, table[c], float(spread[c]))
-    grid = np.zeros(shape)
-    idx = tuple(table[:, a] - qlo[a] for a in range(box.dim))
-    grid[idx] = vmax
-    return grid, qlo
+    return vmax.reshape(table[-1] - table[0] + 1)
 
 
 def is_measurable(f: Field, level: int) -> bool:
@@ -133,21 +125,14 @@ def _neighbor_max(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cells_of_grid(box, level: int, grid: np.ndarray, qlo) -> Field:
-    """The field that takes each cube's grid value on the cells of that cube."""
-    ids, table, _ = cell_cube_ids(box, level)
-    idx = tuple(table[:, ax] - qlo[ax] for ax in range(box.dim))
-    return Field(box, grid[idx][ids])
-
-
 def star_maximal(h: Field, n: int) -> Field:
     """Neighbor maximum of |h| over the level-(n-1) cube containing x and the
     cubes in its 3Q neighborhood; cubes beyond the box count as zeros."""
     level = n - 1
     if level < 0:
         raise ValueError("need n >= 1")
-    grid, qlo = _cube_value_grid(h, level)
-    return _cells_of_grid(h.box, level, _neighbor_max(np.abs(grid)), qlo)
+    ids, _, _ = cell_cube_ids(h.box, level)
+    return Field(h.box, _neighbor_max(np.abs(_cube_value_grid(h, level))).ravel()[ids])
 
 
 def bilinear_maximal(h1: Field, h2: Field, n: int) -> Field:
@@ -161,12 +146,12 @@ def bilinear_maximal(h1: Field, h2: Field, n: int) -> Field:
     level = n - 1
     if level < 0:
         raise ValueError("need n >= 1")
-    g1, qlo = _cube_value_grid(h1, level)
-    g2, _ = _cube_value_grid(h2, level)
-    a1, a2 = np.abs(g1), np.abs(g2)
+    a1 = np.abs(_cube_value_grid(h1, level))
+    a2 = np.abs(_cube_value_grid(h2, level))
     a = _neighbor_max(_neighbor_max(a1) * a2)
     b = _neighbor_max(a1 * _neighbor_max(a2))
-    return _cells_of_grid(h1.box, level, np.maximum(a, b), qlo)
+    ids, _, _ = cell_cube_ids(h1.box, level)
+    return Field(h1.box, np.maximum(a, b).ravel()[ids])
 
 
 @dataclass(frozen=True)
@@ -259,20 +244,12 @@ def carleson_tent_mass(b: Field, cube, n: int) -> float:
     squared shifted martingale differences |E_(k+1-n)b - E_(k-n)b|^2."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    j_q = cube.level
-    box = b.box
-    sl = []
-    for o, e, c in zip(box.origin, box.extent, cube.coords):
-        a0 = max(c << j_q, o)
-        b0 = min((c + 1) << j_q, o + e)
-        if a0 >= b0:
-            return 0.0
-        sl.append(slice(a0 - o, b0 - o))
+    sl = cube_slices(b.box, cube)
     total = 0.0
-    for k in range(n, j_q + 1):
-        diff = mart_diff(b, k + 1 - n).samples[tuple(sl)]
+    for k in range(n, cube.level + 1):
+        diff = mart_diff(b, k + 1 - n).samples[sl]
         total += float(np.sum(diff * diff))
-    return total * box.cell_volume
+    return total * b.box.cell_volume
 
 
 def carleson_tent_ratio(b: Field, n: int) -> float:
@@ -365,8 +342,7 @@ def martingale_product_variation_check(f1: Field, f2: Field, q: float) -> RatioC
         raise ValueError("fields must share one box")
     _, top = level_range(f1.box)
     prods = [cond_expect(f1, j).samples * cond_expect(f2, j).samples for j in range(0, top + 2)]
-    stack = np.stack([p.ravel() for p in prods], axis=1)
-    vq = np.array([vq_exact(row, q).value for row in stack])
+    vq = vq_value_batch(np.stack([p.ravel() for p in prods], axis=1), q)
     lhs = lp_norm(Field(f1.box, vq.reshape(f1.box.extent)), 2.0)
     rhs = min(
         lp_norm(f1, 2.0) * lp_norm(f2, np.inf),

@@ -224,8 +224,12 @@ def test_cli_malformed_value_is_config_error(tmp_path, capsys, suite, text):
     assert err.startswith("config error") and "Traceback" not in err
 
 
-def test_cli_missing_config_file(tmp_path):
-    assert main(["run", "interp", "--config", str(tmp_path / "nope.cfg")]) == 2
+def test_cli_missing_config_file(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes("seed = 1  # caf\xe9\n".encode("latin-1"))
+    for path in (tmp_path / "nope.cfg", tmp_path, latin1):  # missing, a directory, not UTF-8
+        assert main(["run", "interp", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 def test_cli_flag_overrides_config(tmp_path):

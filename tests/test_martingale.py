@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from bivariation.averages import avg_field
 from bivariation.bodies import ball, cube
-from bivariation.dyadic import DyadicCube, cell_cube_ids
+from bivariation.dyadic import DyadicCube, cell_cube_ids, cells_by_cube, cube_cell_values
 from bivariation.fields import Box, Field, lp_norm
 from bivariation.harness.generators import random_measurable_pair
 from bivariation.martingale import (
@@ -45,6 +47,112 @@ def test_cell_cube_ids_memo_is_shared_and_read_only():
         ids[0] = 1
     with pytest.raises(ValueError):
         table[0, 0] = 1
+
+
+# Brute-force oracles: every cell of a lattice cube, zero outside the box.
+
+def _box_cells(box):
+    return itertools.product(*[range(o, o + e) for o, e in zip(box.origin, box.extent)])
+
+
+def _cube_cells(level, coords):
+    side = 1 << level
+    return itertools.product(*[range(c * side, (c + 1) * side) for c in coords])
+
+
+def _value(f, y):
+    m = tuple(c - o for c, o in zip(y, f.box.origin))
+    inside = all(0 <= a < e for a, e in zip(m, f.box.extent))
+    return float(f.samples[m]) if inside else 0.0
+
+
+def oracle_cond_expect(f, j):
+    cubes = [tuple(c >> j for c in x) for x in _box_cells(f.box)]
+    if len(set(cubes)) == 1:  # one cube covers the box: the box mean
+        return np.full(f.box.extent, np.mean(f.samples))
+    out = []
+    for q in cubes:
+        total = 0.0
+        for y in _cube_cells(j, q):
+            total += _value(f, y)
+        out.append(total / 2.0 ** (j * f.box.dim))
+    return np.reshape(out, f.box.extent)
+
+
+def oracle_star_maximal(h, n):
+    out = []
+    for x in _box_cells(h.box):
+        best = 0.0
+        for shift in itertools.product((-1, 0, 1), repeat=h.box.dim):
+            q = tuple((c >> (n - 1)) + s for c, s in zip(x, shift))
+            for y in _cube_cells(n - 1, q):
+                best = max(best, abs(_value(h, y)))
+        out.append(best)
+    return np.reshape(out, h.box.extent)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cell_cube_ids_number_a_dense_grid_row_major(dim):
+    rng = np.random.default_rng(50 + dim)
+    for _ in range(20):
+        box = Box(dim, rng.integers(-20, 5, size=dim), rng.integers(1, 12, size=dim))
+        level = int(rng.integers(0, 4))
+        ids, table, ncubes = cell_cube_ids(box, level)
+        cells = np.array(list(_box_cells(box)))
+        assert np.array_equal(table[ids], cells >> level)
+        shape = table[-1] - table[0] + 1
+        assert ncubes == len(table) == np.prod(shape)
+        grid = np.stack(np.meshgrid(*[np.arange(n) for n in shape], indexing="ij"), axis=-1)
+        assert np.array_equal(table - table[0], grid.reshape(-1, dim))
+        order, starts = cells_by_cube(box, level)
+        bounds = np.append(starts, ids.size)
+        for c in range(ncubes):
+            assert np.array_equal(order[bounds[c]:bounds[c + 1]], np.flatnonzero(ids == c))
+
+
+def test_cube_cell_values_clips_to_the_box():
+    f = Field(Box(1, (-3,), (8,)), np.arange(8.0))  # lattice -3..4
+    assert np.array_equal(cube_cell_values(f, DyadicCube(1, (0,))), [3.0, 4.0])
+    assert np.array_equal(cube_cell_values(f, DyadicCube(2, (-1,))), [0.0, 1.0, 2.0])
+    assert np.array_equal(cube_cell_values(f, DyadicCube(2, (1,))), [7.0])
+    assert cube_cell_values(f, DyadicCube(1, (3,))).size == 0  # right of the box
+    assert cube_cell_values(f, DyadicCube(1, (-3,))).size == 0  # left of the box
+    g = Field(Box(2, (0, -2), (3, 4)), np.arange(12.0))
+    assert np.array_equal(cube_cell_values(g, DyadicCube(1, (1, -1))), [8.0, 9.0])
+    assert cube_cell_values(g, DyadicCube(1, (-2, 0))).size == 0
+
+
+def _oracle_boxes(rng, dim, count):
+    for _ in range(count):
+        origin = rng.integers(-20, 0, size=dim)
+        extent = rng.integers(1, 40 if dim == 1 else 10, size=dim)
+        yield Box(dim, origin, extent, float(rng.choice([0.37, 1.0, 2.0])))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cond_expect_matches_brute_force_on_negative_origins(dim):
+    rng = np.random.default_rng(60 + dim)
+    for box in _oracle_boxes(rng, dim, 12):
+        f = Field(box, rng.normal(size=box.cell_count))
+        for j in range(0, max(box.extent).bit_length() + 2):
+            assert cond_expect(f, j).samples.tobytes() == oracle_cond_expect(f, j).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_star_maximal_matches_brute_force_on_negative_origins(dim):
+    rng = np.random.default_rng(70 + dim)
+    for trial, box in enumerate(_oracle_boxes(rng, dim, 12)):
+        n = int(rng.integers(1, 5))
+        cube_value = {}
+        vals = []
+        for x in _box_cells(box):
+            q = tuple(c >> (n - 1) for c in x)
+            if q not in cube_value:
+                sparse = trial % 2 and rng.random() < 0.6
+                cube_value[q] = 0.0 if sparse else float(rng.normal())
+            vals.append(cube_value[q])
+        h = Field(box, vals)
+        assert star_maximal(h, n).samples.tobytes() == oracle_star_maximal(h, n).tobytes()
 
 
 def test_cond_expect_fixes_constants():
@@ -360,6 +468,7 @@ def test_tent_mass_haar_step_by_hand():
     assert carleson_tent_mass(b, DyadicCube(1, (0,)), 0) == pytest.approx(2.0)
     assert carleson_tent_mass(b, DyadicCube(2, (0,)), 0) == pytest.approx(2.0)
     assert carleson_tent_mass(b, DyadicCube(1, (1,)), 0) == 0.0
+    assert carleson_tent_mass(b, DyadicCube(1, (-3,)), 0) == 0.0  # left of the box
 
 
 def test_tent_ratio_nonincreasing_in_shift():
