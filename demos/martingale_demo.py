@@ -19,7 +19,7 @@ from bivariation import (
     star_maximal,
 )
 from bivariation.dyadic import DyadicCube
-from bivariation.martingale import carleson_tent_ratio, measurable_field
+from bivariation.martingale import carleson_tent_ratios, measurable_field
 
 rng = np.random.default_rng(2)
 box = Box(1, (0,), (64,), 1.0)
@@ -68,6 +68,7 @@ print(f"  two-cell step: tent mass over its pair cube = "
       f"{carleson_tent_mass(b, DyadicCube(1, (0,)), 0)} (by hand: 2)")
 step = Field(box, np.repeat(rng.uniform(-1, 1, 16), 4))
 print(f"  random step field, bmo = {bmo_dyadic_norm(step):.4f}")
+ratios = carleson_tent_ratios(step, 6)
 for n in range(0, 7, 2):
-    print(f"    shift n={n}: sup tent ratio {carleson_tent_ratio(step, n):.4f}")
+    print(f"    shift n={n}: sup tent ratio {ratios[n]:.4f}")
 print("  (nonincreasing in the shift; see docs/notes.md)")

@@ -38,6 +38,10 @@ __all__ = [
     "spot_check",
 ]
 
+SPOT_CHECK_DIRS = 10_000  # sampled directions for the radius certificates
+SPOT_CHECK_PAIRS = 10_000  # sampled midpoint pairs for convexity and symmetry
+SPOT_CHECK_SEED = 7
+
 
 @dataclass(frozen=True)
 class ConvexBody:
@@ -225,21 +229,21 @@ def normalize(d: int, membership: Callable, r_in: float, r_out: float) -> Custom
     return body
 
 
-def spot_check(body: ConvexBody, n_dirs: int = 10_000, n_pairs: int = 10_000, seed: int = 7):
+def spot_check(body: ConvexBody):
     """Sampled certificate check: inclusion sandwich, symmetry, midpoint convexity.
 
     Convexity cannot be proven for an opaque predicate; this samples random
     directions/midpoints and raises on any counterexample.
     """
-    rng = np.random.default_rng(seed)
-    u = rng.normal(size=(n_dirs, body.ambient))
+    rng = np.random.default_rng(SPOT_CHECK_SEED)
+    u = rng.normal(size=(SPOT_CHECK_DIRS, body.ambient))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     # the 1e-9 cushions keep the check boundary-convention agnostic
     if not np.all(body.contains((1.0 - 1e-9) * body.r_in * u)):
         raise ValueError("inner-radius certificate failed on sampled directions")
     if np.any(body.contains((1.0 + 1e-9) * body.r_out * u)):
         raise ValueError("outer-radius certificate failed on sampled directions")
-    pts = rng.uniform(-1.0, 1.0, size=(4 * n_pairs, body.ambient))
+    pts = rng.uniform(-1.0, 1.0, size=(4 * SPOT_CHECK_PAIRS, body.ambient))
     pts = pts[body.contains(pts)]
     if len(pts) >= 2:
         half = len(pts) // 2

@@ -10,12 +10,11 @@ properties with their explicit constants.
 from __future__ import annotations
 
 import io
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicCube, covering_level, cube_cell_values, cube_slices
+from .dyadic import DyadicCube, covering_level, cube_cell_values, cube_slices, orthant_regions
 from .fields import Box, Field, lp_norm
 
 __all__ = ["CZOutput", "CZCertificate", "cz_decompose", "cz_certify", "format_cz_report"]
@@ -90,7 +89,7 @@ def cz_decompose(f: Field, p_i: float, alpha: float, p: float) -> CZOutput:
     # covering root per orthant touched by the support
     roots = []
     flagged = False
-    for region in _orthant_regions(*bounds):
+    for region in orthant_regions(*bounds):
         lo, hi = region
         level = covering_level(lo, hi)
         root = DyadicCube(level, tuple(int(v) >> level for v in lo))
@@ -153,20 +152,6 @@ def cz_decompose(f: Field, p_i: float, alpha: float, p: float) -> CZOutput:
         root_level=root_level,
         flagged=flagged,
     )
-
-
-def _orthant_regions(lo, hi):
-    """Split a lattice bounding box into per-orthant pieces (none straddles 0)."""
-    per_axis = []
-    for a, b in zip(lo, hi):
-        if a < 0 <= b:
-            per_axis.append([(int(a), -1), (0, int(b))])
-        else:
-            per_axis.append([(int(a), int(b))])
-    regions = []
-    for combo in itertools.product(*per_axis):
-        regions.append((tuple(c[0] for c in combo), tuple(c[1] for c in combo)))
-    return regions
 
 
 def cz_certify(out: CZOutput, f: Field) -> CZCertificate:

@@ -9,6 +9,7 @@ construction.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
@@ -53,23 +54,28 @@ def covering_level(lo, hi) -> int:
     Raises for ranges spanning the origin on some axis: cubes of the
     origin-anchored dyadic grid never straddle 0.
     """
-    lo = np.atleast_1d(np.asarray(lo, dtype=np.int64))
-    hi = np.atleast_1d(np.asarray(hi, dtype=np.int64))
-    if np.any((lo < 0) & (hi >= 0)):
+    lo = np.atleast_1d(np.asarray(lo, dtype=np.int64)).tolist()
+    hi = np.atleast_1d(np.asarray(hi, dtype=np.int64)).tolist()
+    if any(a < 0 <= b for a, b in zip(lo, hi)):
         raise ValueError("no dyadic cube contains a range spanning the origin")
-    j = 0
-    while not np.array_equal(lo >> j, hi >> j):
-        j += 1
-        if j > 62:
-            raise OverflowError("no covering level below 2**62")
-    return j
+    # a >> j == b >> j from the first j past the highest bit where a and b differ
+    return max((a ^ b).bit_length() for a, b in zip(lo, hi))
+
+
+def orthant_regions(lo, hi) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Split a lattice bounding box [lo, hi] into its per-orthant pieces
+    ``(lo, hi)``; no cube straddles 0, so each piece has a covering level."""
+    per_axis = [[(a, -1), (0, b)] if a < 0 <= b else [(a, b)]
+                for a, b in zip(map(int, lo), map(int, hi))]
+    return [tuple(zip(*combo)) for combo in itertools.product(*per_axis)]
 
 
 def level_range(box) -> tuple[int, int]:
     """Default level ladder (0, top) for a box: cells up to one level above the
-    box size; conditional expectations stabilize beyond it."""
-    top = int(np.ceil(np.log2(max(box.extent)))) if max(box.extent) > 1 else 0
-    return 0, top + 1
+    level where its cube partition becomes final, the covering level of its
+    coarsest orthant piece; conditional expectations stabilize beyond it."""
+    hi = [o + e - 1 for o, e in zip(box.origin, box.extent)]
+    return 0, max(covering_level(a, b) for a, b in orthant_regions(box.origin, hi)) + 1
 
 
 def cell_cube_ids(box, level: int) -> tuple[np.ndarray, np.ndarray, int]:

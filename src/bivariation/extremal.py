@@ -18,7 +18,6 @@ import numpy as np
 
 from .averages import _node_average
 from .bodies import ConvexBody, enumerate_lattice
-from .fields import Field
 from .variation import vq_exact
 
 __all__ = [
@@ -41,6 +40,9 @@ VOLUME_FRACTION_CENTER = 4.0 / 5.0
 VOLUME_FRACTION_PROBE = 3.0 / 4.0
 UPPER_THRESHOLD = 3.0 / 4.0
 LOWER_THRESHOLD = 1.0 / 4.0
+GROWTH_STEP = 0.01  # ratio increment of the growth-ratio search
+GROWTH_CAP = 1000.0  # the search gives up above this ratio
+ROTATION_MESH_SCALE = 32  # quadrature nodes per unit of t along each axis
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +82,7 @@ def _outside_fraction(alpha: float, x, d: int) -> float:
 
 
 @functools.lru_cache(maxsize=8)
-def find_growth_ratio(d: int, step: float = 0.01, cap: float = 1000.0) -> tuple[float, float]:
+def find_growth_ratio(d: int) -> tuple[float, float]:
     """Smallest lattice ratio passing the 4/5 center condition, with a probe
     radius certified for the 3/4 condition by sampling.
 
@@ -90,9 +92,9 @@ def find_growth_ratio(d: int, step: float = 0.01, cap: float = 1000.0) -> tuple[
         raise ValueError("d must be 1 or 2")
     alpha = 1.0
     while True:
-        alpha = round(alpha + step, 10)
-        if alpha > cap:
-            raise RuntimeError(f"no ratio below {cap} satisfies the volume condition")
+        alpha = round(alpha + GROWTH_STEP, 10)
+        if alpha > GROWTH_CAP:
+            raise RuntimeError(f"no ratio below {GROWTH_CAP} satisfies the volume condition")
         if _outside_fraction(alpha, None, d) > VOLUME_FRACTION_CENTER:
             break
     eps0 = alpha / 10.0
@@ -345,9 +347,9 @@ def sample_torus(fn, m: int, d: int) -> np.ndarray:
     return np.asarray(fn(*grids), dtype=np.float64)
 
 
-def default_rotation_mesh(t: float, scale: int = 32) -> float:
-    """Power-of-two mesh ~ t/scale, clipped to divide 1."""
-    j = int(np.floor(np.log2(max(t, 1e-12)))) - int(np.log2(scale))
+def default_rotation_mesh(t: float) -> float:
+    """Power-of-two mesh ~ t/ROTATION_MESH_SCALE, clipped to divide 1."""
+    j = int(np.floor(np.log2(max(t, 1e-12)))) - int(np.log2(ROTATION_MESH_SCALE))
     return float(2.0 ** min(j, 0))
 
 

@@ -170,8 +170,8 @@ def bmo_dyadic_norm(f: Field) -> float:
     Cubes have side ``2^j * h`` and corners at lattice multiples of ``2^j``;
     oscillation on a cube is taken over its in-box samples with the minimizing
     constant a median of those samples, so box-constant fields have norm 0.
-    The scan runs from single cells to one level above the box size; coarser
-    cubes repeat in-box sample sets already seen.
+    The scan runs over the ``level_range`` levels; coarser cubes repeat in-box
+    sample sets already seen.
     """
     if not np.any(f.samples):
         return 0.0

@@ -32,13 +32,16 @@ __all__ = [
     "paraproduct_telescope",
     "TelescopeReport",
     "carleson_tent_mass",
-    "carleson_tent_ratio",
+    "carleson_tent_ratios",
     "carleson_weighted_sum",
     "martingale_product_variation_check",
     "RatioCheck",
     "young_convolution_check",
     "measurable_field",
 ]
+
+TELESCOPE_TOL = 1e-10  # largest telescoping residual that counts as an identity
+WEIGHTED_PAD_FACTOR = 1.0  # box-widths of padding per side in the weighted sum
 
 
 class MeasurabilityError(ValueError):
@@ -202,7 +205,7 @@ class TelescopeReport:
 
 
 def paraproduct_telescope(
-    f1: Field, f2: Field, body: ConvexBody, k: int, l: int, j: int, tol: float = 1e-10
+    f1: Field, f2: Field, body: ConvexBody, k: int, l: int, j: int
 ) -> TelescopeReport:
     """Finite telescoping of the scale-k compensated average across levels l..j.
 
@@ -232,7 +235,7 @@ def paraproduct_telescope(
         residual_max=residual,
         fine_boundary_max=float(np.abs(fine).max()),
         coarse_boundary_max=float(np.abs(coarse).max()),
-        holds=residual < tol,
+        holds=residual < TELESCOPE_TOL,
     )
 
 
@@ -252,28 +255,35 @@ def carleson_tent_mass(b: Field, cube, n: int) -> float:
     return total * b.box.cell_volume
 
 
-def carleson_tent_ratio(b: Field, n: int) -> float:
-    """sup over dyadic cubes meeting the box of tent mass / (|Q| * bmo(b)^2)."""
+def _diff_ladder(b: Field) -> list[np.ndarray]:
+    """Flat differences ``[d_1, ..., d_(top+1)]``, d_m = E_(m-1)b - E_m b as
+    :func:`mart_diff` forms it, from one ladder of top + 2 projections."""
+    _, top = level_range(b.box)
+    e = [cond_expect(b, j).samples.ravel() for j in range(top + 2)]
+    return [e[m - 1] - e[m] for m in range(1, top + 2)]
+
+
+def carleson_tent_ratios(b: Field, n_max: int) -> tuple[float, ...]:
+    """``(S_0, ..., S_(n_max))``: per shift n, the sup over dyadic cubes meeting
+    the box of tent mass / (|Q| * bmo(b)^2), from one BMO norm and one
+    difference ladder.  The shift-n mass of a level-j cube adds its sums of
+    d_m^2 over m = 1..j+1-n left to right: row j - n of their ``cumsum``."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    best = [0.0] * (n_max + 1)
     bmo = bmo_dyadic_norm(b)
     if bmo == 0.0:
-        return 0.0
+        return tuple(best)
     box = b.box
-    _, top = level_range(box)
-    best = 0.0
-    diffs = {}
-    for j in range(1, top + 1):
+    sq = [d * d for d in _diff_ladder(b)]
+    for j in range(1, len(sq)):
         ids, _, ncubes = cell_cube_ids(box, j)
-        mu = np.zeros(ncubes)
-        for k in range(n, j + 1):
-            lev = k + 1 - n
-            if lev not in diffs:
-                d = mart_diff(b, lev).samples.ravel()
-                diffs[lev] = d * d
-            mu += np.bincount(ids, weights=diffs[lev], minlength=ncubes)
-        mu *= box.cell_volume
+        sums = [np.bincount(ids, weights=s, minlength=ncubes) for s in sq[: j + 1]]
+        peak = (np.cumsum(sums, axis=0) * box.cell_volume).max(axis=1)
         vol_q = (float(1 << j) * box.mesh) ** box.dim
-        best = max(best, float(mu.max()) / (vol_q * bmo * bmo))
-    return best
+        for n in range(min(j, n_max) + 1):
+            best[n] = max(best[n], float(peak[j - n]) / (vol_q * bmo * bmo))
+    return tuple(best)
 
 
 def _zeta_kernel(box, level: int, eps: float, pad: int):
@@ -296,14 +306,12 @@ def _zeta_kernel(box, level: int, eps: float, pad: int):
     return kern
 
 
-def carleson_weighted_sum(
-    f: Field, b: Field, l: float, eps: float, n: int, pad_factor: float = 1.0
-) -> float:
+def carleson_weighted_sum(f: Field, b: Field, l: float, eps: float, n: int) -> float:
     """Level sum of integrals of (zeta_k * |f|^l)^(2/l) (zeta_k * |diff_k|^l)^(2/l).
 
-    The spatial integral runs over the box padded by ``pad_factor`` box-widths
-    per side; the integrand decays like |x|^(-2(d+eps)/l), so the omitted tail
-    is small at desk scale.
+    The spatial integral runs over the box padded by ``WEIGHTED_PAD_FACTOR``
+    box-widths per side; the integrand decays like |x|^(-2(d+eps)/l), so the
+    omitted tail is small at desk scale.
     """
     if not (1.0 < l < 2.0):
         raise ValueError(f"l must lie in (1, 2), got {l}")
@@ -312,13 +320,12 @@ def carleson_weighted_sum(
     if f.box != b.box:
         raise ValueError("f and b must share one box")
     box = f.box
-    _, top = level_range(box)
-    pad = max(1, int(round(pad_factor * max(box.extent))))
+    pad = max(1, int(round(WEIGHTED_PAD_FACTOR * max(box.extent))))
     fl = np.abs(f.samples.ravel()) ** l
     total = 0.0
-    for k in range(n, top + n + 1):
+    for k, diff in enumerate(_diff_ladder(b), start=n):
         kern = _zeta_kernel(box, k, eps, pad)
-        dl = np.abs(mart_diff(b, k + 1 - n).samples.ravel()) ** l
+        dl = np.abs(diff) ** l
         cf = (kern @ fl) ** (2.0 / l)
         cd = (kern @ dl) ** (2.0 / l)
         total += float(np.sum(cf * cd)) * box.cell_volume

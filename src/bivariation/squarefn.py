@@ -11,7 +11,7 @@ from .dyadic import level_range
 from .fields import Field
 from .martingale import square_piece
 
-__all__ = ["SquarePieces", "square_piece", "square_function", "default_k_range"]
+__all__ = ["SquarePieces", "square_piece", "square_function"]
 
 
 @dataclass(frozen=True)
@@ -20,11 +20,6 @@ class SquarePieces:
     pieces: dict[int, Field]
     aggregate: Field
     tail_max: float
-
-
-def default_k_range(f: Field) -> tuple[int, int]:
-    """Finest aligned level up to one above the box-covering cube."""
-    return level_range(f.box)
 
 
 def square_function(
@@ -36,7 +31,7 @@ def square_function(
     (its max magnitude is reported, not silently dropped).
     """
     if k_range is None:
-        k_range = default_k_range(f1)
+        k_range = level_range(f1.box)
     k_lo, k_hi = k_range
     if k_lo > k_hi:
         raise ValueError("empty k_range")

@@ -42,7 +42,7 @@ from bivariation.harness.generators import (
 from bivariation.harness.suites import run_norm_sweep
 from bivariation.martingale import (
     bilinear_maximal,
-    carleson_tent_ratio,
+    carleson_tent_ratios,
     domination_check,
     paraproduct_telescope,
 )
@@ -240,8 +240,8 @@ def test_criterion_07_carleson_uniformity():
     for trial in range(100):
         rng = trial_rng(SEED, trial)
         b = random_step_field(box, rng, block=int(rng.integers(2, 9)))
-        for n in range(7):
-            sups[n] = max(sups[n], carleson_tent_ratio(b, n))
+        for n, r in enumerate(carleson_tent_ratios(b, 6)):
+            sups[n] = max(sups[n], r)
     vals = [sups[n] for n in range(7)]
     nongrowing = all(b <= a * (1 + 1e-9) for a, b in zip(vals, vals[1:]))
     within2 = max(vals) <= 2.0 * min(vals)

@@ -187,12 +187,17 @@ def test_bmo_matches_per_cube_loop(dim):
         extent = tuple(int(v) for v in rng.integers(1, 70 if dim == 1 else 20, size=dim))
         box = Box(dim, origin, extent)
         f = Field(box, rng.normal(size=box.cell_count) * 10.0 ** rng.integers(-6, 6, size=box.cell_count))
-        j_top = max(int(np.ceil(np.log2(max(extent)))), 0) + 1
         best = 0.0
-        for level in range(j_top + 1):
+        for level in range(14):  # past every level where these boxes' cubes merge
             for _, values in iter_cubes(f, level):
                 best = max(best, float(np.mean(np.abs(values - np.median(values)))))
         assert bmo_dyadic_norm(f) == best
+
+
+def test_bmo_reaches_the_cube_holding_an_unaligned_box():
+    # cells 7 and 8 first share a cube at level 4, [0, 16); cells 3 and 4 at level 3
+    for origin in (0, 3, 7):
+        assert bmo_dyadic_norm(Field(Box(1, (origin,), (2,)), [1.0, -1.0])) == 1.0
 
 
 def test_bmo_2d():

@@ -2,17 +2,25 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bivariation.averages import avg_field
 from bivariation.bodies import ball, cube
-from bivariation.dyadic import DyadicCube, cell_cube_ids, cells_by_cube, cube_cell_values
-from bivariation.fields import Box, Field, lp_norm
+from bivariation.dyadic import (
+    DyadicCube,
+    cell_cube_ids,
+    cells_by_cube,
+    cube_cell_values,
+    level_range,
+)
+from bivariation.fields import Box, Field, bmo_dyadic_norm, lp_norm
 from bivariation.harness.generators import random_measurable_pair
 from bivariation.martingale import (
     MeasurabilityError,
     bilinear_maximal,
     carleson_tent_mass,
-    carleson_tent_ratio,
+    carleson_tent_ratios,
     carleson_weighted_sum,
     cond_expect,
     domination_check,
@@ -47,6 +55,18 @@ def test_cell_cube_ids_memo_is_shared_and_read_only():
         ids[0] = 1
     with pytest.raises(ValueError):
         table[0, 0] = 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(-70, 70), st.integers(1, 80)), min_size=1, max_size=3))
+def test_level_range_stops_one_above_the_final_partition(axes):
+    box = Box(len(axes), [o for o, _ in axes], [e for _, e in axes])
+
+    def cubes_per_axis(level):
+        return [len({c >> level for c in range(o, o + e)}) for o, e in axes]
+
+    final = min(j for j in range(41) if cubes_per_axis(j) == cubes_per_axis(40))
+    assert level_range(box) == (0, final + 1)
 
 
 # Brute-force oracles: every cell of a lattice cube, zero outside the box.
@@ -475,13 +495,104 @@ def test_tent_ratio_nonincreasing_in_shift():
     rng = np.random.default_rng(14)
     for _ in range(10):
         b = line(np.repeat(rng.uniform(-1, 1, size=16), 4))
-        ratios = [carleson_tent_ratio(b, n) for n in range(5)]
+        ratios = carleson_tent_ratios(b, 4)
         assert all(r2 <= r1 * (1 + 1e-9) for r1, r2 in zip(ratios, ratios[1:]))
         assert ratios[0] > 0
 
 
 def test_tent_ratio_constant_field():
-    assert carleson_tent_ratio(line(np.full(16, 2.0)), 0) == 0.0
+    assert carleson_tent_ratios(line(np.full(16, 2.0)), 3) == (0.0,) * 4
+
+
+def test_tent_ratios_reject_negative_n_max():
+    with pytest.raises(ValueError):
+        carleson_tent_ratios(line([1.0, -1.0]), -1)
+
+
+def _tent_ratio_per_shift(b, n):
+    """Reference: the ratio of one shift on its own, with its own BMO norm and
+    a running per-cube total over the difference levels."""
+    bmo = bmo_dyadic_norm(b)
+    if bmo == 0.0:
+        return 0.0
+    box = b.box
+    _, top = level_range(box)
+    best = 0.0
+    diffs = {}
+    for j in range(1, top + 1):
+        ids, _, ncubes = cell_cube_ids(box, j)
+        mu = np.zeros(ncubes)
+        for k in range(n, j + 1):
+            lev = k + 1 - n
+            if lev not in diffs:
+                d = mart_diff(b, lev).samples.ravel()
+                diffs[lev] = d * d
+            mu += np.bincount(ids, weights=diffs[lev], minlength=ncubes)
+        mu *= box.cell_volume
+        vol_q = (float(1 << j) * box.mesh) ** box.dim
+        best = max(best, float(mu.max()) / (vol_q * bmo * bmo))
+    return best
+
+
+def _tent_field(dim, origin, extent, mesh, kind, seed):
+    box = Box(dim, origin, extent, mesh)
+    rng = np.random.default_rng(seed)
+    if kind == "constant":
+        return Field(box, np.full(box.cell_count, rng.normal()))
+    if kind == "steps":
+        # constant on aligned pairs of lattice cells, cut at the box edges
+        lat = np.meshgrid(*box.lattice_axes(), indexing="ij")
+        key = sum(((g >> 1) % 5) * 5**i for i, g in enumerate(lat))
+        return Field(box, rng.uniform(-1, 1, size=5**dim)[key])
+    return Field(box, rng.normal(size=box.cell_count))
+
+
+tent_cases = st.one_of(
+    st.tuples(st.just(1), st.tuples(st.integers(-40, 20)), st.tuples(st.integers(1, 48))),
+    st.tuples(st.just(2), st.tuples(st.integers(-12, 6), st.integers(-12, 6)),
+              st.tuples(st.integers(1, 10), st.integers(1, 10))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tent_cases,
+    st.sampled_from([1.0, 0.37, 2.0]),
+    st.sampled_from(["normal", "steps", "constant"]),
+    st.integers(0, 10),  # the top level is at most 7 here
+    st.integers(0, 2**32 - 1),
+)
+def test_tent_ratios_match_per_shift_loop(case, mesh, kind, n_max, seed):
+    dim, origin, extent = case
+    b = _tent_field(dim, origin, extent, mesh, kind, seed)
+    ratios = carleson_tent_ratios(b, n_max)
+    assert len(ratios) == n_max + 1
+    assert all(type(r) is float for r in ratios)
+    for n, r in enumerate(ratios):
+        assert r == _tent_ratio_per_shift(b, n)
+    if kind == "constant":
+        assert ratios == (0.0,) * (n_max + 1)
+
+
+@pytest.mark.parametrize("dim, origin, extent, mesh", [
+    (1, (-13,), (27,), 0.37),
+    (1, (5,), (19,), 2.0),
+    (2, (-5, 3), (7, 6), 0.37),
+    (2, (0, -4), (8, 5), 1.0),
+])
+def test_tent_ratios_are_the_sup_of_tent_masses(dim, origin, extent, mesh):
+    b = _tent_field(dim, origin, extent, mesh, "normal", 23)
+    bmo = bmo_dyadic_norm(b)
+    _, top = level_range(b.box)
+    ratios = carleson_tent_ratios(b, top + 1)
+    for n, r in enumerate(ratios):
+        sup = 0.0
+        for j in range(1, top + 1):
+            vol_q = (float(1 << j) * mesh) ** dim
+            for coords in cell_cube_ids(b.box, j)[1]:
+                cube = DyadicCube(j, tuple(int(c) for c in coords))
+                sup = max(sup, carleson_tent_mass(b, cube, n) / (vol_q * bmo * bmo))
+        assert r == pytest.approx(sup, rel=1e-12, abs=0.0)
 
 
 def test_weighted_sum_degenerate_inputs():
@@ -504,8 +615,6 @@ def test_weighted_sum_rejects_bad_l():
 
 def test_weighted_sum_bounded_ratio():
     rng = np.random.default_rng(16)
-    from bivariation.fields import bmo_dyadic_norm
-
     worst = 0.0
     for _ in range(5):
         f = line(rng.normal(size=32))

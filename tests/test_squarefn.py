@@ -3,9 +3,10 @@ import pytest
 
 from bivariation.averages import AvgRequest, avg_at
 from bivariation.bodies import ball
+from bivariation.dyadic import level_range
 from bivariation.fields import Box, Field, lp_norm
 from bivariation.martingale import cond_expect
-from bivariation.squarefn import default_k_range, square_function, square_piece
+from bivariation.squarefn import square_function, square_piece
 from bivariation.variation import vq_value_batch
 
 BALL = ball(1)
@@ -75,7 +76,7 @@ def test_default_range_and_tail():
     rng = np.random.default_rng(4)
     f1 = line(rng.normal(size=64))
     f2 = line(rng.normal(size=64))
-    assert default_k_range(f1) == (0, 7)
+    assert level_range(f1.box) == (0, 7)
     sp = square_function(f1, f2, BALL)
     assert sp.k_range == (0, 7)
     assert np.isfinite(sp.tail_max)
