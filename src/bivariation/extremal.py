@@ -290,9 +290,6 @@ def _vertices(s: float):
     return VERTICES + ((0.0, 1.0 / s), (1.0 / s, 0.0))
 
 
-_Q_RECIPS = (1.0, 1.0, 2.0, None, None)  # None -> 1/s, filled per call
-
-
 def interp_weights(p1: float, p2: float, s: float) -> InterpPoint:
     """Convex weights over the five endpoint types reproducing (1/p1, 1/p2).
 

@@ -446,8 +446,7 @@ def _square_l2(cfg: ExperimentConfig) -> RatioReport:
             [cond_expect(f1, k).samples.ravel() * cond_expect(f2, k).samples.ravel() for k in ks]
         )
         avg_rows = np.stack([sp.pieces[k].samples.ravel() for k in ks]) + prod_rows
-        lv = vq_value_batch(avg_rows.T, cfg.q)
-        mart = vq_value_batch(prod_rows.T, cfg.q)
+        lv, mart = np.split(vq_value_batch(np.hstack([avg_rows, prod_rows]).T, cfg.q), 2)
         bound = 2.0 * sp.aggregate.samples.ravel() + mart
         lv_ok = bool(np.all(lv <= bound * (1 + 1e-9) + 1e-12))
         rel = 1e-12 * max(1.0, float(np.abs(sp.aggregate.samples).max()))

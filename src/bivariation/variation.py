@@ -7,6 +7,7 @@ for the continuum variation of the underlying family.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -52,68 +53,64 @@ def _check_q(q: float):
 _RESCALE_LO, _RESCALE_HI = 1e-18, 1e18
 
 
+def _vq_rows(seqs: np.ndarray, q: float):
+    """The q-variation DP on every row of ``seqs`` (N, m); docs/notes.md, note 7.
+
+    Returns the values, each row's end index (-1 when m = 0) and the
+    backpointers ``prev`` (N, m): the earliest maximizing predecessor, or -1
+    where the best chain sum is 0.  Raises ``ValueError`` on a non-finite
+    entry or an overflowing difference.
+    """
+    n, m = seqs.shape
+    if m == 0:
+        return np.zeros(n), np.full(n, -1), np.empty((n, 0), dtype=np.int64)
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows raise below
+        pw = seqs[:, None, :] - seqs[:, :, None]  # in place from here: no temporaries
+    np.abs(pw, out=pw)
+    tops = pw.max(axis=(1, 2)).tolist()
+    if not all(map(math.isfinite, tops)):
+        raise ValueError("q-variation needs finite values with finite differences")
+    scale = [1.0 if t == 0.0 or _RESCALE_LO < t < _RESCALE_HI else t for t in tops]
+    pw /= np.array(scale)[:, None, None]
+    pw **= q
+    best = np.zeros((n, m))
+    prev = np.zeros((n, m), dtype=np.int64)
+    rows = np.arange(n)
+    for j in range(1, m):
+        cand = best[:, :j] + pw[:, j, :j]  # pw is symmetric; row j is contiguous
+        i = cand.argmax(axis=1)  # argmax takes the earliest maximizer
+        prev[:, j] = i
+        best[:, j] = cand[rows, i]
+    prev[best == 0] = -1
+    ends = best.argmax(axis=1)
+    # scalar pow for the final root, as the enumeration oracles take it: the
+    # vectorized pow can round differently in the last ulp
+    values = [s * b ** (1.0 / q) for s, b in zip(scale, best[rows, ends].tolist())]
+    return np.array(values, dtype=np.float64), ends, prev
+
+
 def vq_exact(a, q: float) -> VariationOutcome:
     """Max over increasing subsequences of (sum |a_(i_(k+1)) - a_(i_k)|^q)^(1/q).
 
-    DP over end indices with backpointers; ties go to the earlier predecessor,
-    so witnesses are deterministic.  The DP value is bit-identical to brute
-    force enumeration with left-to-right accumulation.  When the differences
-    have extreme magnitude they are rescaled by their maximum before the q-th
-    powers are taken, which avoids overflow/underflow for large q.
+    One row of :func:`_vq_rows` plus the backtrack; ties go to the earlier
+    predecessor, so witnesses are deterministic.  The value is bit-identical
+    to brute force enumeration with left-to-right accumulation.
     """
     _check_q(q)
-    a = np.asarray(a, dtype=np.float64).ravel()
-    m = a.size
-    if m < 2:
-        return VariationOutcome(q, 0.0, (0,) if m else ())
-    diffs = np.abs(a[None, :] - a[:, None])
-    top = float(diffs.max())
-    if top == 0.0:
-        return VariationOutcome(q, 0.0, (0,))
-    scale = 1.0 if _RESCALE_LO < top < _RESCALE_HI else top
-    pw = (diffs / scale) ** q if scale != 1.0 else diffs**q
-    best = np.zeros(m)
-    prev = np.full(m, -1, dtype=np.int64)
-    for j in range(1, m):
-        cand = best[:j] + pw[:j, j]
-        i = int(np.argmax(cand))  # argmax takes the earliest maximizer
-        if cand[i] > best[j]:
-            best[j] = cand[i]
-            prev[j] = i
-    end = int(np.argmax(best))
-    value = scale * float(best[end]) ** (1.0 / q)
+    values, ends, prev = _vq_rows(np.asarray(a, dtype=np.float64).reshape(1, -1), q)
+    links = prev[0].tolist()
     path = []
+    end = int(ends[0])
     while end >= 0:
         path.append(end)
-        end = int(prev[end])
-    return VariationOutcome(q, value, tuple(reversed(path)))
+        end = links[end]
+    return VariationOutcome(q, float(values[0]), tuple(reversed(path)))
 
 
 def vq_value_batch(seqs: np.ndarray, q: float) -> np.ndarray:
-    """Values of :func:`vq_exact` for every row of ``seqs`` (N, m), vectorized.
-
-    Same DP as the scalar path (no witnesses); rows are rescaled by their own
-    maximal difference.
-    """
+    """Values of :func:`vq_exact` for every row of ``seqs`` (N, m), from the same DP."""
     _check_q(q)
-    seqs = np.atleast_2d(np.asarray(seqs, dtype=np.float64))
-    n, m = seqs.shape
-    if m < 2:
-        return np.zeros(n)
-    diffs = np.abs(seqs[:, None, :] - seqs[:, :, None])
-    top = diffs.max(axis=(1, 2))
-    scale = np.where((top <= _RESCALE_LO) | (top >= _RESCALE_HI), np.where(top == 0, 1.0, top), 1.0)
-    pw = (diffs / scale[:, None, None]) ** q
-    best = np.zeros((n, m))
-    for j in range(1, m):
-        best[:, j] = np.max(best[:, :j] + pw[:, :j, j], axis=1)
-    mx = best.max(axis=1)
-    # scalar pow for the final root: the vectorized pow rounds differently in
-    # the last ulp, and rows must agree with vq_exact bit for bit
-    return np.array(
-        [0.0 if t == 0.0 else float(s) * float(b) ** (1.0 / q)
-         for t, s, b in zip(top, scale, mx)]
-    )
+    return _vq_rows(np.atleast_2d(np.asarray(seqs, dtype=np.float64)), q)[0]
 
 
 def long_variation(grid: TimeGrid, a, q: float) -> float:
@@ -134,12 +131,15 @@ def short_variation(grid: TimeGrid, a, q: float) -> float:
     a = np.asarray(a, dtype=np.float64).ravel()
     if a.size != len(grid):
         raise ValueError("value sequence does not match the grid")
-    blocks: dict[int, list[float]] = {}
-    for t, v in zip(grid.times, a):
-        blocks.setdefault(TimeGrid.block_of(t), []).append(float(v))
+    # the times increase, so each block is a run of consecutive indices
+    ks = np.array([TimeGrid.block_of(t) for t in grid.times], dtype=np.int64)
+    _, starts, sizes = np.unique(ks, return_index=True, return_counts=True)
+    vq = np.zeros(len(starts))
+    for m in np.unique(sizes).tolist():  # one DP call per block length
+        vq[sizes == m] = vq_value_batch(a[starts[sizes == m, None] + np.arange(m)], q)
     total = 0.0
-    for vals in blocks.values():
-        total += vq_exact(vals, q).value ** q
+    for v in vq.tolist():
+        total += v**q
     return float(total ** (1.0 / q))
 
 
@@ -149,9 +149,9 @@ def product_rule_check(a, b, q: float) -> InequalityReport:
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.size != b.size:
         raise ValueError("sequences must have equal length")
-    lhs = vq_exact(a * b, q).value
-    rhs = float(np.max(np.abs(a), initial=0.0)) * vq_exact(b, q).value
-    rhs += float(np.max(np.abs(b), initial=0.0)) * vq_exact(a, q).value
+    lhs, vb, va = vq_value_batch(np.stack([a * b, b, a]), q).tolist()
+    rhs = float(np.max(np.abs(a), initial=0.0)) * vb
+    rhs += float(np.max(np.abs(b), initial=0.0)) * va
     return InequalityReport(lhs, rhs, lhs <= rhs + 1e-12)
 
 

@@ -216,6 +216,11 @@ def test_cli_malformed_body_is_config_error(tmp_path, body):
     ("carleson", "ceiling = 0\n"),
     ("sweep", "mesh = inf\n"),
     ("sweep", "mesh = nan\n"),
+    # outside the paper's exponent range 1 <= p_i <= inf, 1/2 <= p
+    ("cz", "p = 1e-300\np1 = 2e-300\np2 = 2e-300\n"),
+    ("cz", "p = 1e-300\nnorm = bmo\n"),
+    ("sweep", "p1 = 0.5\np2 = 2\np = 0.4\n"),
+    ("sweep", "p1 = 2\np2 = 0.5\np = 0.4\n"),
 ])
 def test_cli_malformed_value_is_config_error(tmp_path, capsys, suite, text):
     cfg = write_config(tmp_path, text)

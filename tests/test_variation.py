@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bivariation import variation
 from bivariation.averages import TimeGrid
 from bivariation.variation import (
+    Q_MAX,
     long_variation,
     product_rule_check,
     short_variation,
@@ -32,6 +34,53 @@ def brute_force_vq(a, q):
                 acc += pw[u, v]
             best = max(best, acc)
     return best ** (1.0 / q)
+
+
+def scalar_dp_oracle(a, q):
+    """Oracle: the scalar DP that ``vq_exact`` ran before the row kernel,
+    returning (value, witness)."""
+    a = np.asarray(a, dtype=np.float64).ravel()
+    m = a.size
+    if m < 2:
+        return 0.0, (0,) if m else ()
+    diffs = np.abs(a[None, :] - a[:, None])
+    top = float(diffs.max())
+    if top == 0.0:
+        return 0.0, (0,)
+    scale = 1.0 if 1e-18 < top < 1e18 else top
+    pw = (diffs / scale) ** q if scale != 1.0 else diffs**q
+    best = np.zeros(m)
+    prev = np.full(m, -1, dtype=np.int64)
+    for j in range(1, m):
+        cand = best[:j] + pw[:j, j]
+        i = int(np.argmax(cand))  # argmax takes the earliest maximizer
+        if cand[i] > best[j]:
+            best[j] = cand[i]
+            prev[j] = i
+    end = int(np.argmax(best))
+    value = scale * float(best[end]) ** (1.0 / q)
+    path = []
+    while end >= 0:
+        path.append(end)
+        end = int(prev[end])
+    return value, tuple(reversed(path))
+
+
+ROW_KINDS = ("normal", "plateau", "tiny", "huge")
+
+
+def draw_row(kind, m, rng):
+    """Normal rows, integer plateaus (many tied candidates) and rows at 1e-20
+    and 1e20 scale (outside the rescale band)."""
+    if kind == "plateau":
+        return rng.integers(-2, 3, size=m).astype(np.float64)
+    return rng.normal(size=m) * {"normal": 1.0, "tiny": 1e-20, "huge": 1e20}[kind]
+
+
+@st.composite
+def rows(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return draw_row(draw(st.sampled_from(ROW_KINDS)), draw(st.integers(0, 13)), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +165,58 @@ def test_subadditivity(a, b, q):
     assert lhs <= rhs + 1e-9
 
 
+@settings(max_examples=400, deadline=None)
+@given(rows(), st.floats(1.0, Q_MAX, exclude_min=True))
+def test_matches_scalar_dp_oracle(a, q):
+    out = vq_exact(a, q)
+    value, witness = scalar_dp_oracle(a, q)
+    assert out.value.hex() == value.hex()
+    assert out.witness == witness
+
+
+@pytest.mark.parametrize("a", [[0.0, np.inf, 1.0], [np.nan], [2.0, -np.inf], [-1e308, 1e308]])
+def test_non_finite_input_raises(a):
+    # the last row is finite, but its difference overflows
+    with pytest.raises(ValueError, match="finite"):
+        vq_exact(a, 3.0)
+    with pytest.raises(ValueError, match="finite"):
+        vq_value_batch(np.stack([np.zeros(len(a)), a]), 3.0)
+
+
+def test_multi_sequence_checks_batch_their_rows(monkeypatch):
+    calls = []
+    kernel = variation._vq_rows
+
+    def counted(seqs, q):
+        calls.append(seqs.shape)
+        return kernel(seqs, q)
+
+    monkeypatch.setattr(variation, "_vq_rows", counted)
+    rng = np.random.default_rng(7)
+    product_rule_check(rng.normal(size=5), rng.normal(size=5), 3.0)
+    assert calls == [(3, 5)]
+    calls.clear()
+    # blocks (0.5, 1], (1, 2], (2, 4], (4, 8] of lengths 1, 2, 2, 3
+    grid = TimeGrid((0.75, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0))
+    a = rng.normal(size=len(grid))
+    sv = short_variation(grid, a, 2.5)
+    assert sorted(calls) == [(1, 1), (1, 3), (2, 2)]
+    total = 0.0  # the per-block loop, in block order
+    for idx in ([0], [1, 2], [3, 4], [5, 6, 7]):
+        total += vq_exact(a[idx], 2.5).value ** 2.5
+    assert sv == total ** (1.0 / 2.5)
+
+
 def test_batch_matches_scalar():
     rng = np.random.default_rng(3)
-    seqs = rng.normal(size=(40, 9))
-    for q in (2.0, 3.0):
-        batch = vq_value_batch(seqs, q)
-        for row, v in zip(seqs, batch):
-            assert v == vq_exact(row, q).value
+    for q in (1.05, 2.0, 3.0, 7.5, Q_MAX):
+        for m in (0, 1, 2, 9, 13):
+            # every row kind in one batch, so the magnitudes are mixed
+            seqs = np.stack([draw_row(kind, m, rng) for kind in ROW_KINDS for _ in range(10)])
+            batch = vq_value_batch(seqs, q)
+            assert batch.shape == (len(seqs),)
+            for row, v in zip(seqs, batch):
+                assert v.hex() == vq_exact(row, q).value.hex()
 
 
 # ---------------------------------------------------------------------------
