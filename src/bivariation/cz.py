@@ -52,17 +52,37 @@ class CZCertificate:
 
 def _cube_lp_avg_pow(f: Field, cube: DyadicCube, p_i: float) -> float:
     """(1/|Q|) * integral over Q of |f|^p_i, with zero extension."""
-    vals = cube_cell_values(f, cube)
-    if vals.size == 0:
-        return 0.0
-    total = float(np.sum(np.abs(vals) ** p_i)) * f.box.cell_volume
+    total = float(np.sum(np.abs(cube_cell_values(f, cube)) ** p_i)) * f.box.cell_volume
     return total / cube.volume(f.box.mesh, f.box.dim)
 
 
-def _cube_mean(f: Field, cube: DyadicCube) -> float:
-    vals = cube_cell_values(f, cube)
-    total = float(np.sum(vals)) * f.box.cell_volume
-    return total / cube.volume(f.box.mesh, f.box.dim)
+def _descend(fr: Field, root: DyadicCube, p_i: float, threshold_pow: float) -> list[DyadicCube]:
+    """Stopping time below one root, one pass per level.
+
+    Every cube below the root is full in ``fr``'s box, so ``|f|^p_i`` is read
+    once over the root's block.  Per level, the 2^d children of the active
+    cubes become rows listing their cells row-major, as ``cube_cell_values``
+    ravels them, so each row sums exactly as ``_cube_lp_avg_pow`` sums its cube.
+    """
+    d, mesh = fr.box.dim, fr.box.mesh
+    pw = np.abs(fr.samples[cube_slices(fr.box, root)]) ** p_i
+    offsets = np.array(list(np.ndindex(*([2] * d))), dtype=np.int64)
+    active = np.zeros((1, d), dtype=np.int64)  # root-relative cube coordinates
+    selected = []
+    for level in range(root.level - 1, -1, -1):
+        if not len(active):
+            break
+        n, side = 1 << (root.level - level), 1 << level
+        # (cube index per axis..., cell index per axis...) view of the block
+        cubes = pw.reshape((n, side) * d).transpose(*range(0, 2 * d, 2), *range(1, 2 * d, 2))
+        children = (2 * active[:, None, :] + offsets).reshape(-1, d)
+        rows = cubes[tuple(children.T)].reshape(len(children), -1)
+        avg = np.sum(rows, axis=-1) * fr.box.cell_volume / (side * mesh) ** d
+        above = avg > threshold_pow
+        corner = np.array(root.coords, dtype=np.int64) << (root.level - level)
+        selected += [DyadicCube(level, tuple(int(v) for v in c)) for c in children[above] + corner]
+        active = children[~above & (avg > 0.0)]
+    return selected
 
 
 def cz_decompose(f: Field, p_i: float, alpha: float, p: float) -> CZOutput:
@@ -80,17 +100,19 @@ def cz_decompose(f: Field, p_i: float, alpha: float, p: float) -> CZOutput:
         raise ValueError("alpha must be positive")
     if not (1.0 <= p_i < np.inf):
         raise ValueError("p_i must lie in [1, inf)")
+    if not (0.0 < p < np.inf):
+        raise ValueError("p must lie in (0, inf)")
     bounds = f.support_bounds()
     if bounds is None:
         raise ValueError("cannot decompose the zero field")
     threshold_pow = float(alpha ** p)  # = (alpha^(p/p_i))^(p_i)
 
     # dyadic cubes never straddle the origin, so the descent starts from one
-    # covering root per orthant touched by the support
+    # covering root per orthant touched by the support; the climb reads f
+    # itself, whose box may clip the ancestor cubes
     roots = []
     flagged = False
-    for region in orthant_regions(*bounds):
-        lo, hi = region
+    for lo, hi in orthant_regions(*bounds):
         level = covering_level(lo, hi)
         root = DyadicCube(level, tuple(int(v) >> level for v in lo))
         while _cube_lp_avg_pow(f, root, p_i) > threshold_pow:
@@ -103,55 +125,28 @@ def cz_decompose(f: Field, p_i: float, alpha: float, p: float) -> CZOutput:
 
     # output box: hull of the input box and the root cubes, so pieces keep
     # their out-of-box tails and the input embeds losslessly
-    out_lo = list(f.box.origin)
-    out_hi = [o + e for o, e in zip(f.box.origin, f.box.extent)]
-    for root in roots:
-        for a in range(f.box.dim):
-            out_lo[a] = min(out_lo[a], root.corner()[a])
-            out_hi[a] = max(out_hi[a], root.corner()[a] + root.side_cells)
-    root_box = Box(
-        f.box.dim, tuple(out_lo), tuple(h - l for l, h in zip(out_lo, out_hi)), f.box.mesh
-    )
+    out_lo = np.min([f.box.origin, *(r.corner() for r in roots)], axis=0)
+    out_hi = np.max([np.add(f.box.origin, f.box.extent),
+                     *(np.add(r.corner(), r.side_cells) for r in roots)], axis=0)
+    root_box = Box(f.box.dim, tuple(out_lo), tuple(out_hi - out_lo), f.box.mesh)
     fr = f.embed(root_box)
 
-    selected: list[DyadicCube] = []
-    stack = [] if flagged else list(roots)
     if flagged:
-        selected = list(roots)
-    while stack:
-        cube = stack.pop()
-        if cube.level == 0:
-            continue
-        child_level = cube.level - 1
-        for offset in np.ndindex(*([2] * f.box.dim)):
-            child = DyadicCube(
-                child_level,
-                tuple((c << 1) + o for c, o in zip(cube.coords, offset)),
-            )
-            avg = _cube_lp_avg_pow(fr, child, p_i)
-            if avg > threshold_pow:
-                selected.append(child)
-            elif avg > 0.0:
-                stack.append(child)
-
+        selected = roots
+    else:
+        selected = [c for root in roots for c in _descend(fr, root, p_i, threshold_pow)]
     pieces = []
     good = fr.samples.copy()
     for cube in sorted(selected, key=lambda c: (c.level, c.coords)):
-        mean = _cube_mean(fr, cube)
+        sl = cube_slices(root_box, cube)
+        mean = float(np.sum(fr.samples[sl].ravel())) * root_box.cell_volume
+        mean /= cube.volume(root_box.mesh, root_box.dim)
         piece = np.zeros(root_box.extent)
-        sl = cube_slices(fr.box, cube)
         piece[sl] = fr.samples[sl] - mean
         good[sl] = mean
         pieces.append((cube, Field(root_box, piece)))
-    return CZOutput(
-        good=Field(root_box, good),
-        bad_pieces=tuple(pieces),
-        p_i=p_i,
-        alpha=alpha,
-        p=p,
-        root_level=root_level,
-        flagged=flagged,
-    )
+    return CZOutput(good=Field(root_box, good), bad_pieces=tuple(pieces), p_i=p_i,
+                    alpha=alpha, p=p, root_level=root_level, flagged=flagged)
 
 
 def cz_certify(out: CZOutput, f: Field) -> CZCertificate:
@@ -166,80 +161,49 @@ def cz_certify(out: CZOutput, f: Field) -> CZCertificate:
     p_i, alpha, p = out.p_i, out.alpha, out.p
     height = float(alpha ** (p / p_i))
     tol = 1e-12 * max(1.0, float(np.abs(f.samples).max()))
-    checks: dict[str, bool] = {}
-    margins: dict[str, float] = {}
 
-    recon = out.good.samples + out.bad.samples
-    checks["i_reconstruction"] = bool(np.abs(recon - f.samples).max() <= tol)
-    margins["i_reconstruction"] = float(np.abs(recon - f.samples).max())
-
-    interiors_disjoint = True
+    # one pass over the pieces: ii overlap, iii support, iv mean, v size, vi
+    # cube mass and the maximality of each cube against its parent
+    mean_tol = 1e-12 * max(1.0, lp_norm(f, 1.0))
+    c5 = 2.0 ** (d + p_i)
     seen = np.zeros(f.box.extent, dtype=bool)
-    for cube, _ in out.bad_pieces:
-        sl = cube_slices(f.box, cube)
-        if np.any(seen[sl]):
-            interiors_disjoint = False
-        seen[sl] = True
-    checks["ii_disjoint_cubes"] = interiors_disjoint
-    margins["ii_disjoint_cubes"] = 0.0
-
-    supp_ok, mean_ok, mean_worst = True, True, 0.0
+    disjoint = supp_ok = mean_ok = ok5 = maximal = True
+    mean_worst = worst5 = total_q = 0.0
     for cube, piece in out.bad_pieces:
-        sl = cube_slices(f.box, cube)
-        outside = piece.samples.copy()
-        outside[sl] = 0.0
-        if np.any(outside != 0.0):
-            supp_ok = False
+        sl, vol = cube_slices(f.box, cube), cube.volume(f.box.mesh, d)
+        disjoint &= not np.any(seen[sl])
+        seen[sl] = True
+        supp_ok &= np.count_nonzero(piece.samples) == np.count_nonzero(piece.samples[sl])
         m = abs(float(np.sum(piece.samples)) * f.box.cell_volume)
         mean_worst = max(mean_worst, m)
-        if m > 1e-12 * max(1.0, lp_norm(f, 1.0)):
-            mean_ok = False
-    checks["iii_support"] = supp_ok
-    margins["iii_support"] = 0.0
-    checks["iv_mean_zero"] = mean_ok
-    margins["iv_mean_zero"] = mean_worst
-
-    c5 = 2.0 ** (d + p_i)
-    ok5, worst5 = True, 0.0
-    for cube, piece in out.bad_pieces:
+        mean_ok &= not m > mean_tol
         lhs = lp_norm(piece, p_i) ** p_i
-        rhs = c5 * (alpha**p) * cube.volume(f.box.mesh, d)
+        rhs = c5 * (alpha**p) * vol
         worst5 = max(worst5, lhs / rhs if rhs else np.inf)
-        if lhs > rhs * (1 + 1e-12):
-            ok5 = False
-    checks["v_piece_size"] = ok5
-    margins["v_piece_size"] = worst5
+        ok5 &= not lhs > rhs * (1 + 1e-12)
+        total_q += vol
+        if cube.level < out.root_level:
+            maximal &= not _cube_lp_avg_pow(f, cube.parent(), p_i) > alpha**p
 
-    total_q = sum(c.volume(f.box.mesh, d) for c, _ in out.bad_pieces)
+    bad = out.bad
+    err = float(np.abs(out.good.samples + bad.samples - f.samples).max())
     rhs6 = (alpha**-p) * lp_norm(f, p_i) ** p_i
-    checks["vi_cube_mass"] = total_q <= rhs6 * (1 + 1e-12)
-    margins["vi_cube_mass"] = total_q / rhs6 if rhs6 else 0.0
-
-    lhs7 = lp_norm(out.bad, p_i)
-    rhs7 = 2.0 ** ((d + p_i) / p_i) * lp_norm(f, p_i)
-    checks["vii_bad_total"] = lhs7 <= rhs7 * (1 + 1e-12)
-    margins["vii_bad_total"] = lhs7 / rhs7 if rhs7 else 0.0
-
-    lhs8a = lp_norm(out.good, p_i)
-    rhs8a = lp_norm(f, p_i)
-    lhs8b = lp_norm(out.good, np.inf)
-    rhs8b = 2.0 ** (d / p_i) * height
-    ok8 = lhs8a <= rhs8a * (1 + 1e-12) and lhs8b <= rhs8b * (1 + 1e-12)
-    checks["viii_good_bounds"] = ok8
-    margins["viii_good_bounds"] = max(
-        lhs8a / rhs8a if rhs8a else 0.0, lhs8b / rhs8b if rhs8b else 0.0
-    )
-
-    maximal = True
-    for cube, _ in out.bad_pieces:
-        if cube.level >= out.root_level:
-            continue
-        if _cube_lp_avg_pow(f, cube.parent(), p_i) > alpha**p:
-            maximal = False
-    checks["maximality"] = maximal or out.flagged
-    margins["maximality"] = 0.0
-
-    return CZCertificate(checks=checks, margins=margins)
+    lhs7, rhs7 = lp_norm(bad, p_i), 2.0 ** ((d + p_i) / p_i) * lp_norm(f, p_i)
+    lhs8a, rhs8a = lp_norm(out.good, p_i), lp_norm(f, p_i)
+    lhs8b, rhs8b = lp_norm(out.good, np.inf), 2.0 ** (d / p_i) * height
+    rows = [  # (check, verdict, margin)
+        ("i_reconstruction", err <= tol, err),
+        ("ii_disjoint_cubes", disjoint, 0.0),
+        ("iii_support", supp_ok, 0.0),
+        ("iv_mean_zero", mean_ok, mean_worst),
+        ("v_piece_size", ok5, worst5),
+        ("vi_cube_mass", total_q <= rhs6 * (1 + 1e-12), total_q / rhs6 if rhs6 else 0.0),
+        ("vii_bad_total", lhs7 <= rhs7 * (1 + 1e-12), lhs7 / rhs7 if rhs7 else 0.0),
+        ("viii_good_bounds", lhs8a <= rhs8a * (1 + 1e-12) and lhs8b <= rhs8b * (1 + 1e-12),
+         max(lhs8a / rhs8a if rhs8a else 0.0, lhs8b / rhs8b if rhs8b else 0.0)),
+        ("maximality", maximal or out.flagged, 0.0),
+    ]
+    return CZCertificate({name: ok for name, ok, _ in rows}, {name: m for name, _, m in rows})
 
 
 def format_cz_report(out: CZOutput, cert: CZCertificate) -> str:

@@ -82,6 +82,8 @@ class ExperimentConfig:
         for name, low in (("p1", 1.0), ("p2", 1.0), ("p", 0.5)):  # the paper's range
             if not getattr(self, name) >= low:
                 raise ConfigError(f"{name} must be >= {low:g}")
+        if self.suite == "cz" and not np.isfinite(self.p):
+            raise ConfigError("suite 'cz' requires a finite p")
         if self.norm != "bmo" and np.isfinite(self.p1) and np.isfinite(self.p2):
             if abs(1.0 / self.p - (1.0 / self.p1 + 1.0 / self.p2)) > 1e-9:
                 raise ConfigError("exponents must satisfy 1/p = 1/p1 + 1/p2")

@@ -31,13 +31,13 @@ from ..extremal import (
 )
 from ..fields import Field, bmo_dyadic_norm, lp_norm, weak_lp_quasinorm
 from ..martingale import (
+    _ladder,
     bilinear_maximal,
     carleson_tent_ratios,
     carleson_weighted_sum,
     cond_expect,
     domination_check,
     martingale_product_variation_check,
-    mart_diff,
     paraproduct_telescope,
     star_maximal,
     young_convolution_check,
@@ -259,13 +259,14 @@ def _suite_identities(cfg: ExperimentConfig, outdir: Path) -> bool:
         rng = trial_rng(cfg.seed, 40_000 + trial)
         f, _, fam, _ = random_pair(box, rng)
         top = 7
-        recon = cond_expect(f, top).samples.copy()
+        e = _ladder(f, range(top + 1))  # E_0 f .. E_7 f
+        recon = e[top].copy()
         for j in range(1, top + 1):
-            recon += mart_diff(f, j).samples
+            recon += e[j - 1] - e[j]
         err = float(np.abs(recon - f.samples).max())
-        comp = cond_expect(cond_expect(f, 3), 5).samples
-        err_comp = float(np.abs(comp - cond_expect(f, 5).samples).max())
-        d3, d5 = mart_diff(f, 3).samples, mart_diff(f, 5).samples
+        comp = cond_expect(Field(box, e[3]), 5).samples
+        err_comp = float(np.abs(comp - e[5]).max())
+        d3, d5 = e[2] - e[3], e[4] - e[5]
         inner = abs(float(np.sum(d3 * d5)) * box.cell_volume)
         scale = max(1.0, lp_norm(f, 2.0) ** 2)
         good = err < 1e-12 and err_comp < 1e-12 and inner < 1e-10 * scale

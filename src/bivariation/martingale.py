@@ -77,6 +77,11 @@ def cond_expect(f: Field, j: int) -> Field:
     return Field(f.box, means[ids])
 
 
+def _ladder(f: Field, levels) -> list[np.ndarray]:
+    """Sample arrays of the projections ``E_j f`` for ``j`` in ``levels``."""
+    return [cond_expect(f, j).samples for j in levels]
+
+
 def mart_diff(f: Field, j: int) -> Field:
     """Difference of consecutive projections, mean zero on every level-j cube."""
     if j < 1:
@@ -219,17 +224,18 @@ def paraproduct_telescope(
         raise ValueError("need l <= j")
     if l < 1:
         raise ValueError("need l >= 1 so that E_(l-1) is defined")
-    e1 = {m: cond_expect(f1, m) for m in range(l - 1, j + 1)}
-    e2 = {m: cond_expect(f2, m) for m in range(l - 1, j + 1)}
-    fine = square_piece(e1[l - 1], e2[l - 1], body, k).samples
-    coarse = square_piece(e1[j], e2[j], body, k).samples
+    e1, e2 = _ladder(f1, range(l - 1, j + 1)), _ladder(f2, range(l - 1, j + 1))
+
+    def piece(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return square_piece(Field(f1.box, a), Field(f2.box, b), body, k).samples
+
+    fine = piece(e1[0], e2[0])
+    coarse = piece(e1[-1], e2[-1])
     lhs = fine - coarse
     rhs = np.zeros_like(lhs)
-    for m in range(l, j + 1):
-        d1 = Field(f1.box, e1[m - 1].samples - e1[m].samples)
-        d2 = Field(f2.box, e2[m - 1].samples - e2[m].samples)
-        rhs += square_piece(d1, e2[m - 1], body, k).samples
-        rhs += square_piece(e1[m], d2, body, k).samples
+    for m in range(1, len(e1)):  # e1[m] = E_(l-1+m) f1
+        rhs += piece(e1[m - 1] - e1[m], e2[m - 1])
+        rhs += piece(e1[m], e2[m - 1] - e2[m])
     residual = float(np.abs(lhs - rhs).max())
     return TelescopeReport(
         residual_max=residual,
@@ -259,8 +265,8 @@ def _diff_ladder(b: Field) -> list[np.ndarray]:
     """Flat differences ``[d_1, ..., d_(top+1)]``, d_m = E_(m-1)b - E_m b as
     :func:`mart_diff` forms it, from one ladder of top + 2 projections."""
     _, top = level_range(b.box)
-    e = [cond_expect(b, j).samples.ravel() for j in range(top + 2)]
-    return [e[m - 1] - e[m] for m in range(1, top + 2)]
+    e = _ladder(b, range(top + 2))
+    return [(e[m - 1] - e[m]).ravel() for m in range(1, top + 2)]
 
 
 def carleson_tent_ratios(b: Field, n_max: int) -> tuple[float, ...]:
@@ -348,8 +354,8 @@ def martingale_product_variation_check(f1: Field, f2: Field, q: float) -> RatioC
     if f1.box != f2.box:
         raise ValueError("fields must share one box")
     _, top = level_range(f1.box)
-    prods = [cond_expect(f1, j).samples * cond_expect(f2, j).samples for j in range(0, top + 2)]
-    vq = vq_value_batch(np.stack([p.ravel() for p in prods], axis=1), q)
+    e1, e2 = _ladder(f1, range(top + 2)), _ladder(f2, range(top + 2))
+    vq = vq_value_batch(np.stack([(a * b).ravel() for a, b in zip(e1, e2)], axis=1), q)
     lhs = lp_norm(Field(f1.box, vq.reshape(f1.box.extent)), 2.0)
     rhs = min(
         lp_norm(f1, 2.0) * lp_norm(f2, np.inf),

@@ -1,8 +1,25 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from bivariation.cz import cz_certify, cz_decompose, format_cz_report
-from bivariation.dyadic import cube_cell_values
+from bivariation.cz import (
+    MAX_ROOT_CELLS,
+    CZCertificate,
+    CZOutput,
+    cz_certify,
+    cz_decompose,
+    format_cz_report,
+)
+from bivariation.dyadic import (
+    DyadicCube,
+    covering_level,
+    cube_cell_values,
+    cube_slices,
+    orthant_regions,
+)
 from bivariation.fields import Box, Field, lp_norm
 
 
@@ -100,6 +117,9 @@ def test_domain_validation():
         cz_decompose(f, 0.5, 1.0, 1.0)
     with pytest.raises(ValueError):
         cz_decompose(line(np.zeros(4)), 1.0, 1.0, 1.0)
+    for p in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="p must lie"):
+            cz_decompose(f, 1.0, 2.0, p)
 
 
 def test_flagged_when_root_would_explode():
@@ -115,3 +135,237 @@ def test_report_format():
     text = format_cz_report(out, cz_certify(out, f))
     assert "selected cubes: 1" in text
     assert "pass" in text
+
+
+# ---------------------------------------------------------------------------
+# The cube-by-cube stopping time and the four-pass certifier, kept as oracles
+# of the level-wise descent and the one-pass certifier.
+
+def _oracle_lp_avg_pow(f, cube, p_i):
+    vals = cube_cell_values(f, cube)
+    if vals.size == 0:
+        return 0.0
+    total = float(np.sum(np.abs(vals) ** p_i)) * f.box.cell_volume
+    return total / cube.volume(f.box.mesh, f.box.dim)
+
+
+def _oracle_mean(f, cube):
+    vals = cube_cell_values(f, cube)
+    total = float(np.sum(vals)) * f.box.cell_volume
+    return total / cube.volume(f.box.mesh, f.box.dim)
+
+
+def _oracle_decompose(f, p_i, alpha, p):
+    bounds = f.support_bounds()
+    threshold_pow = float(alpha ** p)
+    roots = []
+    flagged = False
+    for lo, hi in orthant_regions(*bounds):
+        level = covering_level(lo, hi)
+        root = DyadicCube(level, tuple(int(v) >> level for v in lo))
+        while _oracle_lp_avg_pow(f, root, p_i) > threshold_pow:
+            root = root.parent()
+            if root.side_cells ** f.box.dim > MAX_ROOT_CELLS:
+                flagged = True
+                break
+        roots.append(root)
+    root_level = max(r.level for r in roots)
+    out_lo = list(f.box.origin)
+    out_hi = [o + e for o, e in zip(f.box.origin, f.box.extent)]
+    for root in roots:
+        for a in range(f.box.dim):
+            out_lo[a] = min(out_lo[a], root.corner()[a])
+            out_hi[a] = max(out_hi[a], root.corner()[a] + root.side_cells)
+    root_box = Box(
+        f.box.dim, tuple(out_lo), tuple(h - l for l, h in zip(out_lo, out_hi)), f.box.mesh
+    )
+    fr = f.embed(root_box)
+    selected = list(roots) if flagged else []
+    stack = [] if flagged else list(roots)
+    while stack:
+        cube = stack.pop()
+        if cube.level == 0:
+            continue
+        for offset in np.ndindex(*([2] * f.box.dim)):
+            child = DyadicCube(
+                cube.level - 1, tuple((c << 1) + o for c, o in zip(cube.coords, offset))
+            )
+            avg = _oracle_lp_avg_pow(fr, child, p_i)
+            if avg > threshold_pow:
+                selected.append(child)
+            elif avg > 0.0:
+                stack.append(child)
+    pieces = []
+    good = fr.samples.copy()
+    for cube in sorted(selected, key=lambda c: (c.level, c.coords)):
+        mean = _oracle_mean(fr, cube)
+        piece = np.zeros(root_box.extent)
+        sl = cube_slices(fr.box, cube)
+        piece[sl] = fr.samples[sl] - mean
+        good[sl] = mean
+        pieces.append((cube, Field(root_box, piece)))
+    return CZOutput(Field(root_box, good), tuple(pieces), p_i, alpha, p, root_level, flagged)
+
+
+def _oracle_certify(out, f):
+    f = f.embed(out.good.box)
+    d = f.box.dim
+    p_i, alpha, p = out.p_i, out.alpha, out.p
+    height = float(alpha ** (p / p_i))
+    tol = 1e-12 * max(1.0, float(np.abs(f.samples).max()))
+    checks, margins = {}, {}
+
+    recon = out.good.samples + out.bad.samples
+    checks["i_reconstruction"] = bool(np.abs(recon - f.samples).max() <= tol)
+    margins["i_reconstruction"] = float(np.abs(recon - f.samples).max())
+
+    interiors_disjoint = True
+    seen = np.zeros(f.box.extent, dtype=bool)
+    for cube, _ in out.bad_pieces:
+        sl = cube_slices(f.box, cube)
+        if np.any(seen[sl]):
+            interiors_disjoint = False
+        seen[sl] = True
+    checks["ii_disjoint_cubes"] = interiors_disjoint
+    margins["ii_disjoint_cubes"] = 0.0
+
+    supp_ok, mean_ok, mean_worst = True, True, 0.0
+    for cube, piece in out.bad_pieces:
+        sl = cube_slices(f.box, cube)
+        outside = piece.samples.copy()
+        outside[sl] = 0.0
+        if np.any(outside != 0.0):
+            supp_ok = False
+        m = abs(float(np.sum(piece.samples)) * f.box.cell_volume)
+        mean_worst = max(mean_worst, m)
+        if m > 1e-12 * max(1.0, lp_norm(f, 1.0)):
+            mean_ok = False
+    checks["iii_support"] = supp_ok
+    margins["iii_support"] = 0.0
+    checks["iv_mean_zero"] = mean_ok
+    margins["iv_mean_zero"] = mean_worst
+
+    c5 = 2.0 ** (d + p_i)
+    ok5, worst5 = True, 0.0
+    for cube, piece in out.bad_pieces:
+        lhs = lp_norm(piece, p_i) ** p_i
+        rhs = c5 * (alpha**p) * cube.volume(f.box.mesh, d)
+        worst5 = max(worst5, lhs / rhs if rhs else np.inf)
+        if lhs > rhs * (1 + 1e-12):
+            ok5 = False
+    checks["v_piece_size"] = ok5
+    margins["v_piece_size"] = worst5
+
+    total_q = sum(c.volume(f.box.mesh, d) for c, _ in out.bad_pieces)
+    rhs6 = (alpha**-p) * lp_norm(f, p_i) ** p_i
+    checks["vi_cube_mass"] = total_q <= rhs6 * (1 + 1e-12)
+    margins["vi_cube_mass"] = total_q / rhs6 if rhs6 else 0.0
+
+    lhs7 = lp_norm(out.bad, p_i)
+    rhs7 = 2.0 ** ((d + p_i) / p_i) * lp_norm(f, p_i)
+    checks["vii_bad_total"] = lhs7 <= rhs7 * (1 + 1e-12)
+    margins["vii_bad_total"] = lhs7 / rhs7 if rhs7 else 0.0
+
+    lhs8a = lp_norm(out.good, p_i)
+    rhs8a = lp_norm(f, p_i)
+    lhs8b = lp_norm(out.good, np.inf)
+    rhs8b = 2.0 ** (d / p_i) * height
+    ok8 = lhs8a <= rhs8a * (1 + 1e-12) and lhs8b <= rhs8b * (1 + 1e-12)
+    checks["viii_good_bounds"] = ok8
+    margins["viii_good_bounds"] = max(
+        lhs8a / rhs8a if rhs8a else 0.0, lhs8b / rhs8b if rhs8b else 0.0
+    )
+
+    maximal = True
+    for cube, _ in out.bad_pieces:
+        if cube.level >= out.root_level:
+            continue
+        if _oracle_lp_avg_pow(f, cube.parent(), p_i) > alpha**p:
+            maximal = False
+    checks["maximality"] = maximal or out.flagged
+    margins["maximality"] = 0.0
+    return CZCertificate(checks=checks, margins=margins)
+
+
+def _assert_same_output(new, old):
+    assert new.good.box == old.good.box
+    assert new.good.samples.tobytes() == old.good.samples.tobytes()
+    assert [c for c, _ in new.bad_pieces] == [c for c, _ in old.bad_pieces]
+    for (_, a), (_, b) in zip(new.bad_pieces, old.bad_pieces):
+        assert a.samples.tobytes() == b.samples.tobytes()
+    assert (new.flagged, new.root_level) == (old.flagged, old.root_level)
+
+
+def _normal_case(origin, shape, mesh, p_i, p, depth, u=1.0, density=1.0, seed=0):
+    """(field, p_i, alpha, p) on a normal-valued field, zeroed off a random
+    ``density`` share of its cells.  The threshold alpha^p is ``u`` times
+    the p_i-mass spread over a cube of side 2^depth, which lifts the root
+    from the support's covering level to about level ``depth``."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=shape) * (rng.random(shape) < density)
+    threshold = float(np.sum(np.abs(values) ** p_i)) * 2.0 ** (-len(shape) * depth) * u
+    return Field(Box(len(shape), origin, shape, mesh), values), p_i, threshold ** (1.0 / p), p
+
+
+@st.composite
+def cz_cases(draw):
+    """Indicator and spike fields sum exactly in any order, so they would
+    hide a change of summation order: draw normal values."""
+    d = draw(st.sampled_from([1, 2]))
+    case = _normal_case(
+        origin=tuple(draw(st.integers(-40, 20)) for _ in range(d)),
+        shape=tuple(draw(st.integers(1, 40 if d == 1 else 9)) for _ in range(d)),
+        mesh=draw(st.sampled_from([0.25, 0.37, 2.0])),
+        p_i=draw(st.sampled_from([1.0, 1.5, 2.0, 3.0])),
+        p=draw(st.sampled_from([0.5, 1.0, 2.0])),
+        depth=draw(st.integers(0, 14 if d == 1 else 7)),
+        u=draw(st.floats(0.5, 2.0)),
+        density=draw(st.floats(0.2, 1.0)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    assume(np.any(case[0].samples))
+    return case
+
+
+@settings(max_examples=100, deadline=None)
+@given(cz_cases())
+# a flagged root: no sub-threshold cube is representable
+@example((line(np.full(64, 1.0e9)), 1.0, 1e-9, 1.0))
+# a d = 2 root at level 10 over one level-9 piece of 2^18 cells: summing its
+# strided 2-D cube slice instead of the ravel changes the mean's last bit
+@example(_normal_case((0, 0), (64, 48), 0.37, 1.0, 1.0, depth=10, seed=1))
+def test_level_descent_matches_recursive_oracle(case):
+    f, p_i, alpha, p = case
+    _assert_same_output(cz_decompose(f, p_i, alpha, p), _oracle_decompose(f, p_i, alpha, p))
+
+
+def _forgeries():
+    f = line([3.0, 1.0, 0.0, 0.0, 0.0, 0.0, 2.5, 1.5])
+    out = cz_decompose(f, 1.0, 1.9, 1.0)
+    (cube, piece), rest = out.bad_pieces[0], out.bad_pieces[1:]
+    assert [c.corner() for c, _ in out.bad_pieces] == [(0,), (6,)]
+    leaked = piece.samples.copy()
+    leaked[3] = 1e-3
+    children = [DyadicCube(cube.level - 1, (2 * cube.coords[0] + o,)) for o in (0, 1)]
+    return f, out, {
+        "duplicated": (out.bad_pieces + out.bad_pieces[:1],
+                       {"i_reconstruction", "ii_disjoint_cubes", "vi_cube_mass"}),
+        "leaked": (((cube, Field(piece.box, leaked)),) + rest,
+                   {"i_reconstruction", "iii_support", "iv_mean_zero"}),
+        "scaled": (((cube, Field(piece.box, 1e3 * piece.samples)),) + rest,
+                   {"i_reconstruction", "v_piece_size", "vii_bad_total"}),
+        "split": (tuple((c, piece) for c in children) + rest,
+                  {"i_reconstruction", "iii_support", "maximality"}),
+    }
+
+
+@pytest.mark.parametrize("kind", ["duplicated", "leaked", "scaled", "split"])
+def test_forged_certificates_fail_their_checks(kind):
+    f, out, forged = _forgeries()
+    assert cz_certify(out, f).all_pass
+    pieces, failing = forged[kind]
+    bad_out = replace(out, bad_pieces=pieces)
+    cert, oracle = cz_certify(bad_out, f), _oracle_certify(bad_out, f)
+    assert {name for name, ok in cert.checks.items() if not ok} == failing
+    assert list(cert.checks.items()) == list(oracle.checks.items())
+    assert list(cert.margins.items()) == list(oracle.margins.items())

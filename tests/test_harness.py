@@ -219,6 +219,10 @@ def test_cli_malformed_body_is_config_error(tmp_path, body):
     # outside the paper's exponent range 1 <= p_i <= inf, 1/2 <= p
     ("cz", "p = 1e-300\np1 = 2e-300\np2 = 2e-300\n"),
     ("cz", "p = 1e-300\nnorm = bmo\n"),
+    # the stopping-time height alpha^(p/p_i) needs a finite p
+    ("cz", "p = inf\np1 = inf\np2 = inf\n"),
+    ("cz", "p = inf\nnorm = bmo\n"),
+    ("cz", "p = nan\n"),
     ("sweep", "p1 = 0.5\np2 = 2\np = 0.4\n"),
     ("sweep", "p1 = 2\np2 = 0.5\np = 0.4\n"),
 ])
