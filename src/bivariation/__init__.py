@@ -22,6 +22,7 @@ from .averages import (
     TimeGrid,
     avg_at,
     avg_field,
+    avg_field_sweep,
     avg_sweep,
     dtt_avg,
     dtt_avg_via_body,

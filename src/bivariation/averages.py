@@ -19,9 +19,8 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .bodies import ConvexBody, GammaBody, enumerate_lattice, gamma_body, slice_table
+from .bodies import ConvexBody, GammaBody, enumerate_lattice, gamma_body, slice_tables
 from .fields import Field
 
 __all__ = [
@@ -31,6 +30,7 @@ __all__ = [
     "avg_at",
     "avg_sweep",
     "avg_field",
+    "avg_field_sweep",
     "dtt_avg",
     "dtt_avg_field",
     "dtt_avg_via_body",
@@ -59,6 +59,8 @@ class AvgRequest:
             raise ValueError(f"mode must be one of {MODES}")
         if not self.t > 0:
             raise ValueError("t must be positive")
+        if not math.isfinite(self.t):
+            raise ValueError("t must be finite")
         if self.f1.box != self.f2.box:
             raise ValueError("f1 and f2 must share one box")
         if self.body.d != self.f1.box.dim:
@@ -87,6 +89,8 @@ class TimeGrid:
         ts = tuple(float(t) for t in self.times)
         if any(not t > 0 for t in ts):
             raise ValueError("times must be positive")
+        if any(not math.isfinite(t) for t in ts):
+            raise ValueError("times must be finite")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", ts)
@@ -137,10 +141,9 @@ def _body_key(body: ConvexBody):
     return (body.kind, body.d, body.r_in, extra)
 
 
-def _cached(body: ConvexBody, T: float, tag: str, build):
-    """``build()`` memoized under ``(body key, T, tag)``; its arrays are read-only,
-    because every caller with an equal body and scale shares them."""
-    key = (_body_key(body), float(T), tag)
+def _cached(key: tuple, build):
+    """``build()`` memoized under ``key = (body key, T, tag)``; its arrays are
+    read-only, because every caller with an equal body and scale shares them."""
     value = _POINT_CACHE.get(key)
     if value is not None:
         CACHE_COUNTS["hits"] += 1
@@ -156,11 +159,22 @@ def _cached(body: ConvexBody, T: float, tag: str, build):
 
 
 def _points(body: ConvexBody, T: float) -> np.ndarray:
-    return _cached(body, T, "points", lambda: enumerate_lattice(body, T).points)
+    return _cached((_body_key(body), float(T), "points"), lambda: enumerate_lattice(body, T).points)
 
 
-def _slices(body: ConvexBody, T: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return _cached(body, T, "slices", lambda: slice_table(body, T))
+def _slices(body: ConvexBody, Ts) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The slice table of every scale in ``Ts``.  The tables the memo lacks are
+    built in one ``slice_tables`` pass; then each scale is looked up in turn as
+    a one-scale call would, so the memo and ``CACHE_COUNTS`` end as after a
+    loop of one-scale calls."""
+    body_key = _body_key(body)
+    keys = [(body_key, float(T), "slices") for T in Ts]
+    found = [_POINT_CACHE.get(key) for key in keys]
+    built = iter(slice_tables(body, [T for T, v in zip(Ts, found) if v is None]))
+    found = [next(built) if v is None else v for v in found]
+    # a table found above and evicted by an earlier scale's insertion is a
+    # miss here, as in the loop, and goes back in unchanged
+    return [_cached(key, lambda v=v: v) for key, v in zip(keys, found)]
 
 
 def _lattice_point(x, d: int) -> np.ndarray:
@@ -248,42 +262,69 @@ def _node_average(a1, a2, y1, y2, run: int, extend: str = "constant") -> np.ndar
 def avg_field(body: ConvexBody, t: float, f1: Field, f2: Field,
               mode: str = "continuum_quadrature") -> Field:
     """Average at every cell of the shared box; fast sliced path for d = 1."""
-    req = AvgRequest(body, t, f1, f2, mode)
-    if body.d == 1:
-        return Field(f1.box, _sliced_values(req, f1.box.origin[0], f1.box.extent[0]))
-    d = body.d
-    pts = _points(body, req.scaled_t)
+    return Field(f1.box, _field_values([AvgRequest(body, t, f1, f2, mode)])[0])
+
+
+def avg_field_sweep(body: ConvexBody, grid: TimeGrid, f1: Field, f2: Field,
+                    mode: str = "continuum_quadrature") -> np.ndarray:
+    """(len(grid), cells) matrix whose row i is ``avg_field`` at the i-th scale,
+    flattened, bit for bit.  For d = 1 every scale shares one slice-table
+    build and one set of field extensions (docs/notes.md, note 9)."""
+    reqs = [AvgRequest(body, t, f1, f2, mode) for t in grid.times]
+    return _field_values(reqs) if reqs else np.zeros((0, f1.box.cell_count))
+
+
+def _field_values(reqs: list[AvgRequest]) -> np.ndarray:
+    """(len(reqs), cells): the averages at every cell of the shared box, one
+    row per request; the requests differ only in their scale."""
+    req = reqs[0]
+    box = req.f1.box
+    if req.body.d == 1:
+        return _sliced_values(reqs, box.origin[0], box.extent[0])
+    return np.stack([_gather_values(r) for r in reqs])
+
+
+def _gather_values(req: AvgRequest) -> np.ndarray:
+    """The d >= 2 average at every cell, flattened: a gather over the lattice
+    points of the dilate."""
+    d = req.body.d
+    pts = _points(req.body, req.scaled_t)
     if len(pts) == 0:
-        raise DegenerateScale(f"no nodes in the body dilate at t={t}")
+        raise DegenerateScale(f"no nodes in the body dilate at t={req.t}")
     y = req.sign * pts
     # runs of 1024 nodes: the pairwise blocks that fix the bytes (docs/notes.md, note 4)
-    return Field(f1.box, _node_average(f1.samples, f2.samples, y[:, :d], y[:, d:], 1024))
+    return _node_average(req.f1.samples, req.f2.samples, y[:, :d], y[:, d:], 1024)
 
 
-def _sliced_values(req: AvgRequest, x: int, width: int) -> np.ndarray:
+def _sliced_values(reqs: list[AvgRequest], x: int, width: int) -> np.ndarray:
     """d = 1 kernel at the ``width`` lattice points x, x + 1, ... (the whole
-    box, or one point): the sum over slices k of f1(x +- k) * (prefix window
-    of f2).
+    box, or one point), one row per request: the sum over slices k of
+    f1(x +- k) * (prefix window of f2).  The requests differ only in their
+    scale.
 
-    One row per slice k, summed in increasing k by ``_ordered_sum``.  A row
-    is read as whole windows of f1 extended by zeros and of the f2 prefix
-    sums extended by their end values, so it holds the values a clipped
-    gather reads.
+    One row per slice k, summed in increasing k by ``_ordered_sum``, one sum
+    per scale.  A row is read as whole windows of f1 extended by zeros and of
+    the f2 prefix sums extended by their end values, so it holds the values a
+    clipped gather reads.  Every scale reads the same extensions, built once
+    for the largest reach.
     """
+    req = reqs[0]
     f1, f2 = req.f1, req.f2
     n = f1.box.extent[0]
-    ks, lo, hi = _slices(req.body, req.scaled_t)
-    count = int(np.sum(hi - lo + 1))
-    if count == 0:
-        raise DegenerateScale(f"no nodes in the body dilate at t={req.t}")
-    k1 = req.sign * ks
+    tables = _slices(req.body, [r.scaled_t for r in reqs])
+    counts = [int(np.sum(hi - lo + 1)) for _, lo, hi in tables]
+    for r, count in zip(reqs, counts):
+        if count == 0:
+            raise DegenerateScale(f"no nodes in the body dilate at t={r.t}")
     if req.sign < 0:
-        lo, hi = -hi, -lo  # the window of f2 is x - [lo, hi]
-    # every offset read (k1, lo, hi + 1) is less than R in size, so one point
+        # f1 is read at x - k, and the window of f2 is x - [lo, hi]
+        tables = [(-ks, -hi, -lo) for ks, lo, hi in tables]
+    # every offset read (k, lo, hi + 1) is less than R in size, so one point
     # below -R or above n + R - 1 reads only the extensions; clamping it there
     # reads the same values and keeps the arrays O(n + R), not O(|x|) (the
     # whole box starts at 0, which the clamp leaves alone)
-    R = int(max(np.abs(ks).max(), np.abs(lo).max(), np.abs(hi).max() + 1)) + 1
+    R = max(int(max(np.abs(k).max(), np.abs(lo).max(), np.abs(hi).max() + 1))
+            for k, lo, hi in tables) + 1
     E = 2 * R  # extension on each side; box index i is array index i + E
     off = min(max(int(x) - f1.box.origin[0], -R), n + R - width) + E
     ext1 = np.zeros(n + 2 * E)
@@ -291,16 +332,32 @@ def _sliced_values(req: AvgRequest, x: int, width: int) -> np.ndarray:
     extp = np.zeros(n + 2 * E + 1)
     np.cumsum(f2.samples, out=extp[E + 1 : E + n + 1])
     extp[E + n + 1 :] = extp[E + n]
-    f1w = sliding_window_view(ext1, width)
-    pw = sliding_window_view(extp, width)
+    f1w = _windows(ext1, width)
+    pw = _windows(extp, width)
+    step = max(1, _CHUNK_CELLS // width)
 
-    def fill(start, stop, out):
-        rows = slice(start, stop)
-        w1 = f1w[k1[rows] + off]
-        np.subtract(pw[hi[rows] + (off + 1)], pw[lo[rows] + off], out=out)
-        np.multiply(w1, out, out=out)
+    def total(k1, lo, hi):
+        def fill(start, stop, out):
+            rows = slice(start, stop)
+            w1 = f1w[k1[rows] + off]
+            np.subtract(pw[hi[rows] + (off + 1)], pw[lo[rows] + off], out=out)
+            np.multiply(w1, out, out=out)
 
-    return _ordered_sum(len(ks), width, max(1, _CHUNK_CELLS // width), fill) / count
+        return _ordered_sum(len(k1), width, step, fill)
+
+    values = np.empty((len(tables), width))
+    for i, (table, count) in enumerate(zip(tables, counts)):
+        values[i] = total(*table) / count
+    return values
+
+
+def _windows(a: np.ndarray, width: int) -> np.ndarray:
+    """Read-only view of a contiguous 1-D array whose row i is a[i : i + width]:
+    the values of ``sliding_window_view(a, width)``, without its argument
+    checks, which take about a third of a one-point evaluation."""
+    view = np.ndarray((a.size - width + 1, width), a.dtype, a, 0, a.strides * 2)
+    view.flags.writeable = False
+    return view
 
 
 def fast_slice_avg(req: AvgRequest, x) -> float:
@@ -314,7 +371,7 @@ def fast_slice_avg(req: AvgRequest, x) -> float:
         raise ValueError("fast_slice_avg requires d = 1")
     if req.mode != "lattice_counting":
         raise ValueError("fast_slice_avg requires lattice_counting mode")
-    return float(_sliced_values(req, _lattice_point(x, 1)[0], 1)[0])
+    return float(_sliced_values([req], _lattice_point(x, 1)[0], 1)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +386,8 @@ def _dtt_matrix(lam: np.ndarray, t: float, f1: Field, f2: Field) -> np.ndarray:
         raise ValueError("matrix must be nonsingular")
     if not t > 0:
         raise ValueError("t must be positive")
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     if f1.box != f2.box:
         raise ValueError("f1 and f2 must share one box")
     return L

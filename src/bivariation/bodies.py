@@ -34,6 +34,7 @@ __all__ = [
     "symmetric_difference_volume",
     "boundary_cube_count",
     "slice_table",
+    "slice_tables",
     "body_from_descriptor",
     "spot_check",
 ]
@@ -62,8 +63,9 @@ class ConvexBody:
     def ambient(self) -> int:
         return 2 * self.d
 
-    def contains_dilated(self, points: np.ndarray, t: float) -> np.ndarray:
-        """Membership of points (n, 2d) in G_t."""
+    def contains_dilated(self, points: np.ndarray, t) -> np.ndarray:
+        """Membership of points (n, 2d) in G_t; ``t`` is one scale, or an (n,)
+        array with one scale per point."""
         raise NotImplementedError
 
     def contains(self, points: np.ndarray) -> np.ndarray:
@@ -120,7 +122,7 @@ class PolytopeBody(ConvexBody):
 
     def contains_dilated(self, points, t):
         p = np.asarray(points, dtype=np.float64)
-        return np.all(p @ self.halfspaces.T <= t, axis=1)
+        return np.all(p @ self.halfspaces.T <= np.reshape(t, (-1, 1)), axis=1)
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,7 @@ class CustomBody(ConvexBody):
 
     def contains_dilated(self, points, t):
         p = np.asarray(points, dtype=np.float64)
-        return np.asarray(self.predicate(p / t), dtype=bool)
+        return np.asarray(self.predicate(p / np.reshape(t, (-1, 1))), dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +428,26 @@ def slice_table(body: ConvexBody, t: float) -> tuple[np.ndarray, np.ndarray, np.
     corrected by unit steps against the body's own membership test, all rows
     stepping together, so slice sums agree exactly with pointwise enumeration.
     """
+    return slice_tables(body, [t])[0]
+
+
+def slice_tables(body: ConvexBody, ts) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``slice_table(body, t)`` for every scale t in ``ts``, built in one pass.
+
+    The rows of all scales are stacked, each carrying its own scale, so the
+    closed-form candidates and the unit-step fixups run once over every row.
+    Each row goes through the arithmetic and membership tests of a one-scale
+    build, so each table is the one-scale table exactly (docs/notes.md, note 9).
+    """
     if body.d != 1:
         raise ValueError("slice_table requires d = 1")
-    K = int(np.ceil(t * body.r_out))
-    ks = np.arange(-K, K + 1, dtype=np.int64)
+    if len(ts) == 0:
+        return []
+    Ks = [int(np.ceil(t * body.r_out)) for t in ts]
+    ks = np.concatenate([np.arange(-K, K + 1, dtype=np.int64) for K in Ks])
     kf = ks.astype(np.float64)
+    sizes = [2 * K + 1 for K in Ks]
+    t = np.repeat(np.asarray(ts, dtype=np.float64), sizes)  # each row's scale
     if isinstance(body, (Ball, CubeBody)):
         # symmetric candidates [-M, M]; M = -1 marks a row the body misses
         if isinstance(body, Ball):
@@ -441,8 +458,7 @@ def slice_table(body: ConvexBody, t: float) -> tuple[np.ndarray, np.ndarray, np.
             M = np.where(np.abs(kf) <= h, np.floor(h), -1.0)
         lo, hi = -M.astype(np.int64), M.astype(np.int64)
     else:
-        lo_f = np.full(len(ks), -t)
-        hi_f = np.full(len(ks), t)
+        lo_f, hi_f = -t, t
         linear = _linear_rows(body)
         for a1, a2 in linear[0] if linear is not None else ():
             if a2 != 0.0:
@@ -453,7 +469,10 @@ def slice_table(body: ConvexBody, t: float) -> tuple[np.ndarray, np.ndarray, np.
         hi = np.ceil(hi_f).astype(np.int64) + 1
 
     def inside(rows, m):
-        return body.contains_dilated(np.stack([kf[rows], m.astype(np.float64)], axis=1), t)
+        pts = np.empty((len(rows), 2))  # np.stack here took about 14% of a build
+        pts[:, 0] = kf[rows]
+        pts[:, 1] = m
+        return body.contains_dilated(pts, t[rows])
 
     def step_while(rows, m, delta, test):
         # m[i] += delta while test holds at m[i], for every row at once
@@ -470,7 +489,10 @@ def slice_table(body: ConvexBody, t: float) -> tuple[np.ndarray, np.ndarray, np.
     rows = np.flatnonzero(lo <= hi)
     lo = step_while(rows, lo[rows], -1, lambda r, m: inside(r, m - 1))
     hi = step_while(rows, hi[rows], 1, lambda r, m: inside(r, m + 1))
-    return ks[rows], lo, hi
+    # the kept rows of each scale, still in stacking order
+    ends = np.searchsorted(rows, np.cumsum(sizes)).tolist()
+    ks = ks[rows]
+    return [(ks[a:b], lo[a:b], hi[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 # ---------------------------------------------------------------------------

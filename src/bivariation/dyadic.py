@@ -102,6 +102,22 @@ def cells_by_cube(box, level: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=128)
+def cells_by_cube_size(box, level: int) -> tuple[np.ndarray, ...]:
+    """The cells of the level cubes meeting the box, grouped by how many of
+    their cells lie in the box: one read-only ``(cubes, size)`` array of flat
+    row-major cell indices per distinct size, sizes increasing, cubes in slot
+    order and each row as :func:`cells_by_cube` lists it.  Memoized per
+    (box, level) apart from the layout, so only its callers pay for it."""
+    order, starts = cells_by_cube(box, level)
+    sizes = np.diff(starts, append=order.size)
+    groups = tuple(order[starts[sizes == size, None] + np.arange(size)]
+                   for size in np.unique(sizes))
+    for g in groups:
+        g.flags.writeable = False
+    return groups
+
+
+@functools.lru_cache(maxsize=128)
 def _cube_layout(box, level: int):
     # per axis, the cube coordinate of each cell: consecutive from q[0] to q[-1]
     axes = [np.arange(o, o + e, dtype=np.int64) >> np.int64(level)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import cells_by_cube, level_range
+from .dyadic import cells_by_cube_size, level_range
 
 __all__ = [
     "Box",
@@ -179,11 +179,8 @@ def bmo_dyadic_norm(f: Field) -> float:
     flat = f.samples.ravel()
     best = 0.0
     for level in range(0, j_top + 1):
-        order, starts = cells_by_cube(f.box, level)
-        values = flat[order]
-        sizes = np.diff(starts, append=flat.size)
-        for size in np.unique(sizes):
-            block = values[starts[sizes == size, None] + np.arange(size)]
+        for cells in cells_by_cube_size(f.box, level):
+            block = flat[cells]
             a = np.median(block, axis=1)
             osc = np.mean(np.abs(block - a[:, None]), axis=1)
             best = max(best, float(osc.max()))

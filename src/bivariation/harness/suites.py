@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from ..averages import CACHE_COUNTS, TimeGrid, avg_field
+from ..averages import CACHE_COUNTS, TimeGrid, avg_field_sweep
 from ..bodies import ball, body_from_descriptor
 from ..cz import cz_certify, cz_decompose, format_cz_report
 from ..extremal import (
@@ -119,12 +119,6 @@ def _write_constant(path: Path, rep: RatioReport, passed: bool, **extra):
                [(rep.max_ratio, rep.ceiling, *extra.values(), passed)])
 
 
-def sweep_matrix(body, grid: TimeGrid, f1: Field, f2: Field) -> np.ndarray:
-    """(n_times, n_cells) matrix of averages at every cell across the grid."""
-    rows = [avg_field(body, t, f1, f2, "continuum_quadrature").samples.ravel() for t in grid.times]
-    return np.stack(rows, axis=0)
-
-
 # ---------------------------------------------------------------------------
 # sweep suite
 
@@ -140,7 +134,7 @@ def run_norm_sweep(cfg: ExperimentConfig) -> RatioReport:
         # the floor stays at the coarsest grid's mesh, so refinements
         # quadrature the same scales rather than adding sub-cell ones
         grid = TimeGrid.dyadic_spanning(0, 6, per_block=1, rng=rng)
-        mat = sweep_matrix(body, grid, f1, f2)
+        mat = avg_field_sweep(body, grid, f1, f2)
         vq = vq_value_batch(mat.T, cfg.q).reshape(box.extent)
         vfield = Field(box, vq)
         if cfg.norm == "strong":

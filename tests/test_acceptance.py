@@ -19,7 +19,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from bivariation.averages import TimeGrid, avg_field, dtt_avg_field, dtt_avg_via_body
+from bivariation.averages import (
+    TimeGrid,
+    avg_field,
+    avg_field_sweep,
+    dtt_avg_field,
+    dtt_avg_via_body,
+)
 from bivariation.bodies import ball, gamma_body
 from bivariation.cz import cz_certify, cz_decompose
 from bivariation.extremal import (
@@ -265,9 +271,7 @@ def test_criterion_08_split_domination():
         body = random_body(1, rng)
         grid = TimeGrid.dyadic_spanning(-1, 4, per_block=1, rng=rng)
         q = float(rng.uniform(2.1, 5.0))
-        mat = np.stack(
-            [avg_field(body, t, f1, f2).samples for t in grid.times]
-        )
+        mat = avg_field_sweep(body, grid, f1, f2)
         full = vq_value_batch(mat.T, q)
         anchors = np.asarray(grid.dyadic_anchors)
         lv = vq_value_batch(mat[anchors].T, q)

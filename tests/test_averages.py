@@ -168,6 +168,18 @@ def test_request_validation():
         AvgRequest(BALL, -1.0, f, f)
     with pytest.raises(ValueError):
         AvgRequest(BALL, 1.0, f, f, mode="fourier")
+    with pytest.raises(ValueError, match="t must be positive"):
+        AvgRequest(BALL, np.nan, f, f)
+    # an infinite scale fails here, not as an OverflowError from the kernels
+    for t in (np.inf, float("inf")):
+        with pytest.raises(ValueError, match="t must be finite"):
+            AvgRequest(BALL, t, f, f)
+        with pytest.raises(ValueError, match="t must be finite"):
+            avg_field(BALL, t, f, f)
+        with pytest.raises(ValueError, match="t must be finite"):
+            dtt_avg(np.eye(2), t, f, f, [0])
+        with pytest.raises(ValueError, match="t must be finite"):
+            dtt_avg_field(np.eye(2), t, f, f)
 
 
 def test_avg_at_rejects_non_lattice_point():
@@ -511,6 +523,8 @@ def test_time_grid_validation():
         TimeGrid((1.0, 1.0))
     with pytest.raises(ValueError):
         TimeGrid((-1.0, 2.0))
+    with pytest.raises(ValueError, match="times must be finite"):
+        TimeGrid((1.0, np.inf))
 
 
 def test_block_of_is_exact():

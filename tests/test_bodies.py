@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bivariation import bodies
 from bivariation.bodies import (
@@ -14,6 +16,7 @@ from bivariation.bodies import (
     polytope_body,
     shell,
     slice_table,
+    slice_tables,
     spot_check,
     symmetric_difference_volume,
 )
@@ -224,30 +227,81 @@ def test_boundary_cube_count_rejects_n_ge_k():
         boundary_cube_count(ball(1), 2, 2)
 
 
-@pytest.mark.parametrize("maker", [
+SLICE_MAKERS = [
     lambda: ball(1),
     lambda: cube(1),
     lambda: gamma_body(1, [[1.0, 0.4], [-0.3, 0.9]]),
     lambda: polytope_body(1, [[1.0, 1.0], [-1.0, -1.0], [1.0, -0.5], [-1.0, 0.5]]),
     lambda: normalize(1, lambda y: np.abs(y).sum(axis=1) <= 5.0, 5.0 / np.sqrt(2), 5.0),
     lambda: normalize(1, lambda y: (y[:, 0] / 5) ** 2 + (y[:, 1] / 3) ** 2 <= 1.0, 3.0, 5.0),
-])
+]
+# every kind above, plus a slanted gamma body whose tables skip rows
+SLICE_BODIES = [maker() for maker in SLICE_MAKERS] + [gamma_body(1, [[1, 3.1], [0.02, 0.01]])]
+# scales a rounding step either side of lattice radii of the ball and the cube
+NEAR_RADII = [np.nextafter(r, r + s) for r in (3.0, np.sqrt(5.0), 5.0, 3.0 * np.sqrt(2.0))
+              for s in (-1, 1)]
+
+
+def assert_table_matches_enumeration(body, t, table):
+    pts = enumerate_lattice(body, t)
+    by_k = {}
+    for k, m in pts.points:
+        by_k.setdefault(int(k), []).append(int(m))
+    ks, lo, hi = table
+    # one row per k with points, none for the other k, in increasing k
+    assert ks.tolist() == sorted(by_k)
+    for k, a, b in zip(ks.tolist(), lo.tolist(), hi.tolist()):
+        assert (a, b) == (min(by_k[k]), max(by_k[k]))
+        assert len(by_k[k]) == b - a + 1  # contiguous
+
+
+@pytest.mark.parametrize("maker", SLICE_MAKERS)
 def test_slice_interval_matches_enumeration(maker):
     body = maker()
     rng = np.random.default_rng(6)
     # random scales, integers, and scales a rounding step either side of lattice radii
-    near = [np.nextafter(r, r + s) for r in (3.0, np.sqrt(5.0), 5.0) for s in (-1, 1)]
-    for t in [*rng.uniform(0.5, 9.0, size=20), 1.0, 2.0, 7.0, *near]:
-        pts = enumerate_lattice(body, t)
-        by_k = {}
-        for k, m in pts.points:
-            by_k.setdefault(int(k), []).append(int(m))
-        ks, lo, hi = slice_table(body, t)
-        # one row per k with points, none for the other k, in increasing k
-        assert ks.tolist() == sorted(by_k)
-        for k, a, b in zip(ks.tolist(), lo.tolist(), hi.tolist()):
-            assert (a, b) == (min(by_k[k]), max(by_k[k]))
-            assert len(by_k[k]) == b - a + 1  # contiguous
+    for t in [*rng.uniform(0.5, 9.0, size=20), 1.0, 2.0, 7.0, *NEAR_RADII[:6]]:
+        assert_table_matches_enumeration(body, t, slice_table(body, t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, len(SLICE_BODIES) - 1),
+    st.lists(st.one_of(st.floats(0.3, 12.0), st.sampled_from(NEAR_RADII)), max_size=8),
+)
+@example(len(SLICE_BODIES) - 1, [7.3, 30.0, 0.5])  # rows with gaps, scales out of order
+def test_slice_tables_match_one_scale_tables(which, ts):
+    body = SLICE_BODIES[which]
+    tables = slice_tables(body, ts)
+    assert len(tables) == len(ts)
+    for t, table in zip(ts, tables):
+        one = slice_table(body, t)
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(table, one))
+        assert_table_matches_enumeration(body, t, table)
+
+
+def test_slice_tables_require_d1():
+    with pytest.raises(ValueError, match="requires d = 1"):
+        slice_tables(ball(2), [1.0])
+
+
+@pytest.mark.parametrize("body", [
+    ball(1),
+    ball(2),
+    cube(2),
+    gamma_body(2, [[1.0, 0.3], [-0.2, 0.9]]),
+    polytope_body(1, [[1.0, 1.0], [-1.0, -1.0], [1.0, -0.5], [-1.0, 0.5]]),
+    polytope_body(2, np.vstack([np.eye(4), -np.eye(4)])),
+    normalize(1, lambda y: np.abs(y).sum(axis=1) <= 5.0, 5.0 / np.sqrt(2), 5.0),
+    normalize(2, lambda y: np.abs(y).sum(axis=1) <= 5.0, 2.5, 5.0),
+], ids=lambda b: f"{type(b).__name__}-d{b.d}")
+def test_contains_dilated_takes_one_scale_per_point(body):
+    rng = np.random.default_rng(9)
+    # integer points and scales at lattice radii, so many points sit on the boundary
+    pts = rng.integers(-4, 5, size=(400, body.ambient)).astype(np.float64)
+    ts = rng.choice([0.5, 1.0, np.sqrt(2.0), 2.0, 3.0, np.sqrt(8.0), *NEAR_RADII], size=len(pts))
+    expected = [bool(body.contains_dilated(p[None, :], t)[0]) for p, t in zip(pts, ts)]
+    assert body.contains_dilated(pts, ts).tolist() == expected
 
 
 # ---------------------------------------------------------------------------

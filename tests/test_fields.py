@@ -177,6 +177,24 @@ def test_bmo_below_twice_sup():
         assert bmo_dyadic_norm(f) <= 2.0 * lp_norm(f, np.inf) + 1e-12
 
 
+def bmo_by_size_oracle(f):
+    """The BMO scan that grouped each level's cubes by size per call."""
+    from bivariation.dyadic import cells_by_cube, level_range
+
+    flat = f.samples.ravel()
+    best = 0.0
+    for level in range(0, level_range(f.box)[1] + 1):
+        order, starts = cells_by_cube(f.box, level)
+        values = flat[order]
+        sizes = np.diff(starts, append=flat.size)
+        for size in np.unique(sizes):
+            block = values[starts[sizes == size, None] + np.arange(size)]
+            a = np.median(block, axis=1)
+            osc = np.mean(np.abs(block - a[:, None]), axis=1)
+            best = max(best, float(osc.max()))
+    return best
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_bmo_matches_per_cube_loop(dim):
     from bivariation.dyadic import iter_cubes
@@ -192,6 +210,25 @@ def test_bmo_matches_per_cube_loop(dim):
             for _, values in iter_cubes(f, level):
                 best = max(best, float(np.mean(np.abs(values - np.median(values)))))
         assert bmo_dyadic_norm(f) == best
+        assert repr(bmo_dyadic_norm(f)) == repr(bmo_by_size_oracle(f))
+
+
+def test_cube_size_groups_are_read_only_and_lazy():
+    from bivariation import dyadic
+    from bivariation.martingale import cond_expect
+
+    box = Box(2, (-5, 3), (11, 6))
+    f = Field(box, np.arange(66.0))
+    dyadic.cells_by_cube_size.cache_clear()
+    cond_expect(f, 2)
+    assert dyadic.cells_by_cube_size.cache_info().currsize == 0
+    groups = dyadic.cells_by_cube_size(box, 2)
+    # every cell once, in groups of increasing size
+    assert sorted(np.concatenate([g.ravel() for g in groups]).tolist()) == list(range(66))
+    assert [g.shape[1] for g in groups] == sorted({g.shape[1] for g in groups})
+    for g in groups:
+        with pytest.raises(ValueError):
+            g[0, 0] = 0
 
 
 def test_bmo_reaches_the_cube_holding_an_unaligned_box():

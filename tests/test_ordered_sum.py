@@ -5,9 +5,11 @@ node-table kernel ``_node_average`` against a plain per-node loop.  Each
 caller is checked against the loop it replaced, copied below unchanged as an
 oracle: the d = 1 sliced kernel (``_ordered_sum``'s other caller), and the
 three callers of ``_node_average``: the d >= 2 gather, ``dtt_avg_field`` and
-``ergodic_avg_profile``.
+``ergodic_avg_profile``.  ``avg_field_sweep`` is checked against a loop of
+one-scale ``avg_field`` calls.
 """
 
+import re
 import tracemalloc
 from unittest import mock
 
@@ -20,14 +22,17 @@ from bivariation import averages
 from bivariation.averages import (
     AvgRequest,
     DegenerateScale,
+    TimeGrid,
     _node_average,
     _ordered_sum,
     _points,
     avg_field,
+    avg_field_sweep,
     dtt_avg_field,
     fast_slice_avg,
 )
 from bivariation.bodies import (
+    CustomBody,
     ball,
     cube,
     enumerate_lattice,
@@ -389,3 +394,100 @@ def test_ergodic_profile_matches_oracle(which, m, beta, t, quad_mesh, seed):
         ergodic_avg_profile([beta], f1, f2, body, t, quad_mesh=quad_mesh),
         oracle_ergodic_profile([beta], f1, f2, body, t, quad_mesh=quad_mesh),
     )
+
+
+# ---------------------------------------------------------------------------
+# The sweep against a loop of one-scale calls
+
+def per_scale_loop(body, grid, f1, f2, mode) -> np.ndarray:
+    return np.stack([avg_field(body, t, f1, f2, mode).samples.ravel() for t in grid.times])
+
+
+# lattice radii of the ball and the cube (sqrt 2 and 3 sqrt 2 are the cube's)
+RADII = [1.0, np.sqrt(2.0), 2.0, np.sqrt(5.0), 3.0, 3.0 * np.sqrt(2.0), 5.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, len(D1_BODIES)),
+    st.integers(-40, 10),
+    st.integers(1, 40),
+    st.sampled_from(MESHES),
+    st.lists(st.floats(0.3, 12.0), max_size=6),
+    st.sampled_from(RADII),
+    st.integers(0, 2**32 - 1),
+)
+@example(len(D1_BODIES), -20, 40, 1.0, [7.3, 30.0], 3.0, 1)  # rows with gaps
+def test_sweep_matches_per_scale_loop(which, origin, n, mesh, ts, radius, seed):
+    body = (D1_BODIES + SLANTED_BODIES)[which]
+    box = Box(1, (origin,), (n,), mesh)
+    rng = np.random.default_rng(seed)
+    f1 = Field(box, rng.normal(size=n))
+    f2 = Field(box, rng.normal(size=n))
+    for mode in averages.MODES:
+        # the radius in the mode's units, and one rounding step either side of it
+        r = radius if mode == "lattice_counting" else radius * mesh
+        grid = TimeGrid(tuple(sorted({*ts, np.nextafter(r, 0.0), r, np.nextafter(r, np.inf)})))
+        assert same_outcome(
+            lambda: avg_field_sweep(body, grid, f1, f2, mode),
+            lambda: per_scale_loop(body, grid, f1, f2, mode),
+        )
+
+
+@pytest.mark.parametrize("body", D2_BODIES, ids=lambda b: type(b).__name__)
+def test_sweep_matches_per_scale_loop_d2(body):
+    box = Box(2, (-3, -2), (3, 4), 0.37)
+    rng = np.random.default_rng(4)
+    f1 = Field(box, rng.normal(size=box.extent))
+    f2 = Field(box, rng.normal(size=box.extent))
+    for mode in averages.MODES:
+        unit = box.mesh if mode == "continuum_quadrature" else 1.0
+        grid = TimeGrid(tuple(T * unit for T in (1.0, 1.5, 2.5)))
+        assert same_bits(avg_field_sweep(body, grid, f1, f2, mode),
+                         per_scale_loop(body, grid, f1, f2, mode))
+    assert avg_field_sweep(body, TimeGrid(()), f1, f2).shape == (0, 12)
+
+
+def test_sweep_raises_the_loops_degenerate_scale():
+    # direct construction bypasses the certificate spot-check: the annulus
+    # 0.9 t <= |y| <= t holds no lattice point at t = 0.5 or t = 1.3
+    hollow = CustomBody(
+        d=1, r_in=0.5, kind="custom",
+        predicate=lambda y: (np.linalg.norm(y, axis=1) <= 1.0)
+        & (np.linalg.norm(y, axis=1) >= 0.9),
+    )
+    box = Box(1, (-5,), (11,), 1.0)
+    f = Field(box, np.arange(11.0))
+    for times, first in (((1.0, 1.3, 2.0), 1.3), ((0.5, 1.0, 1.3), 0.5)):
+        grid = TimeGrid(times)
+        for mode in averages.MODES:
+            with pytest.raises(DegenerateScale) as loop:
+                per_scale_loop(hollow, grid, f, f, mode)
+            assert str(loop.value).endswith(f"t={first}")
+            with pytest.raises(DegenerateScale, match=f"^{re.escape(str(loop.value))}$"):
+                avg_field_sweep(hollow, grid, f, f, mode)
+
+
+def test_sweep_leaves_the_memo_and_counts_of_the_loop():
+    body = ball(1)
+    f = Field(Box(1, (-8,), (16,), 1.0), np.ones(16))
+    grid = TimeGrid(tuple(1.0 + 0.5 * i for i in range(13)))
+
+    def run(route):
+        averages._POINT_CACHE.clear()
+        # the last scale's table is cached and the memo is six entries short
+        # of clearing itself, so the seventh scale's insertion evicts it
+        for i in range(250):
+            averages._POINT_CACHE[("filler", i)] = ()
+        avg_field(body, grid.times[-1], f, f)
+        before = dict(averages.CACHE_COUNTS)
+        route(body, grid, f, f, "continuum_quadrature")
+        counts = {k: averages.CACHE_COUNTS[k] - before[k] for k in before}
+        return counts, list(averages._POINT_CACHE)
+
+    try:
+        loop = run(per_scale_loop)
+        assert loop[0] == {"hits": 0, "misses": 13}
+        assert run(avg_field_sweep) == loop
+    finally:
+        averages._POINT_CACHE.clear()
