@@ -6,8 +6,7 @@ Run: python3 demos/square_demo.py
 
 import numpy as np
 
-from bivariation import Box, Field, ball, cond_expect, lp_norm, square_function
-from bivariation.variation import vq_value_batch
+from bivariation import Box, Field, ball, long_variation_check, lp_norm, square_function
 
 rng = np.random.default_rng(4)
 box = Box(1, (0,), (64,), 1.0)
@@ -23,13 +22,6 @@ print(f"aggregate L2 norm: {lp_norm(sp.aggregate, 2.0):.4f}")
 print(f"ratio to ||f1||_inf ||f2||_2: "
       f"{lp_norm(sp.aggregate, 2.0) / (lp_norm(f1, np.inf) * lp_norm(f2, 2.0)):.4f}")
 
-ks = sorted(sp.pieces)
-prods = np.stack([cond_expect(f1, k).samples * cond_expect(f2, k).samples for k in ks])
-avgs = np.stack([sp.pieces[k].samples for k in ks]) + prods
-q = 3.0
-lv = vq_value_batch(avgs.T, q)
-mart = vq_value_batch(prods.T, q)
-bound = 2.0 * sp.aggregate.samples + mart
-print(f"\ndyadic-scale variation <= 2*aggregate + projection variation at every cell: "
-      f"{bool(np.all(lv <= bound * (1 + 1e-9) + 1e-12))}")
+lv, bound, holds = long_variation_check(sp, 3.0)
+print(f"\ndyadic-scale variation <= 2*aggregate + projection variation at every cell: {holds}")
 print(f"  worst slack: {float((bound - lv).min()):.4f}")

@@ -75,7 +75,7 @@ from .martingale import (
     star_maximal,
     young_convolution_check,
 )
-from .squarefn import SquarePieces, square_function, square_piece
+from .squarefn import SquarePieces, long_variation_check, square_function, square_piece
 from .variation import (
     VariationOutcome,
     long_variation,

@@ -180,18 +180,12 @@ def _unit_ball_nodes(dim: int, refine: int) -> np.ndarray:
 def _disk_rows(refine: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """The nodes of ``_unit_ball_nodes(2, refine)`` by rows: ``(g, lo, hi, N)``
     where the nodes are exactly the ``(g[i], g[j])`` with ``lo[i] <= j < hi[i]``
-    and N is their number."""
-    g = _midpoints(refine)
-    z = _unit_ball_nodes.__wrapped__(2, refine)  # uncached: only the O(r) table is kept
-    # no row is empty: an outermost row, |g| = 1 - 1/r, meets the column
-    # nearest 0, |g| <= 1/r, and (1 - 1/r)^2 + (1/r)^2 <= 1
-    start = np.searchsorted(z[:, 0], g, side="left")
-    stop = np.searchsorted(z[:, 0], g, side="right")
-    cols = np.searchsorted(g, z[:, 1])
-    lo, hi = cols[start], cols[stop - 1] + 1
-    # the nodes are row-major, so a row of hi - lo nodes has no gap
-    assert np.array_equal(hi - lo, stop - start), "disk row with a gap"
-    return g, lo, hi, len(z)
+    and N is their number: row i holds the j with (2j + 1 - r)^2 <= r^2 -
+    (2i + 1 - r)^2, r = refine, read off by ``math.isqrt`` (docs/notes.md, note 5)."""
+    r = refine
+    m = np.array([math.isqrt(r * r - (2 * i + 1 - r) ** 2) for i in range(r)], dtype=np.int64)
+    lo, hi = (r - m) // 2, (r + 1 + m) // 2
+    return _midpoints(r), lo, hi, int(np.sum(hi - lo))
 
 
 def counterexample_average(inst: CounterexampleInstance, i: int, x,

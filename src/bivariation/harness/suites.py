@@ -32,7 +32,6 @@ from ..extremal import (
 from ..fields import Field, bmo_dyadic_norm, lp_norm, weak_lp_quasinorm
 from ..martingale import (
     _ladder,
-    bilinear_maximal,
     carleson_tent_ratios,
     carleson_weighted_sum,
     cond_expect,
@@ -42,7 +41,7 @@ from ..martingale import (
     star_maximal,
     young_convolution_check,
 )
-from ..squarefn import square_function
+from ..squarefn import long_variation_check, square_function
 from ..variation import (
     product_rule_check,
     sup_vs_variation_check,
@@ -291,8 +290,7 @@ def _bilinear_maximal_sq(cfg: ExperimentConfig) -> RatioReport:
         h1, h2 = random_measurable_pair(box, max(n - 1, 0), rng, sparse=sparse)
         body = random_body(box.dim, rng)
         rep = domination_check(body, h1, h2, n, k)
-        bb = bilinear_maximal(h1, h2, n)
-        num = float(np.sum(bb.samples**2)) * box.cell_volume
+        num = float(np.sum(rep.bound.samples**2)) * box.cell_volume
         den = float(np.sum((h1.samples * h2.samples) ** 2)) * box.cell_volume
         # the squared-maximal ratio is tracked on nondegenerate pairs only:
         # disjoint-support pairs can have num > 0 with den = 0 (see the
@@ -435,15 +433,7 @@ def _square_l2(cfg: ExperimentConfig) -> RatioReport:
         agg_err = float(np.abs(recompute - sp.aggregate.samples).max())
         den = lp_norm(f1, np.inf) * lp_norm(f2, 2.0)
         ratio = _ratio(lp_norm(sp.aggregate, 2.0), den)
-
-        ks = sorted(sp.pieces)
-        prod_rows = np.stack(
-            [cond_expect(f1, k).samples.ravel() * cond_expect(f2, k).samples.ravel() for k in ks]
-        )
-        avg_rows = np.stack([sp.pieces[k].samples.ravel() for k in ks]) + prod_rows
-        lv, mart = np.split(vq_value_batch(np.hstack([avg_rows, prod_rows]).T, cfg.q), 2)
-        bound = 2.0 * sp.aggregate.samples.ravel() + mart
-        lv_ok = bool(np.all(lv <= bound * (1 + 1e-9) + 1e-12))
+        lv_ok = long_variation_check(sp, cfg.q)[2]
         rel = 1e-12 * max(1.0, float(np.abs(sp.aggregate.samples).max()))
         good = agg_err <= rel and lv_ok
         rows.append((trial, fam1, fam2, agg_err, sp.tail_max, ratio, lv_ok, good))
@@ -545,11 +535,9 @@ def _ergodic_vq(cfg: ExperimentConfig) -> RatioReport:
         rng = trial_rng(cfg.seed, trial)
         f1 = sample_torus(_random_trig(rng), m, 1)
         f2 = sample_torus(_random_trig(rng), m, 1)
-        means = [float(np.mean(np.abs(ergodic_avg_profile(beta, f1, f2, body, t))))
-                 for t in (4.0, 8.0, 16.0)]
-
         tg = TimeGrid.dyadic_spanning(0, 4, per_block=1, rng=rng)
         mat = np.stack([ergodic_avg_profile(beta, f1, f2, body, t) for t in tg.times])
+        means = [float(np.mean(np.abs(mat[tg.times.index(t)]))) for t in (4.0, 8.0, 16.0)]
         vq = vq_value_batch(mat.T, cfg.q)
         num = float(np.mean(vq**cfg.p) ** (1.0 / cfg.p))
         den = float(np.mean(np.abs(f1) ** cfg.p1) ** (1.0 / cfg.p1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averages import avg_field
+from .averages import TimeGrid, avg_field, avg_field_sweep
 from .bodies import ConvexBody
 from .dyadic import cell_cube_ids, cells_by_cube, cube_slices, level_range
 from .fields import Field, bmo_dyadic_norm, lp_norm
@@ -28,6 +28,7 @@ __all__ = [
     "bilinear_maximal",
     "domination_check",
     "DominationReport",
+    "compensated_terms",
     "square_piece",
     "paraproduct_telescope",
     "TelescopeReport",
@@ -80,6 +81,11 @@ def cond_expect(f: Field, j: int) -> Field:
 def _ladder(f: Field, levels) -> list[np.ndarray]:
     """Sample arrays of the projections ``E_j f`` for ``j`` in ``levels``."""
     return [cond_expect(f, j).samples for j in levels]
+
+
+def _product_ladder(f1: Field, f2: Field, levels) -> np.ndarray:
+    """(len(levels), cells): row i is ``E_j f1 * E_j f2`` at ``j = levels[i]``, flattened."""
+    return np.stack([(a * b).ravel() for a, b in zip(_ladder(f1, levels), _ladder(f2, levels))])
 
 
 def mart_diff(f: Field, j: int) -> Field:
@@ -167,6 +173,7 @@ class DominationReport:
     max_average: float
     max_excess: float
     holds: bool
+    bound: Field  # the bilinear maximal compared against
 
 
 def domination_check(body: ConvexBody, h1: Field, h2: Field, n: int, k: int) -> DominationReport:
@@ -185,20 +192,27 @@ def domination_check(body: ConvexBody, h1: Field, h2: Field, n: int, k: int) -> 
     excess = np.abs(avg.samples) - bound.samples
     max_excess = float(excess.max())
     tol = 1e-12 * max(1.0, float(bound.samples.max(initial=0.0)))
-    return DominationReport(float(np.abs(avg.samples).max()), max_excess, max_excess <= tol)
+    return DominationReport(float(np.abs(avg.samples).max()), max_excess, max_excess <= tol, bound)
 
 
 # ---------------------------------------------------------------------------
 # Paraproduct telescoping
 
-def square_piece(f1: Field, f2: Field, body: ConvexBody, k: int) -> Field:
-    """Average at scale 2^k minus the product of the level-k projections."""
+def compensated_terms(f1: Field, f2: Field, body: ConvexBody, ks) -> tuple[np.ndarray, np.ndarray]:
+    """(averages, products) at the increasing levels ``ks``, each (len(ks), cells):
+    the averages at scales 2^k * mesh from one ``avg_field_sweep``, and
+    E_k f1 * E_k f2 from one ladder per field (docs/notes.md, note 10)."""
     if f1.box != f2.box:
         raise ValueError("fields must share one box")
-    t = (2.0**k) * f1.box.mesh
-    a = avg_field(body, t, f1, f2, "continuum_quadrature")
-    e = cond_expect(f1, k).samples * cond_expect(f2, k).samples
-    return Field(f1.box, a.samples - e)
+    grid = TimeGrid(tuple((2.0**k) * f1.box.mesh for k in ks))
+    averages = avg_field_sweep(body, grid, f1, f2, "continuum_quadrature")
+    return averages, _product_ladder(f1, f2, ks)
+
+
+def square_piece(f1: Field, f2: Field, body: ConvexBody, k: int) -> Field:
+    """Average at scale 2^k minus the product of the level-k projections."""
+    averages, products = compensated_terms(f1, f2, body, [k])
+    return Field(f1.box, averages[0] - products[0])
 
 
 @dataclass(frozen=True)
@@ -354,8 +368,7 @@ def martingale_product_variation_check(f1: Field, f2: Field, q: float) -> RatioC
     if f1.box != f2.box:
         raise ValueError("fields must share one box")
     _, top = level_range(f1.box)
-    e1, e2 = _ladder(f1, range(top + 2)), _ladder(f2, range(top + 2))
-    vq = vq_value_batch(np.stack([(a * b).ravel() for a, b in zip(e1, e2)], axis=1), q)
+    vq = vq_value_batch(_product_ladder(f1, f2, range(top + 2)).T, q)
     lhs = lp_norm(Field(f1.box, vq.reshape(f1.box.extent)), 2.0)
     rhs = min(
         lp_norm(f1, 2.0) * lp_norm(f2, np.inf),

@@ -9,9 +9,10 @@ import numpy as np
 from .bodies import ConvexBody
 from .dyadic import level_range
 from .fields import Field
-from .martingale import square_piece
+from .martingale import compensated_terms, square_piece
+from .variation import vq_value_batch
 
-__all__ = ["SquarePieces", "square_piece", "square_function"]
+__all__ = ["SquarePieces", "square_piece", "square_function", "long_variation_check"]
 
 
 @dataclass(frozen=True)
@@ -20,6 +21,8 @@ class SquarePieces:
     pieces: dict[int, Field]
     aggregate: Field
     tail_max: float
+    averages: np.ndarray  # read-only (K, cells), row i at level k_lo + i
+    products: np.ndarray  # the same for E_k f1 * E_k f2; piece k is the difference
 
 
 def square_function(
@@ -35,14 +38,30 @@ def square_function(
     k_lo, k_hi = k_range
     if k_lo > k_hi:
         raise ValueError("empty k_range")
-    pieces = {k: square_piece(f1, f2, body, k) for k in range(k_lo, k_hi + 1)}
+    ks = range(k_lo, k_hi + 2)
+    averages, products = compensated_terms(f1, f2, body, ks)
+    diffs = averages - products
+    pieces = {k: Field(f1.box, row) for k, row in zip(ks[:-1], diffs)}
     sq = np.zeros(f1.box.extent)
     for p in pieces.values():
         sq += p.samples * p.samples
-    tail = square_piece(f1, f2, body, k_hi + 1)
+    averages, products = averages[:-1], products[:-1]
+    averages.flags.writeable = products.flags.writeable = False
     return SquarePieces(
         k_range=(k_lo, k_hi),
         pieces=pieces,
         aggregate=Field(f1.box, np.sqrt(sq)),
-        tail_max=float(np.abs(tail.samples).max()),
+        tail_max=float(np.abs(diffs[-1]).max()),
+        averages=averages,
+        products=products,
     )
+
+
+def long_variation_check(sp: SquarePieces, q: float) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Per cell, lhs = V_q over the levels of ``sp`` of the averages and rhs =
+    2 S + V_q of the products (Jones-Seeger-Wright), from one DP batch; and
+    whether lhs <= rhs at every cell, within 1e-9 relative and 1e-12 absolute."""
+    n = sp.averages.shape[1]
+    vq = vq_value_batch(np.concatenate([sp.averages, sp.products], axis=1).T, q)
+    lhs, rhs = vq[:n], 2.0 * sp.aggregate.samples.ravel() + vq[n:]
+    return lhs, rhs, bool(np.all(lhs <= rhs * (1 + 1e-9) + 1e-12))

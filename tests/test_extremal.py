@@ -158,14 +158,17 @@ def oracle_counterexample_average(inst, i, x, refine=None, max_refine=None):
         r *= 2
 
 
-@pytest.mark.parametrize("refine", [1, 2, 3, 7, 24, 97, 192])
+@pytest.mark.parametrize("refine", [*range(1, 200), 384, 768, 1536])
 def test_disk_rows_rebuild_the_disk_nodes(refine):
+    # the integer rows against the float node scan: equal nodes, in the
+    # scan's row-major order, so no row has a gap
     g, lo, hi, total = _disk_rows(refine)
+    assert np.all(lo < hi)
     rows = np.repeat(np.arange(refine), hi - lo)
     cols = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
     nodes = np.stack([g[rows], g[cols]], axis=-1)
     assert total == len(nodes)
-    assert np.array_equal(nodes, _unit_ball_nodes(2, refine))
+    assert np.array_equal(nodes, _unit_ball_nodes.__wrapped__(2, refine))
 
 
 def test_row_count_matches_node_scan_at_every_scale():

@@ -1,12 +1,16 @@
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bivariation.harness.cli import main
 from bivariation.harness.config import (
+    SUITES,
     ConfigError,
     ExperimentConfig,
     build_config,
@@ -239,6 +243,44 @@ def test_cli_missing_config_file(tmp_path, capsys):
     for path in (tmp_path / "nope.cfg", tmp_path, latin1):  # missing, a directory, not UTF-8
         assert main(["run", "interp", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+
+# values that break a key (one draw in four), and values each key accepts:
+# every grid a run accepts is 16 or less, and a sweep stays at d = 1 (a d = 2
+# sweep reaches 32^2 cells, where one run takes minutes)
+HOSTILE = ["0", "-1", "-2.5", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "x", "1,2"]
+ACCEPTED = {
+    "body": ["ball", "cube", "gamma:1,0;0,1"], "d": ["1", "2"], "grid": ["8", "16"],
+    "mesh": ["0.5", "3"], "p1": ["1", "2", "inf"], "p2": ["1", "2", "inf"],
+    "p": ["0.5", "1", "2"], "q": ["2.5", "3", "16"], "l": ["1.5"], "eps": ["0.5", "2"],
+    "s": ["3", "10"], "n": ["0", "2", "8"], "seed": ["0", "5"],
+    "norm": ["strong", "weak", "bmo"], "ceiling": ["1e-3", "1e6"],
+}
+
+
+@st.composite
+def config_texts(draw):
+    suite = draw(st.sampled_from(SUITES))
+    lines = []
+    for key in draw(st.lists(st.sampled_from(sorted(ACCEPTED)), max_size=12)):  # keys may repeat
+        accepted = [v for v in ACCEPTED[key] if not (suite == "sweep" and key == "d" and v == "2")]
+        hostile = draw(st.integers(0, 3)) == 0
+        lines.append(f"{key} = {draw(st.sampled_from(HOSTILE if hostile else accepted))}")
+    if not any(line.startswith("grid ") for line in lines):  # the default grid is 64
+        lines.append(f"grid = {draw(st.sampled_from(ACCEPTED['grid']))}")
+    return suite, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(config_texts())
+def test_cli_exit_code_contract_on_drawn_configs(case):
+    suite, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "exp.cfg"
+        path.write_text(text)
+        status = main(["run", suite, "--config", str(path), "--out", str(Path(tmp) / "r"),
+                       "--trials", "1"])
+    assert status in (0, 1, 2)
 
 
 def test_cli_flag_overrides_config(tmp_path):

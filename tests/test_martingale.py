@@ -411,6 +411,15 @@ def test_domination_exact_in_guaranteed_band():
         assert domination_check(body, h1, h2, n, k).holds
 
 
+def test_domination_carries_the_bilinear_maximal_bound():
+    for trial, box in enumerate([Box(1, (-5,), (64,), 0.5), Box(2, (3, -2), (8, 16), 2.0)]):
+        rng = np.random.default_rng((11, trial))
+        for n in (1, 2, 3):
+            h1, h2 = random_measurable_pair(box, n - 1, rng, sparse=bool(n % 2))
+            bound = domination_check(cube(box.dim), h1, h2, n, n - 1).bound
+            assert bound.samples.tobytes() == bilinear_maximal(h1, h2, n).samples.tobytes()
+
+
 def test_domination_boundary_level_admits_violations():
     # at k = n-1 the dilate can couple atoms two steps apart, which the
     # neighbor-maximal pair cannot see; sparse opposed atoms exhibit it

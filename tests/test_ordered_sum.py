@@ -6,7 +6,8 @@ caller is checked against the loop it replaced, copied below unchanged as an
 oracle: the d = 1 sliced kernel (``_ordered_sum``'s other caller), and the
 three callers of ``_node_average``: the d >= 2 gather, ``dtt_avg_field`` and
 ``ergodic_avg_profile``.  ``avg_field_sweep`` is checked against a loop of
-one-scale ``avg_field`` calls.
+one-scale ``avg_field`` calls, and ``square_function``, a view of the sweep,
+against its old per-level loop.
 """
 
 import re
@@ -41,8 +42,11 @@ from bivariation.bodies import (
     polytope_body,
     slice_table,
 )
+from bivariation.dyadic import level_range
 from bivariation.extremal import default_rotation_mesh, ergodic_avg_profile
 from bivariation.fields import Box, Field
+from bivariation.martingale import cond_expect
+from bivariation.squarefn import square_function, square_piece
 
 _CHUNK_CELLS = averages._CHUNK_CELLS
 
@@ -491,3 +495,61 @@ def test_sweep_leaves_the_memo_and_counts_of_the_loop():
         assert run(avg_field_sweep) == loop
     finally:
         averages._POINT_CACHE.clear()
+
+
+# ---------------------------------------------------------------------------
+# The square function against its per-level loop
+
+def oracle_square_function(f1, f2, body, k_range):
+    def piece(k):
+        a = avg_field(body, (2.0**k) * f1.box.mesh, f1, f2, "continuum_quadrature")
+        return a.samples - cond_expect(f1, k).samples * cond_expect(f2, k).samples
+
+    k_lo, k_hi = k_range
+    pieces = {k: piece(k) for k in range(k_lo, k_hi + 1)}
+    sq = np.zeros(f1.box.extent)
+    for p in pieces.values():
+        sq += p * p
+    return pieces, np.sqrt(sq), float(np.abs(piece(k_hi + 1)).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, len(D1_BODIES) - 1),
+    st.integers(-40, 40),
+    st.integers(1, 40),
+    st.sampled_from(MESHES),
+    st.one_of(st.none(), st.tuples(st.integers(0, 3), st.integers(0, 4))),
+    st.sampled_from(["normal", "zeros", "signed_zeros"]),
+    st.integers(0, 2**32 - 1),
+)
+@example(0, -7, 16, 1.0, None, "zeros", 0)  # every piece a zero
+@example(len(D1_BODIES), -40, 33, 0.25, (1, 2), "signed_zeros", 1)
+def test_square_function_matches_per_level_loop(which, origin, n, mesh, levels, kind, seed):
+    body = (D1_BODIES + SLANTED_BODIES)[which]
+    box = Box(1, (origin,), (n,), mesh)
+    rng = np.random.default_rng(seed)
+    f1 = Field(box, rng.normal(size=n))
+    f2 = rng.normal(size=n)
+    if kind != "normal":
+        f2[(rng.random(n) < 0.5) if kind == "signed_zeros" else slice(None)] = -0.0
+    f2 = Field(box, f2)
+    k_range = None if levels is None else (levels[0], levels[0] + levels[1])
+    try:
+        pieces, aggregate, tail_max = oracle_square_function(
+            f1, f2, body, k_range or level_range(box))
+    except DegenerateScale:
+        with pytest.raises(DegenerateScale):
+            square_function(f1, f2, body, k_range)
+        return
+    sp = square_function(f1, f2, body, k_range)
+    assert list(sp.pieces) == list(pieces)
+    for i, (k, piece) in enumerate(pieces.items()):  # bytes keep the signs of zeros
+        assert same_bits(sp.pieces[k].samples, piece)
+        assert same_bits(square_piece(f1, f2, body, k).samples, piece)
+        assert same_bits(sp.averages[i], avg_field(body, (2.0**k) * mesh, f1, f2).samples)
+        assert same_bits(sp.products[i], cond_expect(f1, k).samples * cond_expect(f2, k).samples)
+    assert same_bits(sp.aggregate.samples, aggregate)
+    assert same_bits(sp.tail_max, tail_max)
+    assert sp.averages.shape == sp.products.shape == (len(pieces), n)
+    assert not sp.averages.flags.writeable and not sp.products.flags.writeable

@@ -6,8 +6,7 @@ from bivariation.bodies import ball
 from bivariation.dyadic import level_range
 from bivariation.fields import Box, Field, lp_norm
 from bivariation.martingale import cond_expect
-from bivariation.squarefn import square_function, square_piece
-from bivariation.variation import vq_value_batch
+from bivariation.squarefn import long_variation_check, square_function, square_piece
 
 BALL = ball(1)
 
@@ -90,16 +89,7 @@ def test_long_variation_dominated_by_aggregate():
         f1 = line(rng.normal(size=64))
         f2 = line(rng.normal(size=64))
         q = float(rng.uniform(2.1, 4.0))
-        sp = square_function(f1, f2, BALL)
-        ks = sorted(sp.pieces)
-        prods = np.stack(
-            [cond_expect(f1, k).samples * cond_expect(f2, k).samples for k in ks]
-        )
-        avgs = np.stack([sp.pieces[k].samples for k in ks]) + prods
-        lv = vq_value_batch(avgs.T, q)
-        mart = vq_value_batch(prods.T, q)
-        bound = 2.0 * sp.aggregate.samples + mart
-        assert np.all(lv <= bound * (1 + 1e-9) + 1e-12)
+        assert long_variation_check(square_function(f1, f2, BALL), q)[2]
 
 
 def test_empirical_l2_ratio_bounded():
@@ -112,3 +102,4 @@ def test_empirical_l2_ratio_bounded():
         den = lp_norm(f1, np.inf) * lp_norm(f2, 2.0)
         worst = max(worst, lp_norm(sp.aggregate, 2.0) / den)
     assert worst < 10.0
+
