@@ -39,7 +39,9 @@ __all__ = [
 
 MODES = ("continuum_quadrature", "lattice_counting")
 
-_CHUNK_CELLS = 16_384  # values per block of an ordered sum; bounds its scratch memory
+# values per block of an ordered sum, and at least one row: a d >= 2 _node_average
+# fill forms cells * run products per row, which can exceed it (docs/notes.md, note 4)
+_CHUNK_CELLS = 16_384
 
 
 class DegenerateScale(Exception):

@@ -54,26 +54,22 @@ def _even_ball_volume(r: float, dim: int) -> float:
     return (np.pi**k) * r**dim / math.factorial(k)
 
 
-def _strip_volume(alpha: float, x, d: int, nodes: int = 4001) -> float:
-    """Volume of {|y - (x,x)| <= alpha, |y1| <= 1} in R^(2d) by slice quadrature."""
+def _strip_volume(alpha: float, x, d: int) -> float:
+    """Volume of {|y - (x,x)| <= alpha, |y1| <= 1} in R^(2d), in closed form.
+
+    Each y1 of the unit ball sees the whole y2-ball of radius
+    sqrt(alpha^2 - |y1 - x|^2) when alpha >= 1 + |x| (docs/notes.md, note 5).
+    """
     x = np.zeros(d) if x is None else np.asarray(x, dtype=np.float64).reshape(d)
+    if d not in (1, 2):
+        raise ValueError("growth-ratio search supports d in {1, 2}")
+    if not alpha >= 1.0 + math.hypot(*x):
+        raise ValueError(f"the closed-form volume needs alpha >= 1 + |x|, got alpha={alpha}")
     if d == 1:
-        u = np.linspace(-1.0, 1.0, nodes)
-        chord = 2.0 * np.sqrt(np.maximum(alpha**2 - (u - x[0]) ** 2, 0.0))
-        w = np.full(nodes, 2.0)
-        w[0] = w[-1] = 1.0
-        w[1:-1:2] = 4.0  # composite Simpson
-        return float(np.sum(w * chord) * (u[1] - u[0]) / 3.0)
-    if d == 2:
-        m = 401
-        g = (np.arange(m) + 0.5) / m * 2.0 - 1.0
-        u1, u2 = np.meshgrid(g, g, indexing="ij")
-        inside = u1**2 + u2**2 <= 1.0
-        r2 = (u1 - x[0]) ** 2 + (u2 - x[1]) ** 2
-        disk_area = np.pi * np.maximum(alpha**2 - r2, 0.0)
-        cell = (2.0 / m) ** 2
-        return float(np.sum(disk_area[inside]) * cell)
-    raise ValueError("growth-ratio search supports d in {1, 2}")
+        def F(v):  # antiderivative of the chord 2 sqrt(alpha^2 - v^2)
+            return v * math.sqrt(alpha**2 - v**2) + alpha**2 * math.asin(v / alpha)
+        return F(1.0 - x[0]) - F(-1.0 - x[0])
+    return np.pi**2 * (alpha**2 - 0.5 - float(x @ x))
 
 
 def _outside_fraction(alpha: float, x, d: int) -> float:
@@ -162,47 +158,39 @@ def make_instance(d: int, n: int, growth_ratio: float | None = None,
     return CounterexampleInstance(d=d, growth_ratio=growth_ratio, n=n, eps0=eps0)
 
 
-def _midpoints(refine: int) -> np.ndarray:
-    return (np.arange(refine) + 0.5) / refine * 2.0 - 1.0
-
-
 @functools.lru_cache(maxsize=8)
-def _unit_ball_nodes(dim: int, refine: int) -> np.ndarray:
-    g = _midpoints(refine)
-    grids = np.meshgrid(*([g] * dim), indexing="ij")
-    pts = np.stack([a.ravel() for a in grids], axis=-1)
-    pts = pts[np.einsum("ij,ij->i", pts, pts) <= 1.0]
-    pts.flags.writeable = False
-    return pts
+def _block_nodes(d: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """One d-block of the nodes of the unit ball of R^(2d) on the r-cell
+    midpoint grid: ``(z, s, reach, N)`` (docs/notes.md, note 5).
 
-
-@functools.lru_cache(maxsize=8)
-def _disk_rows(refine: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The nodes of ``_unit_ball_nodes(2, refine)`` by rows: ``(g, lo, hi, N)``
-    where the nodes are exactly the ``(g[i], g[j])`` with ``lo[i] <= j < hi[i]``
-    and N is their number: row i holds the j with (2j + 1 - r)^2 <= r^2 -
-    (2i + 1 - r)^2, r = refine, read off by ``math.isqrt`` (docs/notes.md, note 5)."""
-    r = refine
-    m = np.array([math.isqrt(r * r - (2 * i + 1 - r) ** 2) for i in range(r)], dtype=np.int64)
-    lo, hi = (r - m) // 2, (r + 1 + m) // 2
-    return _midpoints(r), lo, hi, int(np.sum(hi - lo))
+    z (r^d, d) are the grid points in radius order and s = r^2 |z|^2 =
+    sum (2i + 1 - r)^2 their exact squared radii.  The node (z[a], z[b]) lies
+    in the ball iff s[a] + s[b] <= r^2, that is iff b < reach[a]; N counts them.
+    """
+    k = np.arange(r)
+    cells = np.indices((r,) * d).reshape(d, -1).T
+    z = ((k + 0.5) / r * 2.0 - 1.0)[cells]
+    s = ((2 * k + 1 - r) ** 2)[cells].sum(axis=1)
+    order = np.argsort(s, kind="stable")
+    z, s = z[order], s[order]
+    reach = np.searchsorted(s, r * r - s, side="right")
+    for a in (z, s, reach):
+        a.flags.writeable = False
+    return z, s, reach, int(reach.sum())
 
 
 def counterexample_average(inst: CounterexampleInstance, i: int, x,
                            refine: int | None = None, max_refine: int | None = None) -> float:
     """Average of the indicator pair over the ball dilate at scale ratio^i.
 
-    Quadrature over the unit ball in scaled coordinates; the mesh doubles
-    until the value moves by less than 0.005, so the 3/4 / 1/4 margins are
-    resolved well beyond quadrature error.
-
-    For d = 1 the nodes form the disk of an r x r midpoint grid, and the
-    annuli test reads only the row value while the ball test reads only the
-    column value.  Each level therefore counts the nodes in both as
-    sum_i A[i] (P[hi_i] - P[lo_i]), with A the annuli test on the r grid
-    values and P the prefix sums of the ball test: O(r) work instead of
-    O(r^2), and the same value as the mean over the nodes, bit for bit
-    (``docs/notes.md``, note 5).  For d = 2 the nodes are scanned.
+    Quadrature over the unit ball of R^(2d) in scaled coordinates on the
+    r-cell midpoint grid; r doubles from ``refine`` until the value moves by
+    less than 0.005, so the 3/4 / 1/4 margins are resolved well beyond
+    quadrature error.  A node pairs two points of ``_block_nodes(d, r)``; the
+    annuli test reads the first and the ball test the second, so a level
+    counts sum over annuli z1 of P[reach[z1]], P the prefix sums of the ball
+    test in radius order: the mean over the nodes, bit for bit
+    (docs/notes.md, note 5).
     """
     if not (1 <= i <= 2 * inst.n + 2):
         raise ValueError("scale index outside the construction window")
@@ -210,21 +198,17 @@ def counterexample_average(inst: CounterexampleInstance, i: int, x,
         refine = 192 if inst.d == 1 else 24
     if max_refine is None:
         max_refine = 1536 if inst.d == 1 else 96
+    if refine < 1:
+        raise ValueError(f"refine must be at least 1, got {refine}")
     t = inst.growth_ratio ** i
     x = np.asarray(x, dtype=np.float64).reshape(inst.d)
     prev = None
     r = refine
     while True:
-        if inst.d == 1:
-            g, lo, hi, total = _disk_rows(r)
-            y = x[None, :] + t * g[:, None]
-            prefix = np.concatenate(([0], np.cumsum(inst.in_ball(y))))
-            val = int(np.sum((prefix[hi] - prefix[lo])[inst.in_annuli(y)])) / total
-        else:
-            z = _unit_ball_nodes(2 * inst.d, r)
-            y1 = x[None, :] + t * z[:, : inst.d]
-            y2 = x[None, :] + t * z[:, inst.d :]
-            val = float(np.mean(inst.in_annuli(y1) & inst.in_ball(y2)))
+        z, _, reach, total = _block_nodes(inst.d, r)
+        y = x[None, :] + t * z
+        prefix = np.concatenate(([0], np.cumsum(inst.in_ball(y))))
+        val = int(np.sum(prefix[reach[inst.in_annuli(y)]])) / total
         if prev is not None and abs(val - prev) < 5e-3:
             return val
         if r >= max_refine:

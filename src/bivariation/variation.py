@@ -65,19 +65,21 @@ def _vq_rows(seqs: np.ndarray, q: float):
     if m == 0:
         return np.zeros(n), np.full(n, -1), np.empty((n, 0), dtype=np.int64)
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows raise below
-        pw = seqs[:, None, :] - seqs[:, :, None]  # in place from here: no temporaries
-    np.abs(pw, out=pw)
-    tops = pw.max(axis=(1, 2)).tolist()
+        # the largest |difference|: rounding is monotone, so it is max - min
+        tops = (seqs.max(axis=1) - seqs.min(axis=1)).tolist()
     if not all(map(math.isfinite, tops)):
         raise ValueError("q-variation needs finite values with finite differences")
     scale = [1.0 if t == 0.0 or _RESCALE_LO < t < _RESCALE_HI else t for t in tops]
-    pw /= np.array(scale)[:, None, None]
-    pw **= q
+    col_scale = np.array(scale)[:, None]
     best = np.zeros((n, m))
     prev = np.zeros((n, m), dtype=np.int64)
     rows = np.arange(n)
     for j in range(1, m):
-        cand = best[:, :j] + pw[:, j, :j]  # pw is symmetric; row j is contiguous
+        cand = seqs[:, :j] - seqs[:, j : j + 1]  # column j of the power table
+        np.abs(cand, out=cand)
+        cand /= col_scale
+        cand **= q
+        cand += best[:, :j]
         i = cand.argmax(axis=1)  # argmax takes the earliest maximizer
         prev[:, j] = i
         best[:, j] = cand[rows, i]

@@ -1,4 +1,6 @@
 import functools
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +10,11 @@ from hypothesis import strategies as st
 from bivariation.bodies import ball
 from bivariation.extremal import (
     HullError,
-    _disk_rows,
+    _block_nodes,
+    _even_ball_volume,
     _outside_fraction,
-    _unit_ball_nodes,
+    _probe_points,
+    _strip_volume,
     counterexample_average,
     counterexample_variation,
     default_rotation_mesh,
@@ -49,6 +53,7 @@ def test_outside_fraction_monotone():
 
 def test_find_growth_ratio_d1():
     alpha, eps0 = find_growth_ratio(1)
+    assert (alpha, eps0) == (6.34, 0.634)
     assert closed_form_outside_fraction(alpha) > 0.8
     assert closed_form_outside_fraction(alpha - 0.01) <= 0.8  # smallest on the lattice
     assert eps0 > 0
@@ -56,8 +61,45 @@ def test_find_growth_ratio_d1():
 
 def test_find_growth_ratio_d2():
     alpha, eps0 = find_growth_ratio(2)
+    assert (alpha, eps0) == (3.08, 0.308)
     assert _outside_fraction(alpha, None, 2) > 0.8
     assert eps0 > 0
+
+
+def quadrature_strip_volume(alpha, x, d):
+    # the slice quadratures the closed forms replaced: composite Simpson on
+    # 4001 nodes (d = 1), a 401^2 midpoint grid over the unit disk (d = 2)
+    x = np.zeros(d) if x is None else np.asarray(x, dtype=np.float64).reshape(d)
+    if d == 1:
+        u = np.linspace(-1.0, 1.0, 4001)
+        chord = 2.0 * np.sqrt(np.maximum(alpha**2 - (u - x[0]) ** 2, 0.0))
+        w = np.full(4001, 2.0)
+        w[0] = w[-1] = 1.0
+        w[1:-1:2] = 4.0
+        return float(np.sum(w * chord) * (u[1] - u[0]) / 3.0)
+    g = (np.arange(401) + 0.5) / 401 * 2.0 - 1.0
+    u1, u2 = np.meshgrid(g, g, indexing="ij")
+    inside = u1**2 + u2**2 <= 1.0
+    disk_area = np.pi * np.maximum(alpha**2 - (u1 - x[0]) ** 2 - (u2 - x[1]) ** 2, 0.0)
+    return float(np.sum(disk_area[inside]) * (2.0 / 401) ** 2)
+
+
+@pytest.mark.parametrize("d, tol", [(1, 1e-6), (2, 1e-4)])
+def test_closed_form_volumes_match_the_quadratures(d, tol):
+    for alpha in (1.01, 1.5, 2.0, 3.08, 6.34, 9.0):
+        probes = [p for eps in (alpha / 10, alpha / 20) for p in _probe_points(eps, d)]
+        for x in [None] + [p for p in probes if alpha >= 1.0 + np.linalg.norm(p)]:
+            quad = 1.0 - quadrature_strip_volume(alpha, x, d) / _even_ball_volume(alpha, 2 * d)
+            assert _outside_fraction(alpha, x, d) == pytest.approx(quad, abs=tol)
+
+
+@pytest.mark.parametrize("edge, x", [(1.0, None), (1.5, [-0.5]), (1.625, [0.375, -0.5])])
+def test_closed_form_volume_needs_the_whole_strip(edge, x):
+    # below alpha = 1 + |x| some y1 of the unit ball sees only part of its y2-ball
+    d = 1 if x is None else len(x)
+    with pytest.raises(ValueError, match="alpha >= 1 \\+ \\|x\\|"):
+        _strip_volume(edge - 1e-3, x, d)
+    assert _strip_volume(edge, x, d) > 0.0
 
 
 def test_find_growth_ratio_is_memoized():
@@ -122,7 +164,7 @@ def test_degenerate_instance():
 
 
 # ---------------------------------------------------------------------------
-# the d = 1 row count against the node scan
+# the block count against the node scan
 
 
 @functools.lru_cache(maxsize=4)
@@ -158,17 +200,41 @@ def oracle_counterexample_average(inst, i, x, refine=None, max_refine=None):
         r *= 2
 
 
+def assert_block_nodes_rebuild_the_ball_nodes(d, r):
+    # the exact block count against the float node scan: the ball's nodes are
+    # the pairs (z[a], z[b]) with b < reach[a], and they are the scan's nodes
+    z, s, reach, total = _block_nodes(d, r)
+    paired = s[:, None] + s[None, :] <= r * r
+    assert np.array_equal(paired, np.arange(len(z)) < reach[:, None])
+    a, b = np.nonzero(paired)
+    nodes = np.concatenate([z[a], z[b]], axis=1)
+    scan = oracle_nodes.__wrapped__(2 * d, r)
+    assert total == len(nodes) == len(scan)
+    assert np.array_equal(nodes[np.lexsort(nodes.T)], scan[np.lexsort(scan.T)])
+
+
+# the name is that of the d = 1 test it replaced: the d = 1 nodes form a disk
 @pytest.mark.parametrize("refine", [*range(1, 200), 384, 768, 1536])
 def test_disk_rows_rebuild_the_disk_nodes(refine):
-    # the integer rows against the float node scan: equal nodes, in the
-    # scan's row-major order, so no row has a gap
-    g, lo, hi, total = _disk_rows(refine)
-    assert np.all(lo < hi)
-    rows = np.repeat(np.arange(refine), hi - lo)
-    cols = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
-    nodes = np.stack([g[rows], g[cols]], axis=-1)
-    assert total == len(nodes)
-    assert np.array_equal(nodes, _unit_ball_nodes.__wrapped__(2, refine))
+    assert_block_nodes_rebuild_the_ball_nodes(1, refine)
+
+
+# r = 2 mod 4 is left out: some nodes lie on the sphere there, and the float
+# scan rounds them either way (next test)
+@pytest.mark.parametrize("refine", [r for r in range(1, 41) if r % 4 != 2])
+def test_block_nodes_rebuild_the_d2_ball_nodes(refine):
+    assert_block_nodes_rebuild_the_ball_nodes(2, refine)
+
+
+def test_block_nodes_keep_the_sphere_nodes():
+    # sum (2i + 1 - r)^2 over four coordinates is 4 mod 8 for even r, so nodes
+    # lie on the sphere of R^4 exactly when r = 2 mod 4; the float scan drops
+    # some of them (504 of 512 nodes kept at r = 6), the integer test none
+    r = 6
+    ks = range(1 - r, r, 2)
+    sums = [sum(k * k for k in node) for node in itertools.product(ks, repeat=4)]
+    assert sums.count(r * r) > 0
+    assert _block_nodes(2, r)[3] == sum(v <= r * r for v in sums) == 512
 
 
 def test_row_count_matches_node_scan_at_every_scale():
@@ -220,6 +286,30 @@ def test_d2_average_scans_the_nodes():
             got = counterexample_average(inst, i, x, refine=6, max_refine=12)
             assert got == oracle_counterexample_average(inst, i, x, 6, 12)
             assert 0.0 <= got <= 1.0
+
+
+def test_d2_default_mesh_sequence_stays_small():
+    # the d = 2 sequence 24 -> 48 -> 96 counts from r^2 block nodes, not r^4 nodes
+    inst = make_instance(2, 1, growth_ratio=3.08, eps0=0.308)
+    _block_nodes.cache_clear()
+    tracemalloc.start()
+    try:
+        for i in (1, 2):
+            for x in ([0.0, 0.0], [0.308, 0.0], [-0.2, 0.1]):
+                assert 0.0 <= counterexample_average(inst, i, x) <= 1.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _block_nodes.cache_info().misses == 3  # all three meshes were built
+    assert peak < 50e6
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("refine", [0, -4])
+def test_average_rejects_refine_below_one(d, refine):
+    inst = make_instance(d, 1, *((6.34, 0.634) if d == 1 else (3.08, 0.308)))
+    with pytest.raises(ValueError, match="refine must be at least 1"):
+        counterexample_average(inst, 1, np.zeros(d), refine=refine, max_refine=8)
 
 
 # ---------------------------------------------------------------------------

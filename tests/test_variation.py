@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -217,6 +219,19 @@ def test_batch_matches_scalar():
             assert batch.shape == (len(seqs),)
             for row, v in zip(seqs, batch):
                 assert v.hex() == vq_exact(row, q).value.hex()
+
+
+def test_dp_memory_is_linear_in_the_batch():
+    # the DP forms one column of the pairwise power table at a time: the whole
+    # (N, m, m) table of a (1024, 200) batch would take 320 MiB
+    seqs = np.random.default_rng(4).normal(size=(1024, 200))
+    tracemalloc.start()
+    try:
+        vq_value_batch(seqs, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 # ---------------------------------------------------------------------------
