@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .bodies import ConvexBody, GammaBody, enumerate_lattice, gamma_body, slice_tables
+from .bodies import ConvexBody, enumerate_lattice, gamma_body, slice_tables
 from .fields import Field
 
 __all__ = [
@@ -116,8 +116,10 @@ class TimeGrid:
         the long/short split dominate the full variation; grids missing those
         anchors do not satisfy that bound.
         """
+        if per_block and rng is None:
+            raise ValueError("random times per block need an rng")
         ts = [float(2.0**k) for k in range(k_min, k_max + 1)]
-        if per_block and rng is not None:
+        if per_block:
             for k in range(k_min, k_max):
                 lo, hi = 2.0**k, 2.0 ** (k + 1)
                 ts.extend(float(u) for u in rng.uniform(lo, hi, size=per_block) if lo < u < hi)
@@ -132,20 +134,10 @@ _POINT_CACHE: dict[tuple, object] = {}
 CACHE_COUNTS = {"hits": 0, "misses": 0}
 
 
-def _body_key(body: ConvexBody):
-    extra: tuple = ()
-    if isinstance(body, GammaBody):
-        extra = body.rows
-    elif hasattr(body, "halfspaces") and body.halfspaces is not None:
-        extra = (body.halfspaces.tobytes(),)
-    elif hasattr(body, "predicate"):
-        extra = (body.predicate,)
-    return (body.kind, body.d, body.r_in, extra)
-
-
 def _cached(key: tuple, build):
-    """``build()`` memoized under ``key = (body key, T, tag)``; its arrays are
-    read-only, because every caller with an equal body and scale shares them."""
+    """``build()`` memoized under ``key = (body, T, tag)``; a body is its own
+    key, equal by class and field values.  The arrays are read-only, because
+    every caller with an equal body and scale shares them."""
     value = _POINT_CACHE.get(key)
     if value is not None:
         CACHE_COUNTS["hits"] += 1
@@ -161,7 +153,7 @@ def _cached(key: tuple, build):
 
 
 def _points(body: ConvexBody, T: float) -> np.ndarray:
-    return _cached((_body_key(body), float(T), "points"), lambda: enumerate_lattice(body, T).points)
+    return _cached((body, float(T), "points"), lambda: enumerate_lattice(body, T).points)
 
 
 def _slices(body: ConvexBody, Ts) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -169,8 +161,7 @@ def _slices(body: ConvexBody, Ts) -> list[tuple[np.ndarray, np.ndarray, np.ndarr
     built in one ``slice_tables`` pass; then each scale is looked up in turn as
     a one-scale call would, so the memo and ``CACHE_COUNTS`` end as after a
     loop of one-scale calls."""
-    body_key = _body_key(body)
-    keys = [(body_key, float(T), "slices") for T in Ts]
+    keys = [(body, float(T), "slices") for T in Ts]
     found = [_POINT_CACHE.get(key) for key in keys]
     built = iter(slice_tables(body, [T for T, v in zip(Ts, found) if v is None]))
     found = [next(built) if v is None else v for v in found]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -46,12 +46,16 @@ SPOT_CHECK_SEED = 7
 
 @dataclass(frozen=True)
 class ConvexBody:
-    """Base: dimension parameter d (ambient space is R^(2d)) and certified radii."""
+    """Base: dimension parameter d (ambient space is R^(2d)) and certified radii.
+
+    A body is a value: equal bodies are equal in class and in every field, and
+    hash alike.  ``kind`` and ``r_out`` belong to the class, not the instance.
+    """
 
     d: int
     r_in: float
-    r_out: float = 1.0
-    kind: str = "custom"
+    r_out: ClassVar[float] = 1.0
+    kind: ClassVar[str] = "custom"
 
     def __post_init__(self):
         if self.d < 1:
@@ -79,6 +83,8 @@ class ConvexBody:
 class Ball(ConvexBody):
     """Closed unit ball of R^(2d); its own normalization (tau = 1)."""
 
+    kind = "ball"
+
     def contains_dilated(self, points, t):
         p = np.asarray(points, dtype=np.float64)
         return np.einsum("ij,ij->i", p, p) <= t * t
@@ -87,6 +93,8 @@ class Ball(ConvexBody):
 @dataclass(frozen=True)
 class CubeBody(ConvexBody):
     """Closed cube normalized to circumradius 1: half-side tau = 1/sqrt(2d)."""
+
+    kind = "cube"
 
     def contains_dilated(self, points, t):
         p = np.asarray(points, dtype=np.float64)
@@ -101,6 +109,7 @@ class GammaBody(ConvexBody):
     dilate at t equals the normalized body's dilate at ``raw_scale * t``.
     """
 
+    kind = "gamma_parallelepiped"
     rows: tuple[tuple[float, float], ...] = ()
     raw_scale: float = 1.0
 
@@ -118,11 +127,11 @@ class GammaBody(ConvexBody):
 class PolytopeBody(ConvexBody):
     """Half-space list A y <= t (closed), rows of A normalized to circumradius 1."""
 
-    halfspaces: np.ndarray = None
+    halfspaces: tuple[tuple[float, ...], ...] = ()  # rows of A
 
     def contains_dilated(self, points, t):
         p = np.asarray(points, dtype=np.float64)
-        return np.all(p @ self.halfspaces.T <= np.reshape(t, (-1, 1)), axis=1)
+        return np.all(p @ np.array(self.halfspaces).T <= np.reshape(t, (-1, 1)), axis=1)
 
 
 @dataclass(frozen=True)
@@ -143,13 +152,13 @@ def ball(d: int, radius: float = 1.0) -> Ball:
     """Euclidean ball of any radius normalizes to the unit ball."""
     if not radius > 0:
         raise ValueError("radius must be positive")
-    return Ball(d=d, r_in=1.0, kind="ball")
+    return Ball(d=d, r_in=1.0)
 
 
 def cube(d: int, half_side: float = 1.0) -> CubeBody:
     if not half_side > 0:
         raise ValueError("half_side must be positive")
-    return CubeBody(d=d, r_in=1.0 / np.sqrt(2 * d), kind="cube")
+    return CubeBody(d=d, r_in=1.0 / np.sqrt(2 * d))
 
 
 def gamma_body(d: int, gamma: np.ndarray) -> GammaBody:
@@ -164,13 +173,7 @@ def gamma_body(d: int, gamma: np.ndarray) -> GammaBody:
     r_out_raw = float(np.sqrt(c1 + c2 + 2.0 * abs(c12)))
     r_in_raw = float(min(1.0 / np.hypot(*row) for row in g))
     rows = tuple((float(r_out_raw * g[i, 0]), float(r_out_raw * g[i, 1])) for i in range(2))
-    return GammaBody(
-        d=d,
-        r_in=r_in_raw / r_out_raw,
-        kind="gamma_parallelepiped",
-        rows=rows,
-        raw_scale=r_out_raw,
-    )
+    return GammaBody(d=d, r_in=r_in_raw / r_out_raw, rows=rows, raw_scale=r_out_raw)
 
 
 def polytope_body(d: int, halfspaces: np.ndarray) -> PolytopeBody:
@@ -183,12 +186,8 @@ def polytope_body(d: int, halfspaces: np.ndarray) -> PolytopeBody:
         raise ValueError("zero halfspace row")
     r_in_raw = float(1.0 / norms.max())
     r_out_raw = _polytope_circumradius(A)
-    body = PolytopeBody(
-        d=d,
-        r_in=r_in_raw / r_out_raw,
-        kind="custom",
-        halfspaces=np.ascontiguousarray(A * r_out_raw),
-    )
+    rows = tuple(map(tuple, (A * r_out_raw).tolist()))
+    body = PolytopeBody(d=d, r_in=r_in_raw / r_out_raw, halfspaces=rows)
     spot_check(body)
     return body
 
@@ -226,7 +225,7 @@ def normalize(d: int, membership: Callable, r_in: float, r_out: float) -> Custom
     def scaled(points):
         return membership(np.asarray(points, dtype=np.float64) * r_out)
 
-    body = CustomBody(d=d, r_in=r_in / r_out, kind="custom", predicate=scaled)
+    body = CustomBody(d=d, r_in=r_in / r_out, predicate=scaled)
     spot_check(body)
     return body
 
@@ -413,7 +412,7 @@ def _linear_rows(body: ConvexBody):
     if isinstance(body, GammaBody) and body.d == 1:
         return np.array(body.rows, dtype=np.float64), True
     if isinstance(body, PolytopeBody):
-        return body.halfspaces, False
+        return np.array(body.halfspaces), False
     return None
 
 

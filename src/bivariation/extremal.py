@@ -277,12 +277,12 @@ def interp_weights(p1: float, p2: float, s: float) -> InterpPoint:
     """
     if not s > 2:
         raise ValueError("s must exceed 2")
+    if not (p1 > 0 and p2 > 0):
+        raise ValueError("p1 and p2 must be positive")
     x, y = 1.0 / p1, 1.0 / p2
     for facet, ok in (
         ("1/p1 <= 1", x <= 1.0 + 1e-15),
         ("1/p2 <= 1", y <= 1.0 + 1e-15),
-        ("1/p1 >= 0", x >= -1e-15),
-        ("1/p2 >= 0", y >= -1e-15),
         ("1/p1 + 1/p2 >= 1/s", x + y >= 1.0 / s - 1e-15),
     ):
         if not ok:

@@ -216,18 +216,23 @@ def write_ndf1(f: Field, path) -> None:
 
 
 def read_ndf1(path) -> Field:
+    """The field of a ``write_ndf1`` file; a short file, or one with bytes past
+    its samples, raises ValueError."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != NDF1_MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {NDF1_MAGIC!r}")
-        (d,) = struct.unpack("<I", fh.read(4))
-        origin = struct.unpack(f"<{d}q", fh.read(8 * d))
-        extent = struct.unpack(f"<{d}Q", fh.read(8 * d))
-        (mesh,) = struct.unpack("<d", fh.read(8))
-        count = int(np.prod(extent))
-        data = np.frombuffer(fh.read(8 * count), dtype="<f8")
-        if data.size != count:
-            raise ValueError("truncated NDF1 payload")
+        raw = fh.read()
+    if raw[:4] != NDF1_MAGIC:
+        raise ValueError(f"bad magic {raw[:4]!r}, expected {NDF1_MAGIC!r}")
+    d = int.from_bytes(raw[4:8], "little")  # u32; a short file fails the check below
+    start = 16 + 16 * d  # magic, d, origin, extent, mesh
+    if len(raw) < start:
+        raise ValueError("truncated NDF1 header")
+    origin = struct.unpack_from(f"<{d}q", raw, 8)
+    extent = struct.unpack_from(f"<{d}Q", raw, 8 + 8 * d)
+    (mesh,) = struct.unpack_from("<d", raw, start - 8)
+    count = math.prod(extent)
+    if len(raw) != start + 8 * count:
+        raise ValueError(f"NDF1 payload holds {len(raw) - start} bytes, expected {8 * count}")
+    data = np.frombuffer(raw, "<f8", count, start)
     return Field(Box(d, origin, extent, mesh), data.astype(np.float64))
 
 

@@ -33,13 +33,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         file_values = parse_config_file(args.config) if args.config else {}
-        overrides = {
-            "suite": args.suite,
-            "seed": args.seed,
-            "out": args.out,
-            "trials": args.trials,
-            "grid": args.grid,
-        }
+        overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
         cfg = build_config(file_values, overrides)
         status = run_suite(cfg.suite, cfg)
     except (ConfigError, OSError, UnicodeDecodeError) as exc:

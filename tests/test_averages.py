@@ -19,7 +19,16 @@ from bivariation.averages import (
     dtt_avg_via_body,
     fast_slice_avg,
 )
-from bivariation.bodies import CustomBody, ball, cube, gamma_body, normalize, polytope_body
+from bivariation.bodies import (
+    Ball,
+    CubeBody,
+    CustomBody,
+    ball,
+    cube,
+    gamma_body,
+    normalize,
+    polytope_body,
+)
 from bivariation.fields import Box, Field
 
 
@@ -104,7 +113,7 @@ def test_holder_type_bound():
 def test_degenerate_scale_via_hollow_predicate():
     # direct construction bypasses the certificate spot-check on purpose
     hollow = CustomBody(
-        d=1, r_in=0.5, kind="custom",
+        d=1, r_in=0.5,
         predicate=lambda y: (np.linalg.norm(y, axis=1) <= 1.0)
         & (np.linalg.norm(y, axis=1) >= 0.9),
     )
@@ -125,7 +134,7 @@ def test_point_cache_keeps_custom_predicate_alive():
     del body
     gc.collect()
     assert ref() is not None
-    assert any(ref() in key[0][3] for key in averages._POINT_CACHE)
+    assert any(getattr(key[0], "predicate", None) is ref() for key in averages._POINT_CACHE)
 
 
 def test_slice_cache_keeps_custom_predicate_alive():
@@ -137,7 +146,8 @@ def test_slice_cache_keeps_custom_predicate_alive():
     del body
     gc.collect()
     assert ref() is not None
-    assert any(ref() in key[0][3] for key in averages._POINT_CACHE if key[2] == "slices")
+    assert any(getattr(key[0], "predicate", None) is ref()
+               for key in averages._POINT_CACHE if key[2] == "slices")
 
 
 def test_equal_bodies_share_one_read_only_slice_table():
@@ -151,7 +161,7 @@ def test_equal_bodies_share_one_read_only_slice_table():
     assert averages.CACHE_COUNTS["hits"] == before["hits"] + 1
     assert averages.CACHE_COUNTS["misses"] == before["misses"]
     keys = [k for k in averages._POINT_CACHE if k[1:] == (2.4375, "slices")]
-    assert len(keys) == 1 and keys[0][0] == averages._body_key(b)
+    assert len(keys) == 1 and keys[0][0] == b
     for arr in averages._POINT_CACHE[keys[0]]:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -527,12 +537,60 @@ def test_time_grid_validation():
         TimeGrid((1.0, np.inf))
 
 
+def test_warm_memo_never_hands_one_body_another_bodys_nodes():
+    # a Ball and a CubeBody with the same (d, r_in) are different bodies: the
+    # cube's dilate at T = 3 is the 3 x 3 square, the ball's the radius-3 disk
+    f1, f2 = line(np.arange(16.0)), line(np.ones(16))
+    box2 = Box(2, (0, 0), (5, 5), 1.0)
+    g1, g2 = Field(box2, np.arange(25.0)), Field(box2, np.ones(25))
+    routes = [
+        lambda cls: avg_field(cls(d=1, r_in=0.5), 3.0, f1, f2).samples,
+        lambda cls: avg_field(cls(d=2, r_in=0.5), 2.0, g1, g2).samples,
+        lambda cls: avg_at(AvgRequest(cls(d=1, r_in=0.5), 3.0, f1, f2), [2]),
+        lambda cls: fast_slice_avg(
+            AvgRequest(cls(d=1, r_in=0.5), 3.0, f1, f2, "lattice_counting"), [2]),
+    ]
+    for route in routes:
+        averages._POINT_CACHE.clear()
+        cold = route(Ball)
+        averages._POINT_CACHE.clear()
+        assert not np.array_equal(route(CubeBody), cold)
+        assert np.array_equal(route(Ball), cold)
+
+
+def test_equal_polytopes_share_one_entry_and_distinct_closures_do_not():
+    rows = [[1.0, 0.5], [-1.0, -0.5], [0.0, 1.0], [0.0, -1.0]]
+    a, b = polytope_body(1, rows), polytope_body(1, rows)
+    assert a is not b and a == b and hash(a) == hash(b)
+    f = Field(wide_box(), np.ones(33))
+    averages._POINT_CACHE.clear()
+    avg_field(a, 2.5, f, f)
+    avg_field(b, 2.5, f, f)
+    assert [key[0] for key in averages._POINT_CACHE] == [a]
+    # each normalize call wraps the predicate in a new closure: a new body
+    def diamond(y):
+        return np.abs(y).sum(axis=1) <= 3.0
+
+    c, e = (normalize(1, diamond, 3.0 / np.sqrt(2), 3.0) for _ in range(2))
+    assert c != e
+    averages._POINT_CACHE.clear()
+    avg_field(c, 2.5, f, f)
+    avg_field(e, 2.5, f, f)
+    assert [key[0] for key in averages._POINT_CACHE] == [c, e]
+
+
 def test_block_of_is_exact():
     assert TimeGrid.block_of(2.0) == 0   # 2 in (1, 2]
     assert TimeGrid.block_of(2.0000001) == 1
     assert TimeGrid.block_of(1.0) == -1
     assert TimeGrid.block_of(0.75) == -1
     assert TimeGrid.block_of(8.0) == 2
+
+
+def test_dyadic_spanning_needs_an_rng_for_random_times():
+    with pytest.raises(ValueError, match="rng"):
+        TimeGrid.dyadic_spanning(0, 3, per_block=2)
+    assert TimeGrid.dyadic_spanning(0, 3).times == (1.0, 2.0, 4.0, 8.0)
 
 
 def test_dyadic_spanning_contains_anchors():

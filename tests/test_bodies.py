@@ -30,6 +30,18 @@ def test_ball_is_its_own_normalization():
     assert b.r_in == 1.0 and b.r_out == 1.0
 
 
+def test_kind_and_r_out_belong_to_the_class():
+    shapes = (ball(1), cube(1), gamma_body(1, [[1.0, 0.4], [-0.2, 0.8]]),
+               polytope_body(1, [[1, 0], [-1, 0], [0, 1], [0, -1]]),
+               normalize(1, lambda y: np.linalg.norm(y, axis=1) <= 1.0, 1.0, 1.0))
+    assert [b.kind for b in shapes] == ["ball", "cube", "gamma_parallelepiped", "custom", "custom"]
+    assert all(b.r_out == 1.0 for b in shapes)
+    for b in shapes:
+        for field, value in (("kind", "ball"), ("r_out", 2.0)):
+            with pytest.raises(TypeError):
+                type(b)(d=1, r_in=0.5, **{field: value})
+
+
 def test_cube_inradius_d1():
     assert cube(1).r_in == pytest.approx(1 / np.sqrt(2), rel=1e-15)
 
@@ -69,7 +81,7 @@ def test_normalize_rejects_bad_certificates():
 
 def test_spot_check_catches_asymmetry():
     shifted = CustomBody(
-        d=1, r_in=0.2, kind="custom",
+        d=1, r_in=0.2,
         predicate=lambda y: np.linalg.norm(y - 0.3, axis=1) <= 0.9,
     )
     with pytest.raises(ValueError):

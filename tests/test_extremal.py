@@ -334,6 +334,12 @@ def test_interp_outside_names_facet():
         interp_weights(100.0, 100.0, 10.0)
 
 
+def test_interp_rejects_nonpositive_exponents():
+    for p1, p2 in ((0.0, 2.0), (2.0, 0.0), (-2.0, 2.0), (np.nan, 2.0)):
+        with pytest.raises(ValueError, match="positive"):
+            interp_weights(p1, p2, 10.0)
+
+
 def test_interp_random_interior():
     rng = np.random.default_rng(0)
     s = 10.0

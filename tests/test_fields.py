@@ -271,6 +271,21 @@ def test_ndf1_bad_magic(tmp_path):
         read_ndf1(path)
 
 
+def test_ndf1_rejects_a_truncated_header(tmp_path):
+    path = tmp_path / "short.ndf"
+    path.write_bytes(b"NDF1" + b"\1\0\0\0" + b"\0\0")
+    with pytest.raises(ValueError, match="truncated"):
+        read_ndf1(path)
+
+
+def test_ndf1_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "long.ndf"
+    write_ndf1(line([1.0, 2.0, 3.0]), path)
+    path.write_bytes(path.read_bytes() + b"\0" * 8)
+    with pytest.raises(ValueError, match="expected 24"):
+        read_ndf1(path)
+
+
 def test_csv_roundtrip(tmp_path):
     f = line([1.5, -2.25, 0.0], origin=-1, mesh=0.5)
     path = tmp_path / "field.csv"

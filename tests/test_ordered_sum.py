@@ -456,7 +456,7 @@ def test_sweep_raises_the_loops_degenerate_scale():
     # direct construction bypasses the certificate spot-check: the annulus
     # 0.9 t <= |y| <= t holds no lattice point at t = 0.5 or t = 1.3
     hollow = CustomBody(
-        d=1, r_in=0.5, kind="custom",
+        d=1, r_in=0.5,
         predicate=lambda y: (np.linalg.norm(y, axis=1) <= 1.0)
         & (np.linalg.norm(y, axis=1) >= 0.9),
     )
