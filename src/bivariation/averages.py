@@ -39,8 +39,9 @@ __all__ = [
 
 MODES = ("continuum_quadrature", "lattice_counting")
 
-# values per block of an ordered sum, and at least one row: a d >= 2 _node_average
-# fill forms cells * run products per row, which can exceed it (docs/notes.md, note 4)
+# values per block of an ordered sum, and at least one row; a _node_average fill
+# forms its block in pieces of at most this many products, and at least one cell
+# (docs/notes.md, note 4)
 _CHUNK_CELLS = 16_384
 
 
@@ -238,18 +239,38 @@ def _node_average(a1, a2, y1, y2, run: int, extend: str = "constant") -> np.ndar
     p1 = np.pad(a1, R, mode=extend)
     p2 = np.pad(a2, R, mode=extend)
     strides = np.array(p1.strides) // p1.itemsize  # flat index steps of the padded arrays
-    base = (np.indices(a1.shape).reshape(a1.ndim, -1).T + R) @ strides
+    p1, p2 = p1.ravel(), p2.ravel()
+    # a line is a run of `inner` cells along the last axis; its flat start in the padding
+    inner = a1.shape[-1]
+    starts = (np.indices(a1.shape[:-1] + (1,)).reshape(a1.ndim, -1).T + R) @ strides
     off1, off2, n = y1 @ strides, y2 @ strides, len(y1)
 
     def fill(start, stop, out):
         # one row per run; a short last run is alone in its block
+        rows = stop - start
         nodes = slice(start * run, stop * run)
-        v1 = p1.take(base[:, None] + off1[nodes].reshape(stop - start, 1, -1))
-        v2 = p2.take(base[:, None] + off2[nodes].reshape(stop - start, 1, -1))
-        np.sum(v1 * v2, axis=-1, out=out)
+        o1, o2 = off1[nodes], off2[nodes]
+        k = o1.size // rows
+        # pieces of at most _CHUNK_CELLS products and at least one cell: cw
+        # cells of one line, or lw whole lines when a line fits
+        cw = max(1, min(inner, _CHUNK_CELLS // (rows * k)))
+        lw = max(1, _CHUNK_CELLS // (rows * k * inner))
+        out = out.reshape(rows, len(starts), inner)
+        for l0 in range(0, len(starts), lw):
+            s = starts[l0 : l0 + lw, None]
+            for c0 in range(0, inner, cw):
+                c1 = min(c0 + cw, inner)
+                # row j of a window view is p[c0 + j : c1 + j], so each (line, node)
+                # pair is one copy of c1 - c0 consecutive values
+                g = _windows(p1[c0:], c1 - c0)[s + o1]
+                g *= _windows(p2[c0:], c1 - c0)[s + o2]
+                # C-contiguous with the run last, so each cell's run is summed
+                # pairwise in the order a (cells, run) block is
+                g = np.ascontiguousarray(g.reshape(len(s), rows, k, c1 - c0).transpose(1, 0, 3, 2))
+                np.sum(g, axis=-1, out=out[:, l0 : l0 + len(s), c0:c1])
 
-    step = max(1, _CHUNK_CELLS // (base.size * run)) if n % run == 0 else 1
-    return _ordered_sum(-(-n // run), base.size, step, fill) / n
+    step = max(1, _CHUNK_CELLS // (a1.size * run)) if n % run == 0 else 1
+    return _ordered_sum(-(-n // run), a1.size, step, fill) / n
 
 
 def avg_field(body: ConvexBody, t: float, f1: Field, f2: Field,

@@ -56,16 +56,25 @@ def _cube_lp_avg_pow(f: Field, cube: DyadicCube, p_i: float) -> float:
     return total / cube.volume(f.box.mesh, f.box.dim)
 
 
-def _descend(fr: Field, root: DyadicCube, p_i: float, threshold_pow: float) -> list[DyadicCube]:
+def _descend(fr: Field, root: DyadicCube, p_i: float, threshold_pow: float,
+             bounds: tuple[np.ndarray, np.ndarray]) -> list[DyadicCube]:
     """Stopping time below one root, one pass per level.
 
     Every cube below the root is full in ``fr``'s box, so ``|f|^p_i`` is read
-    once over the root's block.  Per level, the 2^d children of the active
-    cubes become rows listing their cells row-major, as ``cube_cell_values``
-    ravels them, so each row sums exactly as ``_cube_lp_avg_pow`` sums its cube.
+    once over the root's block.  It is taken only on the window of the block
+    inside ``bounds``, the lattice bounds of ``fr``'s support: with p_i >= 1
+    every other cell gives ``|0|^p_i = +0.0``, the block's zero fill.  Per
+    level, the 2^d children of the active cubes become rows listing their
+    cells row-major, as ``cube_cell_values`` ravels them, so each row sums
+    exactly as ``_cube_lp_avg_pow`` sums its cube.
     """
     d, mesh = fr.box.dim, fr.box.mesh
-    pw = np.abs(fr.samples[cube_slices(fr.box, root)]) ** p_i
+    block = fr.samples[cube_slices(fr.box, root)]
+    lo = np.clip(bounds[0] - root.corner(), 0, root.side_cells)
+    hi = np.clip(bounds[1] + 1 - root.corner(), 0, root.side_cells)
+    window = tuple(slice(a, b) for a, b in zip(lo, hi))
+    pw = np.zeros(block.shape)
+    pw[window] = np.abs(block[window]) ** p_i
     offsets = np.array(list(np.ndindex(*([2] * d))), dtype=np.int64)
     active = np.zeros((1, d), dtype=np.int64)  # root-relative cube coordinates
     selected = []
@@ -134,7 +143,7 @@ def cz_decompose(f: Field, p_i: float, alpha: float, p: float) -> CZOutput:
     if flagged:
         selected = roots
     else:
-        selected = [c for root in roots for c in _descend(fr, root, p_i, threshold_pow)]
+        selected = [c for root in roots for c in _descend(fr, root, p_i, threshold_pow, bounds)]
     pieces = []
     good = fr.samples.copy()
     for cube in sorted(selected, key=lambda c: (c.level, c.coords)):

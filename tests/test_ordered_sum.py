@@ -266,7 +266,7 @@ def test_ordered_sum_is_sequential_for_one_column():
 
 @settings(max_examples=80, deadline=None)
 @given(
-    st.sampled_from([(1,), (6,), (17,), (1, 5), (3, 4)]),
+    st.sampled_from([(1,), (6,), (17,), (1, 5), (3, 4), (2, 3, 4)]),
     st.integers(1, 120),
     st.integers(1, 40),
     st.sampled_from(["constant", "wrap"]),
@@ -282,6 +282,12 @@ def test_ordered_sum_is_sequential_for_one_column():
 @example((17,), 60, 12, "constant", 10**6, _CHUNK_CELLS, 5)  # offsets far past the extent
 @example((3, 4), 30, 4, "constant", 10**6, _CHUNK_CELLS, 6)
 @example((3, 4), 30, 4, "wrap", 10**6, _CHUNK_CELLS, 7)
+@example((17,), 120, 50, "constant", 9, 40, 8)  # a run longer than the chunk: one-cell pieces
+@example((17,), 60, 12, "wrap", 9, 40, 9)  # pieces of 3 cells, a short last piece
+@example((3, 5), 120, 50, "constant", 4, 40, 10)  # d = 2, each line cut into one-cell pieces
+@example((2, 3, 4), 40, 8, "constant", 3, _CHUNK_CELLS, 11)  # all six lines in one piece
+@example((2, 3, 4), 24, 2, "wrap", 3, 40, 12)  # pieces of five whole lines, then one
+@example((8, 8), 2100, 1024, "constant", 6, _CHUNK_CELLS, 13)  # sweep_d2: run 1024, short last run
 def test_node_average_matches_per_node_loop(shape, n, run, extend, reach, chunk, seed):
     rng = np.random.default_rng(seed)
     a1, a2 = (rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape) for _ in "12")
@@ -290,6 +296,21 @@ def test_node_average_matches_per_node_loop(shape, n, run, extend, reach, chunk,
     with mock.patch.object(averages, "_CHUNK_CELLS", chunk):
         got = _node_average(a1, a2, y1, y2, run, extend)
     assert same_bits(got, oracle_node_average(a1, a2, y1, y2, run, extend))
+
+
+def test_node_average_scratch_stays_within_the_chunk():
+    # one 32 x 32 ball average at T = 4 is blocks of one 1024-node run: a
+    # fill of the whole block at once peaked at 25 MB
+    box = Box(2, (-16, -16), (32, 32), 1.0)
+    rng = np.random.default_rng(0)
+    f1, f2 = (Field(box, rng.normal(size=box.extent)) for _ in "12")
+    avg_field(ball(2), 4.0, f1, f2)  # warm the lattice memo
+    assert peak_bytes(lambda: avg_field(ball(2), 4.0, f1, f2)) < 2_000_000
+    # the largest routes_dtt call: 512 cells, J = 89
+    box = Box(1, (-256,), (512,), 24.0 / 256)
+    f1, f2 = (Field(box, rng.normal(size=512)) for _ in "12")
+    L = np.array([[1.0, 0.4], [-0.3, 0.9]])
+    assert peak_bytes(lambda: dtt_avg_field(L, 2.25 * 2.0**0.9, f1, f2)) < 2_000_000
 
 
 # ---------------------------------------------------------------------------
