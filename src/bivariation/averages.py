@@ -159,13 +159,16 @@ def _points(body: ConvexBody, T: float) -> np.ndarray:
 
 def _slices(body: ConvexBody, Ts) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The slice table of every scale in ``Ts``.  The tables the memo lacks are
-    built in one ``slice_tables`` pass; then each scale is looked up in turn as
-    a one-scale call would, so the memo and ``CACHE_COUNTS`` end as after a
-    loop of one-scale calls."""
+    built by one ``slice_tables`` call, each distinct scale once; then each
+    scale is looked up in turn as a one-scale call would, so the memo and
+    ``CACHE_COUNTS`` end as after a loop of one-scale calls (docs/notes.md,
+    notes 9 and 11)."""
     keys = [(body, float(T), "slices") for T in Ts]
     found = [_POINT_CACHE.get(key) for key in keys]
-    built = iter(slice_tables(body, [T for T, v in zip(Ts, found) if v is None]))
-    found = [next(built) if v is None else v for v in found]
+    if None in found:
+        missing = list(dict.fromkeys(key for key, v in zip(keys, found) if v is None))
+        built = dict(zip(missing, slice_tables(body, [key[1] for key in missing])))
+        found = [built[key] if v is None else v for key, v in zip(keys, found)]
     # a table found above and evicted by an earlier scale's insertion is a
     # miss here, as in the loop, and goes back in unchanged
     return [_cached(key, lambda v=v: v) for key, v in zip(keys, found)]
@@ -290,7 +293,10 @@ def avg_field_sweep(body: ConvexBody, grid: TimeGrid, f1: Field, f2: Field,
 
 def _field_values(reqs: list[AvgRequest]) -> np.ndarray:
     """(len(reqs), cells): the averages at every cell of the shared box, one
-    row per request; the requests differ only in their scale."""
+    row per request, each the bytes of a one-request call.  The requests
+    share the body, the mode and the box, and may differ in their fields and
+    scale: one sweep, or every trial of a sweep suite grid (docs/notes.md,
+    note 11)."""
     req = reqs[0]
     box = req.f1.box
     if req.body.d == 1:
@@ -313,63 +319,84 @@ def _gather_values(req: AvgRequest) -> np.ndarray:
 def _sliced_values(reqs: list[AvgRequest], x: int, width: int) -> np.ndarray:
     """d = 1 kernel at the ``width`` lattice points x, x + 1, ... (the whole
     box, or one point), one row per request: the sum over slices k of
-    f1(x +- k) * (prefix window of f2).  The requests differ only in their
-    scale.
+    f1(x +- k) * (prefix window of f2).  The requests share the body, the
+    mode and the box; their fields and scales may differ.
 
     One row per slice k, summed in increasing k by ``_ordered_sum``, one sum
-    per scale.  A row is read as whole windows of f1 extended by zeros and of
-    the f2 prefix sums extended by their end values, so it holds the values a
-    clipped gather reads.  Every scale reads the same extensions, built once
-    for the largest reach.
+    per distinct scale, whose columns are the points of every request at that
+    scale.  A row is read as whole windows of f1 extended by zeros and of the
+    f2 prefix sums extended by their end values, so it holds the values a
+    clipped gather reads.  Each field pair has one row of each extension,
+    built once for the largest reach (docs/notes.md, notes 4, 9 and 11).
     """
     req = reqs[0]
-    f1, f2 = req.f1, req.f2
-    n = f1.box.extent[0]
+    n = req.f1.box.extent[0]
     tables = _slices(req.body, [r.scaled_t for r in reqs])
-    counts = [int(np.sum(hi - lo + 1)) for _, lo, hi in tables]
-    for r, count in zip(reqs, counts):
-        if count == 0:
-            raise DegenerateScale(f"no nodes in the body dilate at t={r.t}")
+    cols_of = {}  # the requests of each distinct scale, in request order
+    for i, r in enumerate(reqs):
+        cols_of.setdefault(r.scaled_t, []).append(i)
+    scales = [(cols, *tables[cols[0]]) for cols in cols_of.values()]
+    counts = [int((hi - lo).sum()) + hi.size for _, _, lo, hi in scales]
+    for (cols, *_), count in zip(scales, counts):
+        if count == 0:  # the scales come in order of first request
+            raise DegenerateScale(f"no nodes in the body dilate at t={reqs[cols[0]].t}")
     if req.sign < 0:
         # f1 is read at x - k, and the window of f2 is x - [lo, hi]
-        tables = [(-ks, -hi, -lo) for ks, lo, hi in tables]
+        scales = [(cols, -ks, -hi, -lo) for cols, ks, lo, hi in scales]
     # every offset read (k, lo, hi + 1) is less than R in size, so one point
     # below -R or above n + R - 1 reads only the extensions; clamping it there
     # reads the same values and keeps the arrays O(n + R), not O(|x|) (the
-    # whole box starts at 0, which the clamp leaves alone)
-    R = max(int(max(np.abs(k).max(), np.abs(lo).max(), np.abs(hi).max() + 1))
-            for k, lo, hi in tables) + 1
+    # whole box starts at 0, which the clamp leaves alone).  The ks are
+    # monotone and lo <= hi, so the ends of ks, min(lo) and max(hi) bound them.
+    R = max(max(abs(int(k[0])), abs(int(k[-1])), 1 - int(lo.min()), int(hi.max()) + 1)
+            for _, k, lo, hi in scales) + 1
     E = 2 * R  # extension on each side; box index i is array index i + E
-    off = min(max(int(x) - f1.box.origin[0], -R), n + R - width) + E
-    ext1 = np.zeros(n + 2 * E)
-    ext1[E : E + n] = f1.samples
-    extp = np.zeros(n + 2 * E + 1)
-    np.cumsum(f2.samples, out=extp[E + 1 : E + n + 1])
-    extp[E + n + 1 :] = extp[E + n]
+    # one extension row per field pair, in order of first use; the pairs are
+    # told apart by identity, which only decides what is shared
+    pair = {}
+    col_pair = [pair.setdefault((id(r.f1), id(r.f2)), (len(pair), r.f1, r.f2))[0] for r in reqs]
+    L = n + 2 * E + 1  # one row of either extension; every read stays in its row
+    ext1 = np.zeros((len(pair), L))
+    extp = np.zeros((len(pair), L))
+    for p, f1, f2 in pair.values():
+        ext1[p, E : E + n] = f1.samples
+        np.cumsum(f2.samples, out=extp[p, E + 1 : E + n + 1])
+        extp[p, E + n + 1 :] = extp[p, E + n]
     f1w = _windows(ext1, width)
     pw = _windows(extp, width)
-    step = max(1, _CHUNK_CELLS // width)
+    off = min(max(int(x) - req.f1.box.origin[0], -R), n + R - width) + E
+    # each request reads its pair's windows from its own origin
+    origin = [p * L + off for p in col_pair]
 
-    def total(k1, lo, hi):
-        def fill(start, stop, out):
-            rows = slice(start, stop)
-            w1 = f1w[k1[rows] + off]
-            np.subtract(pw[hi[rows] + (off + 1)], pw[lo[rows] + off], out=out)
+    values = np.empty((len(reqs), width))
+    for (cols, k1, lo, hi), count in zip(scales, counts):
+        if len(cols) == 1:  # plain row indices and one scalar origin
+            at = origin[cols[0]]
+        else:  # a (rows, columns) index per read
+            at = np.array([origin[i] for i in cols])
+            k1, lo, hi = k1[:, None], lo[:, None], hi[:, None]
+
+        def fill(first, stop, out):
+            w1 = f1w[k1[first:stop] + at]
+            out = out.reshape(w1.shape)
+            np.subtract(pw[hi[first:stop] + (at + 1)], pw[lo[first:stop] + at], out=out)
             np.multiply(w1, out, out=out)
 
-        return _ordered_sum(len(k1), width, step, fill)
-
-    values = np.empty((len(tables), width))
-    for i, (table, count) in enumerate(zip(tables, counts)):
-        values[i] = total(*table) / count
+        span = len(cols) * width
+        total = _ordered_sum(len(k1), span, max(1, _CHUNK_CELLS // span), fill)
+        if len(cols) == 1:
+            np.divide(total, count, out=values[cols[0]])
+        else:
+            values[cols] = total.reshape(len(cols), width) / count
     return values
 
 
 def _windows(a: np.ndarray, width: int) -> np.ndarray:
-    """Read-only view of a contiguous 1-D array whose row i is a[i : i + width]:
-    the values of ``sliding_window_view(a, width)``, without its argument
-    checks, which take about a third of a one-point evaluation."""
-    view = np.ndarray((a.size - width + 1, width), a.dtype, a, 0, a.strides * 2)
+    """Read-only view of a C-contiguous array, read flat, whose row i is
+    a.flat[i : i + width]: the values of ``sliding_window_view(a.ravel(),
+    width)``, without its argument checks, which take about a third of a
+    one-point evaluation."""
+    view = np.ndarray((a.size - width + 1, width), a.dtype, a, 0, (a.itemsize,) * 2)
     view.flags.writeable = False
     return view
 

@@ -287,7 +287,10 @@ def enumerate_lattice(body: ConvexBody, t: float) -> LatticePointSet:
 
     The box is scanned in row-major order, in slabs of consecutive first
     coordinates of about ``_SLAB_ROWS`` rows each, so the points come out
-    sorted lexicographically and the scratch memory is about one slab.
+    sorted lexicographically.  The membership pass keeps one boolean mask per
+    slab; the points are then written slab by slab into one array of their
+    final size, so the scratch memory is about one slab plus one byte per
+    box point.
     """
     if not t > 0:
         raise ValueError("t must be positive")
@@ -296,12 +299,23 @@ def enumerate_lattice(body: ConvexBody, t: float) -> LatticePointSet:
     rest = np.stack(np.meshgrid(*[side] * (body.ambient - 1), indexing="ij"), axis=-1)
     rest = rest.reshape(-1, body.ambient - 1)
     per_slab = max(1, _SLAB_ROWS // len(rest))
-    kept = []
-    for start in range(0, side.size, per_slab):
-        first = side[start : start + per_slab]
-        slab = np.hstack([np.repeat(first, len(rest))[:, None], np.tile(rest, (first.size, 1))])
-        kept.append(slab[body.contains_dilated(slab.astype(np.float64), t)])
-    return LatticePointSet(t, np.concatenate(kept))
+    firsts = [side[start : start + per_slab] for start in range(0, side.size, per_slab)]
+    masks = []
+    for first in firsts:
+        # slab row (a, b) is (first[a], *rest[b]), as floats for the test
+        slab = np.empty((first.size, len(rest), body.ambient))
+        slab[:, :, 0] = first[:, None]
+        slab[:, :, 1:] = rest
+        inside = body.contains_dilated(slab.reshape(-1, body.ambient), t)
+        masks.append(inside.reshape(first.size, len(rest)))
+    points = np.empty((sum(map(np.count_nonzero, masks)), body.ambient), dtype=np.int64)
+    at = 0
+    for first, mask in zip(firsts, masks):
+        a, b = np.nonzero(mask)
+        points[at : at + a.size, 0] = first[a]
+        points[at : at + a.size, 1:] = rest[b]
+        at += a.size
+    return LatticePointSet(t, points)
 
 
 def shell(body: ConvexBody, t1: float, t2: float) -> LatticePointSet:
@@ -419,6 +433,9 @@ def _linear_rows(body: ConvexBody):
 # ---------------------------------------------------------------------------
 # One-dimensional slices (d = 1 only): {m : (k, m) in G_t} is an integer interval
 
+_TABLE_ROWS = 1 << 12  # stacked rows of one slice_tables pass; bounds its scratch memory
+
+
 def slice_table(body: ConvexBody, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every nonempty slice of G_t for d = 1 at once, as int64 arrays (ks, lo, hi).
 
@@ -431,10 +448,11 @@ def slice_table(body: ConvexBody, t: float) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def slice_tables(body: ConvexBody, ts) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``slice_table(body, t)`` for every scale t in ``ts``, built in one pass.
+    """``slice_table(body, t)`` for every scale t in ``ts``, built in few passes.
 
-    The rows of all scales are stacked, each carrying its own scale, so the
-    closed-form candidates and the unit-step fixups run once over every row.
+    The rows of the scales are stacked, each carrying its own scale, so the
+    closed-form candidates and the unit-step fixups run once over every row
+    of a pass; a pass stacks at most ``_TABLE_ROWS`` rows, or one scale.
     Each row goes through the arithmetic and membership tests of a one-scale
     build, so each table is the one-scale table exactly (docs/notes.md, note 9).
     """
@@ -443,9 +461,13 @@ def slice_tables(body: ConvexBody, ts) -> list[tuple[np.ndarray, np.ndarray, np.
     if len(ts) == 0:
         return []
     Ks = [int(np.ceil(t * body.r_out)) for t in ts]
+    sizes = [2 * K + 1 for K in Ks]
+    if len(ts) > 1 and sum(sizes) > _TABLE_ROWS:
+        # no row reads another, so the tables do not depend on the split
+        half = len(ts) // 2
+        return slice_tables(body, ts[:half]) + slice_tables(body, ts[half:])
     ks = np.concatenate([np.arange(-K, K + 1, dtype=np.int64) for K in Ks])
     kf = ks.astype(np.float64)
-    sizes = [2 * K + 1 for K in Ks]
     t = np.repeat(np.asarray(ts, dtype=np.float64), sizes)  # each row's scale
     if isinstance(body, (Ball, CubeBody)):
         # symmetric candidates [-M, M]; M = -1 marks a row the body misses

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import cells_by_cube_size, level_range
+from .dyadic import cell_cube_ids, cells_by_cube_size, level_range
 
 __all__ = [
     "Box",
@@ -171,19 +171,35 @@ def bmo_dyadic_norm(f: Field) -> float:
     oscillation on a cube is taken over its in-box samples with the minimizing
     constant a median of those samples, so box-constant fields have norm 0.
     The scan runs over the ``level_range`` levels; coarser cubes repeat in-box
-    sample sets already seen.
+    sample sets already seen.  The one-row view of :func:`_bmo_rows`.
     """
-    if not np.any(f.samples):
-        return 0.0
-    _, j_top = level_range(f.box)
-    flat = f.samples.ravel()
-    best = 0.0
-    for level in range(0, j_top + 1):
-        for cells in cells_by_cube_size(f.box, level):
-            block = flat[cells]
+    return float(_bmo_rows(f.box, f.samples.reshape(1, -1))[0])
+
+
+def _bmo_rows(box: Box, rows: np.ndarray) -> np.ndarray:
+    """``bmo_dyadic_norm`` of each row of ``rows`` (P, cells), samples of a
+    field on ``box`` in row-major order, bit for bit (docs/notes.md, note 11).
+
+    Only levels that can raise the sup are scanned: level 0, whose one-cell
+    cubes oscillate by exactly 0, and any level with as many cubes as the
+    level below it, whose in-box cell sets are then the same, are skipped.
+    """
+    best = np.zeros(len(rows))
+    _, j_top = level_range(box)
+    below = box.cell_count  # the cubes of level 0
+    for level in range(1, j_top + 1):
+        ncubes = cell_cube_ids(box, level)[2]
+        if ncubes == below:
+            continue
+        below = ncubes
+        for cells in cells_by_cube_size(box, level):
+            cubes, size = cells.shape
+            # C-contiguous (rows * cubes, size): each cube's row is reduced as
+            # a lone row is; a strided view of the gather would sum otherwise
+            block = np.take(rows, cells, axis=1).reshape(-1, size)
             a = np.median(block, axis=1)
             osc = np.mean(np.abs(block - a[:, None]), axis=1)
-            best = max(best, float(osc.max()))
+            np.maximum(best, osc.reshape(len(rows), cubes).max(axis=1), out=best)
     return best
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from ..averages import CACHE_COUNTS, TimeGrid, avg_field_sweep
+from ..averages import CACHE_COUNTS, AvgRequest, TimeGrid, _field_values
 from ..bodies import ball, body_from_descriptor
 from ..cz import cz_certify, cz_decompose, format_cz_report
 from ..extremal import (
@@ -29,7 +29,7 @@ from ..extremal import (
     make_instance,
     sample_torus,
 )
-from ..fields import Field, bmo_dyadic_norm, lp_norm, weak_lp_quasinorm
+from ..fields import Field, _bmo_rows, bmo_dyadic_norm, lp_norm, weak_lp_quasinorm
 from ..martingale import (
     _ladder,
     carleson_tent_ratios,
@@ -121,37 +121,62 @@ def _write_constant(path: Path, rep: RatioReport, passed: bool, **extra):
 # ---------------------------------------------------------------------------
 # sweep suite
 
+# averages held per kernel call of a sweep: trials are drawn until their
+# scales times the cells reach it, then evaluated together
+_SWEEP_BATCH_VALUES = 1 << 20
+
+
 def run_norm_sweep(cfg: ExperimentConfig) -> RatioReport:
     """Empirical constant tracking for the variation-of-averages bound at one
     exponent tuple and one grid size."""
     body = body_from_descriptor(cfg.body, cfg.d)
     box = standard_box(cfg)
-
-    def one(trial: int) -> tuple:
+    rows, batch, held = [], [], 0
+    for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, trial)
         f1, f2, fam1, fam2 = random_pair(box, rng)
         # the floor stays at the coarsest grid's mesh, so refinements
         # quadrature the same scales rather than adding sub-cell ones
         grid = TimeGrid.dyadic_spanning(0, 6, per_block=1, rng=rng)
-        mat = avg_field_sweep(body, grid, f1, f2)
-        vq = vq_value_batch(mat.T, cfg.q).reshape(box.extent)
-        vfield = Field(box, vq)
-        if cfg.norm == "strong":
-            num = lp_norm(vfield, cfg.p)
-            den = lp_norm(f1, cfg.p1) * lp_norm(f2, cfg.p2)
-        elif cfg.norm == "weak":
-            num = weak_lp_quasinorm(vfield, cfg.p)
-            den = lp_norm(f1, cfg.p1) * lp_norm(f2, cfg.p2)
-        else:
-            num = bmo_dyadic_norm(vfield)
-            den = lp_norm(f1, np.inf) * lp_norm(f2, np.inf)
-        return trial, fam1, fam2, len(grid), num, den, _ratio(num, den)
-
-    rows = [one(trial) for trial in range(cfg.trials)]
+        batch.append((trial, f1, f2, fam1, fam2, grid))
+        held += len(grid) * box.cell_count
+        if held >= _SWEEP_BATCH_VALUES or trial == cfg.trials - 1:
+            rows += _sweep_rows(cfg, body, box, batch)
+            batch, held = [], 0
     ratios = np.array([r[-1] for r in rows])
     # unlike the other tracked constants, an infinite ratio fails the sweep
     return _report(cfg, sweep_key(cfg.norm, cfg.p1, cfg.p2, cfg.p, cfg.q), rows,
                    _sup_finite(ratios), all(np.isfinite(ratios)))
+
+
+def _sweep_rows(cfg: ExperimentConfig, body, box, batch: list[tuple]) -> list[tuple]:
+    """The CSV rows of drawn trials ``(trial, f1, f2, fam1, fam2, grid)``,
+    each the bytes of a trial evaluated alone: one averaging call for every
+    trial's scales, one q-variation DP per distinct grid length and, for the
+    BMO norm, one scan (docs/notes.md, note 11)."""
+    mat = _field_values([AvgRequest(body, t, f1, f2)
+                         for _, f1, f2, _, _, grid in batch for t in grid.times])
+    sizes = [len(grid) for *_, grid in batch]
+    starts = np.cumsum([0, *sizes]).tolist()
+    vq = np.empty((len(batch), box.cell_count))
+    for m in sorted(set(sizes)):
+        ps = [i for i, size in enumerate(sizes) if size == m]
+        # (m, trials, cells): row j holds every trial's j-th scale, so the
+        # transpose gives each cell its sequence as a one-trial call does
+        seqs = np.stack([mat[starts[i] : starts[i] + m] for i in ps], axis=1)
+        vq[ps] = vq_value_batch(seqs.reshape(m, -1).T, cfg.q).reshape(len(ps), -1)
+    if cfg.norm == "bmo":
+        nums = _bmo_rows(box, vq).tolist()
+        p1 = p2 = np.inf
+    else:
+        norm = lp_norm if cfg.norm == "strong" else weak_lp_quasinorm
+        nums = [norm(Field(box, v), cfg.p) for v in vq]
+        p1, p2 = cfg.p1, cfg.p2
+    out = []
+    for (trial, f1, f2, fam1, fam2, grid), num in zip(batch, nums):
+        den = lp_norm(f1, p1) * lp_norm(f2, p2)
+        out.append((trial, fam1, fam2, len(grid), num, den, _ratio(num, den)))
+    return out
 
 
 def _suite_sweep(cfg: ExperimentConfig, outdir: Path) -> bool:

@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -149,6 +152,35 @@ def test_slab_scan_matches_full_box(monkeypatch, d, which, slab_rows):
         assert got.tobytes() == want.tobytes()
 
 
+def concatenating_scan(body, t):
+    # the slab scan that kept each slab's points and concatenated the pieces
+    R = int(np.ceil(t * body.r_out))
+    side = np.arange(-R, R + 1, dtype=np.int64)
+    rest = np.stack(np.meshgrid(*[side] * (body.ambient - 1), indexing="ij"), axis=-1)
+    rest = rest.reshape(-1, body.ambient - 1)
+    per_slab = max(1, bodies._SLAB_ROWS // len(rest))
+    kept = []
+    for start in range(0, side.size, per_slab):
+        first = side[start : start + per_slab]
+        slab = np.hstack([np.repeat(first, len(rest))[:, None], np.tile(rest, (first.size, 1))])
+        kept.append(slab[body.contains_dilated(slab.astype(np.float64), t)])
+    return np.concatenate(kept)
+
+
+def test_enumeration_peak_stays_near_its_points():
+    # the kept pieces and their concatenation were alive together: 2.2x
+    body = ball(2)
+    tracemalloc.start()
+    try:
+        pts = enumerate_lattice(body, 16.0).points
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * pts.nbytes
+    want = concatenating_scan(body, 16.0)
+    assert pts.dtype == want.dtype and np.array_equal(pts, want)
+
+
 def test_count_monotone_in_t():
     b = gamma_body(1, [[1.0, 0.3], [-0.2, 0.8]])
     counts = [enumerate_lattice(b, t).count for t in np.linspace(0.5, 12.0, 24)]
@@ -286,6 +318,11 @@ def test_slice_tables_match_one_scale_tables(which, ts):
     body = SLICE_BODIES[which]
     tables = slice_tables(body, ts)
     assert len(tables) == len(ts)
+    # passes of at most 5 stacked rows split every list, down to one scale a pass
+    with mock.patch.object(bodies, "_TABLE_ROWS", 5):
+        split = slice_tables(body, ts)
+    for table, other in zip(tables, split):
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(table, other))
     for t, table in zip(ts, tables):
         one = slice_table(body, t)
         assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(table, one))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bivariation.fields import (
@@ -196,21 +196,28 @@ def bmo_by_size_oracle(f):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_bmo_matches_per_cube_loop(dim):
+@settings(max_examples=30, deadline=None)
+@given(
+    origin=st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+    extent=st.tuples(st.integers(1, 70), st.integers(1, 20)),
+    seed=st.integers(0, 2**32 - 1),
+)
+# levels 1 and 2 share a partition and level 3 still coarsens
+@example(origin=(2, 0), extent=(4, 1), seed=0)
+# two orthant pieces, each one cube at its top levels
+@example(origin=(-37, -5), extent=(50, 11), seed=1)
+def test_bmo_matches_per_cube_loop(dim, origin, extent, seed):
     from bivariation.dyadic import iter_cubes
 
-    rng = np.random.default_rng(11 + dim)
-    for _ in range(30):
-        origin = tuple(int(v) for v in rng.integers(-20, 20, size=dim))
-        extent = tuple(int(v) for v in rng.integers(1, 70 if dim == 1 else 20, size=dim))
-        box = Box(dim, origin, extent)
-        f = Field(box, rng.normal(size=box.cell_count) * 10.0 ** rng.integers(-6, 6, size=box.cell_count))
-        best = 0.0
-        for level in range(14):  # past every level where these boxes' cubes merge
-            for _, values in iter_cubes(f, level):
-                best = max(best, float(np.mean(np.abs(values - np.median(values)))))
-        assert bmo_dyadic_norm(f) == best
-        assert repr(bmo_dyadic_norm(f)) == repr(bmo_by_size_oracle(f))
+    rng = np.random.default_rng(seed)
+    box = Box(dim, origin[:dim], (min(extent[0], 20), extent[1]) if dim == 2 else extent[:1])
+    f = Field(box, rng.normal(size=box.cell_count) * 10.0 ** rng.integers(-6, 6, size=box.cell_count))
+    best = 0.0
+    for level in range(14):  # past every level where these boxes' cubes merge
+        for _, values in iter_cubes(f, level):
+            best = max(best, float(np.mean(np.abs(values - np.median(values)))))
+    assert bmo_dyadic_norm(f) == best
+    assert repr(bmo_dyadic_norm(f)) == repr(bmo_by_size_oracle(f))
 
 
 def test_cube_size_groups_are_read_only_and_lazy():
