@@ -94,11 +94,13 @@ class Field:
     def values_at(self, lattice: np.ndarray) -> np.ndarray:
         """Values at integer lattice coordinates (…, dim), zero outside the box."""
         lattice = np.asarray(lattice, dtype=np.int64)
-        idx = lattice - np.asarray(self.box.origin, dtype=np.int64)
-        inside = np.all((idx >= 0) & (idx < np.asarray(self.box.extent)), axis=-1)
-        safe = np.where(inside[..., None], idx, 0)
-        vals = self.samples[tuple(np.moveaxis(safe, -1, 0))]
-        return np.where(inside, vals, 0.0)
+        # the row-major flat index, built axis by axis
+        inside, flat = True, 0
+        for ax, (o, e) in enumerate(zip(self.box.origin, self.box.extent)):
+            i = lattice[..., ax] - o
+            inside = inside & (i >= 0) & (i < e)
+            flat = flat * e + i
+        return np.where(inside, self.samples.ravel()[np.where(inside, flat, 0)], 0.0)
 
     def embed(self, box: Box) -> "Field":
         """Re-home onto a containing box (same mesh); new cells are zeros."""

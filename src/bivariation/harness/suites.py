@@ -29,24 +29,20 @@ from ..extremal import (
     make_instance,
     sample_torus,
 )
-from ..fields import Field, _bmo_rows, bmo_dyadic_norm, lp_norm, weak_lp_quasinorm
+from ..dyadic import level_range
+from ..fields import Field, _bmo_rows, lp_norm, weak_lp_quasinorm
 from ..martingale import (
-    _ladder,
-    carleson_tent_ratios,
-    carleson_weighted_sum,
-    cond_expect,
+    _ladder_rows,
+    _product_variation_checks,
+    _tent_rows,
+    _weighted_sums,
     domination_check,
-    martingale_product_variation_check,
     paraproduct_telescope,
     star_maximal,
     young_convolution_check,
 )
 from ..squarefn import long_variation_check, square_function
-from ..variation import (
-    product_rule_check,
-    sup_vs_variation_check,
-    vq_value_batch,
-)
+from ..variation import _pair_variations, _product_rule_report, _sup_report, vq_value_batch
 from .ceilings import ceiling_for, sweep_key
 from .config import SUITES, ConfigError, ExperimentConfig, with_updates
 from .generators import (
@@ -118,31 +114,45 @@ def _write_constant(path: Path, rep: RatioReport, passed: bool, **extra):
                [(rep.max_ratio, rep.ceiling, *extra.values(), passed)])
 
 
+# values held per batch of trials: a suite draws trials until they hold this
+# many, then evaluates them together
+_BATCH_VALUES = 1 << 20
+
+
+def _in_batches(trials, values):
+    """The drawn ``trials`` in consecutive lists, each closed once the
+    ``values(trial)`` of its trials reach ``_BATCH_VALUES``."""
+    batch, held = [], 0
+    for trial in trials:
+        batch.append(trial)
+        held += values(trial)
+        if held >= _BATCH_VALUES:
+            yield batch
+            batch, held = [], 0
+    if batch:
+        yield batch
+
+
 # ---------------------------------------------------------------------------
 # sweep suite
-
-# averages held per kernel call of a sweep: trials are drawn until their
-# scales times the cells reach it, then evaluated together
-_SWEEP_BATCH_VALUES = 1 << 20
-
 
 def run_norm_sweep(cfg: ExperimentConfig) -> RatioReport:
     """Empirical constant tracking for the variation-of-averages bound at one
     exponent tuple and one grid size."""
     body = body_from_descriptor(cfg.body, cfg.d)
     box = standard_box(cfg)
-    rows, batch, held = [], [], 0
-    for trial in range(cfg.trials):
+
+    def draw(trial):
         rng = trial_rng(cfg.seed, trial)
         f1, f2, fam1, fam2 = random_pair(box, rng)
         # the floor stays at the coarsest grid's mesh, so refinements
         # quadrature the same scales rather than adding sub-cell ones
         grid = TimeGrid.dyadic_spanning(0, 6, per_block=1, rng=rng)
-        batch.append((trial, f1, f2, fam1, fam2, grid))
-        held += len(grid) * box.cell_count
-        if held >= _SWEEP_BATCH_VALUES or trial == cfg.trials - 1:
-            rows += _sweep_rows(cfg, body, box, batch)
-            batch, held = [], 0
+        return trial, f1, f2, fam1, fam2, grid
+
+    rows = []
+    for batch in _in_batches(map(draw, range(cfg.trials)), lambda t: len(t[-1]) * box.cell_count):
+        rows += _sweep_rows(cfg, body, box, batch)
     ratios = np.array([r[-1] for r in rows])
     # unlike the other tracked constants, an infinite ratio fails the sweep
     return _report(cfg, sweep_key(cfg.norm, cfg.p1, cfg.p2, cfg.p, cfg.q), rows,
@@ -207,20 +217,67 @@ def _suite_sweep(cfg: ExperimentConfig, outdir: Path) -> bool:
 # ---------------------------------------------------------------------------
 # identities suite
 
+def _identity_trial(cfg: ExperimentConfig, trial: int):
+    rng = trial_rng(cfg.seed, trial)
+    m = int(rng.integers(4, 24))
+    a = rng.choice([-1.0, 1.0], size=m) * rng.uniform(0.2, 1.0, size=m)
+    b = rng.choice([-1.0, 1.0], size=m) * rng.uniform(0.2, 1.0, size=m)
+    return trial, a, b, int(rng.integers(0, m))
+
+
+# the almost-orthogonality sums: sequences a_0..a_(N-1) against sigma_(-6..6),
+# at k = -K..K-1.  Entry (k, n) of the (2K, N) term table is sigma_(k-n) a_n,
+# a term where |k - n| <= 6; _AO_SIGMA is its index into sigma
+_AO_N, _AO_K = 12, 24
+_AO_J = np.arange(-_AO_K, _AO_K)[:, None] - np.arange(_AO_N)
+_AO_TERM = np.abs(_AO_J) <= 6
+_AO_SIGMA = np.where(_AO_TERM, _AO_J + 6, 0)
+
+
+def _ao_trial(cfg: ExperimentConfig, trial: int):
+    rng = trial_rng(cfg.seed, 20_000 + trial)
+    a = rng.uniform(0.0, 1.0, size=_AO_N)
+    sigma = 2.0 ** -np.abs(np.arange(-6, 7)) * rng.uniform(0.5, 1.5, size=13)
+    return trial, a, sigma
+
+
+def _ao_rows(batch: list[tuple]) -> list[tuple]:
+    """The almost-orthogonality rows of drawn trials ``(trial, a, sigma)``:
+    each k's sum adds its terms in increasing n from +0.0, and each trial's
+    total adds the squares in increasing k.  The missing terms are +0.0 and
+    every term is nonnegative, so they change no bit of the sums."""
+    a = np.stack([t[1] for t in batch])
+    sigma = np.stack([t[2] for t in batch])
+    table = np.where(_AO_TERM, sigma[:, _AO_SIGMA] * a[:, None, :], 0.0)
+    s = np.zeros(table.shape[:2])
+    for n in range(_AO_N):
+        s += table[:, :, n]
+    sq = s * s
+    totals = np.zeros(len(batch))
+    for k in range(2 * _AO_K):
+        totals += sq[:, k]
+    out = []
+    for (trial, a, sigma), total in zip(batch, totals.tolist()):
+        w = float(sigma.sum())
+        denom = float(np.sum(a * a))
+        out.append((trial, total / (w * denom), total / (w * w * denom)))
+    return out
+
+
 def _suite_identities(cfg: ExperimentConfig, outdir: Path) -> bool:
     ok = True
 
+    # one DP per distinct length over the rows a*b, b, a of every trial
     rows_pr, rows_sup = [], []
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, trial)
-        m = int(rng.integers(4, 24))
-        a = rng.choice([-1.0, 1.0], size=m) * rng.uniform(0.2, 1.0, size=m)
-        b = rng.choice([-1.0, 1.0], size=m) * rng.uniform(0.2, 1.0, size=m)
-        pr = product_rule_check(a, b, cfg.q)
-        rows_pr.append((trial, pr.lhs, pr.rhs, pr.holds))
-        sv = sup_vs_variation_check(a, cfg.q, t0=int(rng.integers(0, m)))
-        rows_sup.append((trial, sv.lhs, sv.rhs, sv.holds))
-        ok &= pr.holds and sv.holds
+    draws = (_identity_trial(cfg, trial) for trial in range(cfg.trials))
+    for batch in _in_batches(draws, lambda t: 3 * t[1].size):
+        values = _pair_variations([(a, b) for _, a, b, _ in batch], cfg.q)
+        for (trial, a, b, t0), (lhs, vb, va) in zip(batch, values.tolist()):
+            pr = _product_rule_report(a, b, lhs, vb, va)
+            rows_pr.append((trial, pr.lhs, pr.rhs, pr.holds))
+            sv = _sup_report(a, t0, va)
+            rows_sup.append((trial, sv.lhs, sv.rhs, sv.holds))
+            ok &= pr.holds and sv.holds
     _write_csv(outdir / "product_rule.csv", ["trial", "lhs", "rhs", "pass"], rows_pr)
     _write_csv(outdir / "sup_vs_variation.csv", ["trial", "lhs", "rhs", "pass"], rows_sup)
 
@@ -237,18 +294,9 @@ def _suite_identities(cfg: ExperimentConfig, outdir: Path) -> bool:
     # aggregated almost-orthogonality data: which constant (w or w^2) the
     # sequence-level sum supports
     rows_ao = []
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, 20_000 + trial)
-        nn, kk = 12, 24
-        a = rng.uniform(0.0, 1.0, size=nn)
-        sigma = 2.0 ** -np.abs(np.arange(-6, 7)) * rng.uniform(0.5, 1.5, size=13)
-        w = float(sigma.sum())
-        total = 0.0
-        for k in range(-kk, kk):
-            s = sum(sigma[j + 6] * a[n] for n in range(nn) for j in [k - n] if -6 <= j <= 6)
-            total += s * s
-        denom = float(np.sum(a * a))
-        rows_ao.append((trial, total / (w * denom), total / (w * w * denom)))
+    draws = (_ao_trial(cfg, trial) for trial in range(cfg.trials))
+    for batch in _in_batches(draws, lambda _: _AO_J.size):
+        rows_ao += _ao_rows(batch)
     _write_csv(
         outdir / "almost_orthogonality_constants.csv",
         ["trial", "ratio_vs_w", "ratio_vs_w_squared"],
@@ -272,30 +320,39 @@ def _suite_identities(cfg: ExperimentConfig, outdir: Path) -> bool:
         rows_para,
     )
 
-    rows_mart = []
-    for trial in range(min(cfg.trials, 50)):
-        rng = trial_rng(cfg.seed, 40_000 + trial)
-        f, _, fam, _ = random_pair(box, rng)
-        top = 7
-        e = _ladder(f, range(top + 1))  # E_0 f .. E_7 f
-        recon = e[top].copy()
-        for j in range(1, top + 1):
-            recon += e[j - 1] - e[j]
-        err = float(np.abs(recon - f.samples).max())
-        comp = cond_expect(Field(box, e[3]), 5).samples
-        err_comp = float(np.abs(comp - e[5]).max())
-        d3, d5 = e[2] - e[3], e[4] - e[5]
-        inner = abs(float(np.sum(d3 * d5)) * box.cell_volume)
-        scale = max(1.0, lp_norm(f, 2.0) ** 2)
-        good = err < 1e-12 and err_comp < 1e-12 and inner < 1e-10 * scale
-        rows_mart.append((trial, fam, err, err_comp, inner, good))
-        ok &= good
+    rows_mart = _martingale_structure_rows(cfg, box)
+    ok &= all(r[-1] for r in rows_mart)
     _write_csv(
         outdir / "martingale_structure.csv",
         ["trial", "family", "telescope_err", "composition_err", "orthogonality", "pass"],
         rows_mart,
     )
     return ok
+
+
+def _martingale_structure_rows(cfg: ExperimentConfig, box) -> list[tuple]:
+    """Telescoping, composition and orthogonality of the projections of up to
+    50 fields, from one ladder over every field and one level-5 projection of
+    their E_3 rows."""
+    top = 7
+    drawn = [(trial, *random_pair(box, trial_rng(cfg.seed, 40_000 + trial)))
+             for trial in range(min(cfg.trials, 50))]
+    rows = np.stack([f.samples.ravel() for _, f, *_ in drawn])
+    e = _ladder_rows(box, rows, range(top + 1))  # E_0 f .. E_7 f
+    recon = e[top].copy()
+    for j in range(1, top + 1):
+        recon += e[j - 1] - e[j]
+    err = np.abs(recon - rows).max(axis=1)
+    err_comp = np.abs(_ladder_rows(box, e[3], [5])[0] - e[5]).max(axis=1)
+    d3, d5 = e[2] - e[3], e[4] - e[5]
+    inner = np.abs(np.sum(d3 * d5, axis=1) * box.cell_volume)
+    out = []
+    checks = zip(err.tolist(), err_comp.tolist(), inner.tolist())
+    for (trial, f, _, fam, _), (e_tel, e_comp, orth) in zip(drawn, checks):
+        scale = max(1.0, lp_norm(f, 2.0) ** 2)
+        good = e_tel < 1e-12 and e_comp < 1e-12 and orth < 1e-10 * scale
+        out.append((trial, fam, e_tel, e_comp, orth, good))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -348,30 +405,45 @@ def _suite_domination(cfg: ExperimentConfig, outdir: Path) -> bool:
 def _carleson_weighted(cfg: ExperimentConfig) -> RatioReport:
     """The weighted Carleson level sum over ||f||_2^2 ||b||_bmo^2."""
     wbox = standard_box(with_updates(cfg, d=1, grid=32))
-    rows = []
-    for trial in range(cfg.trials):
+
+    def draw(trial):
         rng = trial_rng(cfg.seed, 50_000 + trial)
         f, _, fam, _ = random_pair(wbox, rng)
         b = random_step_field(wbox, rng, block=4)
-        denom = lp_norm(f, 2.0) ** 2 * bmo_dyadic_norm(b) ** 2
-        if denom == 0.0:
-            continue
-        n = int(rng.integers(0, 5))
-        val = carleson_weighted_sum(f, b, cfg.l, cfg.eps, n)
-        rows.append((trial, fam, n, val, val / denom))
+        # drawn for every trial: the trial's stream is its own, so a trial
+        # left out below leaves the others' draws as they were
+        return trial, fam, f, b, int(rng.integers(0, 5))
+
+    rows = []
+    for batch in _in_batches(map(draw, range(cfg.trials)), lambda _: _ladder_values(wbox)):
+        bmo = _bmo_rows(wbox, np.stack([b.samples.ravel() for *_, b, _ in batch]))
+        kept = []
+        for (trial, fam, f, b, n), norm in zip(batch, bmo.tolist()):
+            denom = lp_norm(f, 2.0) ** 2 * norm**2
+            if denom != 0.0:
+                kept.append((trial, fam, f, b, n, denom))
+        if kept:
+            values = _weighted_sums([(f, b, n) for _, _, f, b, n, _ in kept], cfg.l, cfg.eps)
+            rows += [(trial, fam, n, val, val / denom)
+                     for (trial, fam, _, _, n, denom), val in zip(kept, values)]
     return _report(cfg, "carleson_weighted", rows, max([0.0, *(r[-1] for r in rows)]))
+
+
+def _ladder_values(box) -> int:
+    """The values of one field's projection ladder over its level range."""
+    return box.cell_count * (level_range(box)[1] + 2)
 
 
 def _martingale_product_variation(cfg: ExperimentConfig) -> RatioReport:
     """The L2 norm of the levelwise product variation against the mixed
     L2 x L-infinity norms."""
     wbox = standard_box(with_updates(cfg, d=1, grid=32))
+    draws = ((trial, *random_pair(wbox, trial_rng(cfg.seed, 60_000 + trial))[:2])
+             for trial in range(cfg.trials))
     rows = []
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, 60_000 + trial)
-        f1, f2, _, _ = random_pair(wbox, rng)
-        rep = martingale_product_variation_check(f1, f2, cfg.q)
-        rows.append((trial, rep.lhs, rep.rhs, rep.ratio))
+    for batch in _in_batches(draws, lambda _: 2 * _ladder_values(wbox)):
+        checks = _product_variation_checks([(f1, f2) for _, f1, f2 in batch], cfg.q)
+        rows += [(trial, rep.lhs, rep.rhs, rep.ratio) for (trial, *_), rep in zip(batch, checks)]
     return _report(cfg, "martingale_product_variation", rows, _sup_finite(r[-1] for r in rows))
 
 
@@ -379,12 +451,16 @@ def _suite_carleson(cfg: ExperimentConfig, outdir: Path) -> bool:
     box = standard_box(with_updates(cfg, d=1, grid=min(cfg.grid, 64)))
     rows = []
     sups = [0.0] * 7  # per shift n = 0..6
-    for trial in range(cfg.trials):
+
+    def draw(trial):
         rng = trial_rng(cfg.seed, trial)
-        b = random_step_field(box, rng, block=int(rng.integers(2, 9)))
-        ratios = carleson_tent_ratios(b, len(sups) - 1)
-        sups = [max(s, r) for s, r in zip(sups, ratios)]
-        rows.extend((trial, n, r) for n, r in enumerate(ratios))
+        return trial, random_step_field(box, rng, block=int(rng.integers(2, 9)))
+
+    for batch in _in_batches(map(draw, range(cfg.trials)), lambda _: _ladder_values(box)):
+        profiles = _tent_rows(box, np.stack([b.samples.ravel() for _, b in batch]), len(sups) - 1)
+        for (trial, _), ratios in zip(batch, profiles.tolist()):
+            sups = [max(s, r) for s, r in zip(sups, ratios)]
+            rows.extend((trial, n, r) for n, r in enumerate(ratios))
     _write_csv(outdir / "tent_ratios.csv", ["trial", "n", "ratio"], rows)
     # the level shift only removes terms, so the per-n sup is nonincreasing;
     # uniformity in n is exactly "bounded by the unshifted case, no growth"

@@ -9,14 +9,15 @@ projection whenever level-``j`` cubes tile the box.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .averages import TimeGrid, avg_field, avg_field_sweep
+from .averages import AvgRequest, TimeGrid, _field_values, avg_field, avg_field_sweep
 from .bodies import ConvexBody
 from .dyadic import cell_cube_ids, cells_by_cube, cube_slices, level_range
-from .fields import Field, bmo_dyadic_norm, lp_norm
+from .fields import Field, _bmo_rows, lp_norm
 from .variation import InequalityReport, vq_value_batch
 
 __all__ = [
@@ -65,34 +66,60 @@ def cond_expect(f: Field, j: int) -> Field:
     volume (zero extension).  Once a single level-j cube contains the box the
     projection acts as the global box mean, so constants stay fixed and box
     mass is preserved at every level; martingale differences vanish there.
+    The one-row view of :func:`_ladder_rows`.
     """
-    if j < 0:
-        raise ValueError(f"level {j} is below the cell level (misaligned)")
     if j == 0:
         return f
-    ids, _, ncubes = cell_cube_ids(f.box, j)
-    if ncubes == 1:
-        return Field(f.box, np.full(f.box.extent, float(np.mean(f.samples))))
-    sums = np.bincount(ids, weights=f.samples.ravel(), minlength=ncubes)
-    means = sums / float(1 << (j * f.box.dim))
-    return Field(f.box, means[ids])
+    return Field(f.box, _ladder_rows(f.box, f.samples.reshape(1, -1), [j])[0])
 
 
-def _ladder(f: Field, levels) -> list[np.ndarray]:
-    """Sample arrays of the projections ``E_j f`` for ``j`` in ``levels``."""
-    return [cond_expect(f, j).samples for j in levels]
+def _ladder_rows(box, rows: np.ndarray, levels) -> list[np.ndarray]:
+    """``E_j`` of every row of ``rows`` (N, cells), the row-major samples of
+    fields on ``box``, at each ``j`` in ``levels``: one (N, cells) array per
+    level, each row the bytes of ``cond_expect`` on that field alone
+    (docs/notes.md, note 12).  Level 0 gives ``rows`` back.
+
+    One ``np.bincount`` per level over the slots ``ids + ncubes * row`` adds
+    each cube's cells in cell order, as a one-field bincount does.  The box
+    mean of the one-cube levels reduces each row of a C-contiguous block, as
+    ``np.mean`` of one field does; a strided view would sum in another order.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    n, cells = rows.shape
+    out = []
+    for j in levels:
+        if j < 0:
+            raise ValueError(f"level {j} is below the cell level (misaligned)")
+        if j == 0:
+            out.append(rows)
+            continue
+        ids, _, ncubes = cell_cube_ids(box, j)
+        if ncubes == 1:
+            out.append(np.repeat(np.mean(rows, axis=1), cells).reshape(n, cells))
+            continue
+        slots = (ids + ncubes * np.arange(n)[:, None]).ravel()
+        sums = np.bincount(slots, weights=rows.ravel(), minlength=n * ncubes)
+        means = sums.reshape(n, ncubes) / float(1 << (j * box.dim))
+        # np.take keeps the block C-contiguous; ``means[:, ids]`` need not be,
+        # and a strided row sums in another order wherever it is reduced
+        out.append(np.take(means, ids, axis=1))
+    return out
 
 
-def _product_ladder(f1: Field, f2: Field, levels) -> np.ndarray:
-    """(len(levels), cells): row i is ``E_j f1 * E_j f2`` at ``j = levels[i]``, flattened."""
-    return np.stack([(a * b).ravel() for a, b in zip(_ladder(f1, levels), _ladder(f2, levels))])
+def _product_rows(box, rows1: np.ndarray, rows2: np.ndarray, levels) -> np.ndarray:
+    """(len(levels), N, cells): ``E_j f1 * E_j f2`` of every row pair at
+    ``j = levels[i]``, from one ladder over both factors' rows."""
+    n = len(rows1)
+    ladder = _ladder_rows(box, np.concatenate([rows1, rows2]), levels)
+    return np.stack([e[:n] * e[n:] for e in ladder])
 
 
 def mart_diff(f: Field, j: int) -> Field:
     """Difference of consecutive projections, mean zero on every level-j cube."""
     if j < 1:
         raise ValueError("martingale differences are defined for levels j >= 1")
-    return Field(f.box, cond_expect(f, j - 1).samples - cond_expect(f, j).samples)
+    e = _ladder_rows(f.box, f.samples.reshape(1, -1), [j - 1, j])
+    return Field(f.box, e[0] - e[1])
 
 
 def _cube_value_grid(f: Field, level: int) -> np.ndarray:
@@ -206,7 +233,8 @@ def compensated_terms(f1: Field, f2: Field, body: ConvexBody, ks) -> tuple[np.nd
         raise ValueError("fields must share one box")
     grid = TimeGrid(tuple((2.0**k) * f1.box.mesh for k in ks))
     averages = avg_field_sweep(body, grid, f1, f2, "continuum_quadrature")
-    return averages, _product_ladder(f1, f2, ks)
+    rows1, rows2 = f1.samples.reshape(1, -1), f2.samples.reshape(1, -1)
+    return averages, _product_rows(f1.box, rows1, rows2, ks)[:, 0]
 
 
 def square_piece(f1: Field, f2: Field, body: ConvexBody, k: int) -> Field:
@@ -238,18 +266,28 @@ def paraproduct_telescope(
         raise ValueError("need l <= j")
     if l < 1:
         raise ValueError("need l >= 1 so that E_(l-1) is defined")
-    e1, e2 = _ladder(f1, range(l - 1, j + 1)), _ladder(f2, range(l - 1, j + 1))
-
-    def piece(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return square_piece(Field(f1.box, a), Field(f2.box, b), body, k).samples
-
-    fine = piece(e1[0], e2[0])
-    coarse = piece(e1[-1], e2[-1])
+    if f1.box != f2.box:
+        raise ValueError("fields must share one box")
+    box = f1.box
+    # e[i] holds E_(l-1+i) f1 and E_(l-1+i) f2, from one ladder
+    e = _ladder_rows(box, np.stack([f1.samples.ravel(), f2.samples.ravel()]), range(l - 1, j + 1))
+    # the piece operands: the fine and coarse boundaries, then per level n
+    # (d_(1,n), E_(n-1) f2) and (E_n f1, d_(2,n)), in the order rhs adds them
+    ops = [(e[0][0], e[0][1]), (e[-1][0], e[-1][1])]
+    for m in range(1, len(e)):  # e[m] = E_(l-1+m)
+        ops.append((e[m - 1][0] - e[m][0], e[m - 1][1]))
+        ops.append((e[m][0], e[m - 1][1] - e[m][1]))
+    a, b = np.stack([u for u, _ in ops]), np.stack([v for _, v in ops])
+    # every piece shares the body and the scale: one averaging call, whose
+    # rows are the bytes of one-piece calls (docs/notes.md, notes 11 and 12)
+    t = float((2.0**k) * box.mesh)
+    averages = _field_values([AvgRequest(body, t, Field(box, u), Field(box, v)) for u, v in ops])
+    pieces = averages - _product_rows(box, a, b, [k])[0]
+    fine, coarse = pieces[0], pieces[1]
     lhs = fine - coarse
     rhs = np.zeros_like(lhs)
-    for m in range(1, len(e1)):  # e1[m] = E_(l-1+m) f1
-        rhs += piece(e1[m - 1] - e1[m], e2[m - 1])
-        rhs += piece(e1[m], e2[m - 1] - e2[m])
+    for p in pieces[2:]:
+        rhs += p
     residual = float(np.abs(lhs - rhs).max())
     return TelescopeReport(
         residual_max=residual,
@@ -275,42 +313,61 @@ def carleson_tent_mass(b: Field, cube, n: int) -> float:
     return total * b.box.cell_volume
 
 
-def _diff_ladder(b: Field) -> list[np.ndarray]:
-    """Flat differences ``[d_1, ..., d_(top+1)]``, d_m = E_(m-1)b - E_m b as
-    :func:`mart_diff` forms it, from one ladder of top + 2 projections."""
-    _, top = level_range(b.box)
-    e = _ladder(b, range(top + 2))
-    return [(e[m - 1] - e[m]).ravel() for m in range(1, top + 2)]
+def _diff_rows(box, rows: np.ndarray) -> list[np.ndarray]:
+    """Differences ``[d_1, ..., d_(top+1)]`` of every row of ``rows`` (N, cells),
+    each (N, cells), d_m = E_(m-1) - E_m as :func:`mart_diff` forms it, from
+    one ladder of top + 2 projections."""
+    _, top = level_range(box)
+    e = _ladder_rows(box, rows, range(top + 2))
+    return [e[m - 1] - e[m] for m in range(1, top + 2)]
 
 
 def carleson_tent_ratios(b: Field, n_max: int) -> tuple[float, ...]:
     """``(S_0, ..., S_(n_max))``: per shift n, the sup over dyadic cubes meeting
     the box of tent mass / (|Q| * bmo(b)^2), from one BMO norm and one
     difference ladder.  The shift-n mass of a level-j cube adds its sums of
-    d_m^2 over m = 1..j+1-n left to right: row j - n of their ``cumsum``."""
+    d_m^2 over m = 1..j+1-n left to right: row j - n of their ``cumsum``.
+    The one-row view of :func:`_tent_rows`."""
+    return tuple(_tent_rows(b.box, b.samples.reshape(1, -1), n_max)[0].tolist())
+
+
+def _tent_rows(box, rows: np.ndarray, n_max: int) -> np.ndarray:
+    """(N, n_max + 1): :func:`carleson_tent_ratios` of every row of ``rows``
+    (N, cells), the row-major samples of fields on ``box``, bit for bit: one
+    BMO scan, one difference ladder, and per level one bincount over every
+    (difference, row) pair and one sequential ``cumsum`` along the
+    differences (docs/notes.md, note 12)."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    best = [0.0] * (n_max + 1)
-    bmo = bmo_dyadic_norm(b)
-    if bmo == 0.0:
-        return tuple(best)
-    box = b.box
-    sq = [d * d for d in _diff_ladder(b)]
+    best = np.zeros((len(rows), n_max + 1))
+    bmo = _bmo_rows(box, rows)
+    live = np.flatnonzero(bmo != 0.0)  # a row of norm 0 keeps its zeros
+    if live.size == 0:
+        return best
+    rows, bmo = rows[live], bmo[live]
+    sq = [d * d for d in _diff_rows(box, rows)]
+    n = len(rows)
     for j in range(1, len(sq)):
         ids, _, ncubes = cell_cube_ids(box, j)
-        sums = [np.bincount(ids, weights=s, minlength=ncubes) for s in sq[: j + 1]]
-        peak = (np.cumsum(sums, axis=0) * box.cell_volume).max(axis=1)
+        # slot (m, row, cube): each cube adds its cells of d_m^2 in cell order
+        slots = (ids + ncubes * np.arange((j + 1) * n)[:, None]).ravel()
+        sums = np.bincount(slots, weights=np.stack(sq[: j + 1]).ravel(),
+                           minlength=(j + 1) * n * ncubes).reshape(j + 1, n, ncubes)
+        peak = (np.cumsum(sums, axis=0) * box.cell_volume).max(axis=2)
         vol_q = (float(1 << j) * box.mesh) ** box.dim
-        for n in range(min(j, n_max) + 1):
-            best[n] = max(best[n], float(peak[j - n]) / (vol_q * bmo * bmo))
-    return tuple(best)
+        for s in range(min(j, n_max) + 1):
+            ratio, now = peak[j - s] / (vol_q * bmo * bmo), best[live, s]
+            best[live, s] = np.where(ratio > now, ratio, now)  # as max(now, ratio)
+    return best
 
 
+@functools.lru_cache(maxsize=16)
 def _zeta_kernel(box, level: int, eps: float, pad: int):
     """Quadrature matrix of the level-scaled decay kernel (1+|x|)^(-d-eps).
 
     Rows are padded output lattice points, columns the in-box cells; entries
-    below 1e-12 of the on-diagonal peak are dropped.
+    below 1e-12 of the on-diagonal peak are dropped.  Memoized per
+    (box, level, eps, pad) and read-only.
     """
     d = box.dim
     s = (2.0**level) * box.mesh
@@ -323,6 +380,7 @@ def _zeta_kernel(box, level: int, eps: float, pad: int):
     dist = np.linalg.norm(pout[:, None, :] - pin[None, :, :], axis=-1)
     kern = (1.0 + dist / s) ** (-(d + eps)) * (s**-d) * box.cell_volume
     kern[kern < 1e-12 * (s**-d) * box.cell_volume] = 0.0
+    kern.flags.writeable = False
     return kern
 
 
@@ -331,25 +389,42 @@ def carleson_weighted_sum(f: Field, b: Field, l: float, eps: float, n: int) -> f
 
     The spatial integral runs over the box padded by ``WEIGHTED_PAD_FACTOR``
     box-widths per side; the integrand decays like |x|^(-2(d+eps)/l), so the
-    omitted tail is small at desk scale.
+    omitted tail is small at desk scale.  The one-trial view of
+    :func:`_weighted_sums`.
     """
+    return _weighted_sums([(f, b, n)], l, eps)[0]
+
+
+def _weighted_sums(trials, l: float, eps: float) -> list[float]:
+    """:func:`carleson_weighted_sum` of every ``(f, b, n)`` in ``trials``, on
+    one box, bit for bit: one difference ladder over every b, and the kernels
+    from the memo of ``_zeta_kernel``.  Each trial keeps its own
+    matrix-vector products: a matrix-matrix product may add in another order
+    (docs/notes.md, note 12)."""
     if not (1.0 < l < 2.0):
         raise ValueError(f"l must lie in (1, 2), got {l}")
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if f.box != b.box:
-        raise ValueError("f and b must share one box")
-    box = f.box
+    box = trials[0][0].box
+    for f, b, n in trials:
+        if f.box != box or b.box != box:
+            raise ValueError("f and b must share one box")
+        if n < 0:
+            raise ValueError("n must be nonnegative")
     pad = max(1, int(round(WEIGHTED_PAD_FACTOR * max(box.extent))))
-    fl = np.abs(f.samples.ravel()) ** l
-    total = 0.0
-    for k, diff in enumerate(_diff_ladder(b), start=n):
-        kern = _zeta_kernel(box, k, eps, pad)
-        dl = np.abs(diff) ** l
-        cf = (kern @ fl) ** (2.0 / l)
-        cd = (kern @ dl) ** (2.0 / l)
-        total += float(np.sum(cf * cd)) * box.cell_volume
-    return total
+    diffs = _diff_rows(box, np.stack([b.samples.ravel() for _, b, _ in trials]))
+    out = []
+    for i, (f, _, n) in enumerate(trials):
+        fl = np.abs(f.samples.ravel()) ** l
+        total = 0.0
+        for k, diff in enumerate(diffs, start=n):
+            kern = _zeta_kernel(box, k, eps, pad)
+            dl = np.abs(diff[i]) ** l
+            cf = (kern @ fl) ** (2.0 / l)
+            cd = (kern @ dl) ** (2.0 / l)
+            total += float(np.sum(cf * cd)) * box.cell_volume
+        out.append(total)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -364,24 +439,43 @@ class RatioCheck:
 
 def martingale_product_variation_check(f1: Field, f2: Field, q: float) -> RatioCheck:
     """L2 norm of the levelwise variation of E_j f1 * E_j f2 against
-    min(||f1||_2 ||f2||_inf, ||f1||_inf ||f2||_2)."""
-    if f1.box != f2.box:
+    min(||f1||_2 ||f2||_inf, ||f1||_inf ||f2||_2).  The one-pair view of
+    :func:`_product_variation_checks`."""
+    return _product_variation_checks([(f1, f2)], q)[0]
+
+
+def _product_variation_checks(pairs, q: float) -> list[RatioCheck]:
+    """:func:`martingale_product_variation_check` of every ``(f1, f2)`` in
+    ``pairs``, on one box, bit for bit: one ladder over every factor and one
+    q-variation DP over every cell of every pair."""
+    box = pairs[0][0].box
+    if any(f1.box != box or f2.box != box for f1, f2 in pairs):
         raise ValueError("fields must share one box")
-    _, top = level_range(f1.box)
-    vq = vq_value_batch(_product_ladder(f1, f2, range(top + 2)).T, q)
-    lhs = lp_norm(Field(f1.box, vq.reshape(f1.box.extent)), 2.0)
-    rhs = min(
-        lp_norm(f1, 2.0) * lp_norm(f2, np.inf),
-        lp_norm(f1, np.inf) * lp_norm(f2, 2.0),
-    )
-    ratio = 0.0 if lhs == 0.0 else (np.inf if rhs == 0.0 else lhs / rhs)
-    return RatioCheck(lhs, rhs, ratio)
+    _, top = level_range(box)
+    rows1 = np.stack([f1.samples.ravel() for f1, _ in pairs])
+    rows2 = np.stack([f2.samples.ravel() for _, f2 in pairs])
+    products = _product_rows(box, rows1, rows2, range(top + 2))
+    # (pairs * cells, levels): each cell's sequence over the levels, as a
+    # one-pair call lays it out
+    vq = vq_value_batch(products.reshape(len(products), -1).T, q).reshape(len(pairs), -1)
+    out = []
+    for (f1, f2), v in zip(pairs, vq):
+        lhs = lp_norm(Field(box, v), 2.0)
+        rhs = min(
+            lp_norm(f1, 2.0) * lp_norm(f2, np.inf),
+            lp_norm(f1, np.inf) * lp_norm(f2, 2.0),
+        )
+        ratio = 0.0 if lhs == 0.0 else (np.inf if rhs == 0.0 else lhs / rhs)
+        out.append(RatioCheck(lhs, rhs, ratio))
+    return out
 
 
 def young_convolution_check(a, sigma) -> InequalityReport:
     """||sigma * a||_2 <= ||sigma||_1 ||a||_2 for finite nonnegative sequences."""
     a = np.asarray(a, dtype=np.float64).ravel()
     sigma = np.asarray(sigma, dtype=np.float64).ravel()
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(sigma))):
+        raise ValueError("sequences must be finite")
     if np.any(a < 0) or np.any(sigma < 0):
         raise ValueError("sequences must be nonnegative")
     if a.size == 0 or sigma.size == 0:

@@ -151,17 +151,42 @@ def product_rule_check(a, b, q: float) -> InequalityReport:
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.size != b.size:
         raise ValueError("sequences must have equal length")
-    lhs, vb, va = vq_value_batch(np.stack([a * b, b, a]), q).tolist()
+    return _product_rule_report(a, b, *_pair_variations([(a, b)], q)[0].tolist())
+
+
+def sup_vs_variation_check(a, q: float, t0: int = 0) -> InequalityReport:
+    """sup_t |a_t| against |a_(t0)| + 2 V_q(a), for 0 <= t0 < len(a)."""
+    a = np.asarray(a, dtype=np.float64).ravel()
+    if a.size == 0:
+        raise ValueError("sequence must be nonempty")
+    if not 0 <= t0 < a.size:
+        raise ValueError(f"t0 must lie in [0, {a.size}), got {t0}")
+    return _sup_report(a, t0, vq_exact(a, q).value)
+
+
+def _pair_variations(pairs, q: float) -> np.ndarray:
+    """(len(pairs), 3): V_q(a*b), V_q(b) and V_q(a) of every pair of
+    equal-length float64 sequences, from one DP per distinct length over the
+    rows a*b, b, a of every pair with that length (docs/notes.md, note 12)."""
+    out = np.empty((len(pairs), 3))
+    sizes = [a.size for a, _ in pairs]
+    for m in sorted(set(sizes)):
+        ps = [i for i, size in enumerate(sizes) if size == m]
+        seqs = np.stack([row for a, b in (pairs[i] for i in ps) for row in (a * b, b, a)])
+        out[ps] = vq_value_batch(seqs, q).reshape(len(ps), 3)
+    return out
+
+
+def _product_rule_report(a: np.ndarray, b: np.ndarray, lhs: float, vb: float,
+                         va: float) -> InequalityReport:
+    """The product-rule check from lhs = V_q(a*b), vb = V_q(b) and va = V_q(a)."""
     rhs = float(np.max(np.abs(a), initial=0.0)) * vb
     rhs += float(np.max(np.abs(b), initial=0.0)) * va
     return InequalityReport(lhs, rhs, lhs <= rhs + 1e-12)
 
 
-def sup_vs_variation_check(a, q: float, t0: int = 0) -> InequalityReport:
-    """sup_t |a_t| against |a_(t0)| + 2 V_q(a)."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    if a.size == 0:
-        raise ValueError("sequence must be nonempty")
+def _sup_report(a: np.ndarray, t0: int, va: float) -> InequalityReport:
+    """The sup-versus-variation check from va = V_q(a)."""
     lhs = float(np.max(np.abs(a)))
-    rhs = float(abs(a[t0])) + 2.0 * vq_exact(a, q).value
+    rhs = float(abs(a[t0])) + 2.0 * va
     return InequalityReport(lhs, rhs, lhs <= rhs + 1e-12)

@@ -349,5 +349,5 @@ def test_norm_sweep_rows_do_not_depend_on_the_batch_size():
     whole = suites.run_norm_sweep(cfg).rows
     # one trial per batch, and batches of three trials with a short last one
     for values in (1, 3 * 13 * 16):
-        with mock.patch.object(suites, "_SWEEP_BATCH_VALUES", values):
+        with mock.patch.object(suites, "_BATCH_VALUES", values):
             assert repr(suites.run_norm_sweep(cfg).rows) == repr(whole)
