@@ -157,17 +157,22 @@ def _points(body: ConvexBody, T: float) -> np.ndarray:
     return _cached((body, float(T), "points"), lambda: enumerate_lattice(body, T).points)
 
 
-def _slices(body: ConvexBody, Ts) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The slice table of every scale in ``Ts``.  The tables the memo lacks are
-    built by one ``slice_tables`` call, each distinct scale once; then each
-    scale is looked up in turn as a one-scale call would, so the memo and
-    ``CACHE_COUNTS`` end as after a loop of one-scale calls (docs/notes.md,
-    notes 9 and 11)."""
-    keys = [(body, float(T), "slices") for T in Ts]
+def _slices(keys) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The slice table of every ``(body, T)`` in ``keys``.  The tables the memo
+    lacks are built by one ``slice_tables`` call per body, each distinct scale
+    once; then each key is looked up in turn as a one-scale call would, so
+    the memo and ``CACHE_COUNTS`` end as after a loop of one-scale calls
+    (docs/notes.md, notes 9, 11 and 13)."""
+    keys = [(body, float(T), "slices") for body, T in keys]
     found = [_POINT_CACHE.get(key) for key in keys]
     if None in found:
-        missing = list(dict.fromkeys(key for key, v in zip(keys, found) if v is None))
-        built = dict(zip(missing, slice_tables(body, [key[1] for key in missing])))
+        missing = {}  # per body, its missing keys in order of first need
+        for key, v in zip(keys, found):
+            if v is None:
+                missing.setdefault(key[0], {})[key] = None
+        built = {}
+        for body, ks in missing.items():
+            built.update(zip(ks, slice_tables(body, [key[1] for key in ks])))
         found = [built[key] if v is None else v for key, v in zip(keys, found)]
     # a table found above and evicted by an earlier scale's insertion is a
     # miss here, as in the loop, and goes back in unchanged
@@ -294,9 +299,10 @@ def avg_field_sweep(body: ConvexBody, grid: TimeGrid, f1: Field, f2: Field,
 def _field_values(reqs: list[AvgRequest]) -> np.ndarray:
     """(len(reqs), cells): the averages at every cell of the shared box, one
     row per request, each the bytes of a one-request call.  The requests
-    share the body, the mode and the box, and may differ in their fields and
-    scale: one sweep, or every trial of a sweep suite grid (docs/notes.md,
-    note 11)."""
+    share the mode and the box, and may differ in their body, fields and
+    scale: one sweep, every trial of a sweep suite grid, or every trial of a
+    domination batch (docs/notes.md, notes 11 and 13).  The memo is looked
+    up in request order."""
     req = reqs[0]
     box = req.f1.box
     if req.body.d == 1:
@@ -319,22 +325,22 @@ def _gather_values(req: AvgRequest) -> np.ndarray:
 def _sliced_values(reqs: list[AvgRequest], x: int, width: int) -> np.ndarray:
     """d = 1 kernel at the ``width`` lattice points x, x + 1, ... (the whole
     box, or one point), one row per request: the sum over slices k of
-    f1(x +- k) * (prefix window of f2).  The requests share the body, the
-    mode and the box; their fields and scales may differ.
+    f1(x +- k) * (prefix window of f2).  The requests share the mode and the
+    box; their bodies, fields and scales may differ.
 
     One row per slice k, summed in increasing k by ``_ordered_sum``, one sum
-    per distinct scale, whose columns are the points of every request at that
-    scale.  A row is read as whole windows of f1 extended by zeros and of the
-    f2 prefix sums extended by their end values, so it holds the values a
-    clipped gather reads.  Each field pair has one row of each extension,
+    per distinct (body, scale), whose columns are the points of every request
+    with that body and scale.  A row is read as whole windows of f1 extended
+    by zeros and of the f2 prefix sums extended by their end values, so it
+    holds the values a clipped gather reads.  Each field pair has one row of each extension,
     built once for the largest reach (docs/notes.md, notes 4, 9 and 11).
     """
     req = reqs[0]
     n = req.f1.box.extent[0]
-    tables = _slices(req.body, [r.scaled_t for r in reqs])
-    cols_of = {}  # the requests of each distinct scale, in request order
+    tables = _slices([(r.body, r.scaled_t) for r in reqs])
+    cols_of = {}  # the requests of each distinct (body, scale), in request order
     for i, r in enumerate(reqs):
-        cols_of.setdefault(r.scaled_t, []).append(i)
+        cols_of.setdefault((r.body, r.scaled_t), []).append(i)
     scales = [(cols, *tables[cols[0]]) for cols in cols_of.values()]
     counts = [int((hi - lo).sum()) + hi.size for _, _, lo, hi in scales]
     for (cols, *_), count in zip(scales, counts):

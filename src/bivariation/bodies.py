@@ -294,6 +294,8 @@ def enumerate_lattice(body: ConvexBody, t: float) -> LatticePointSet:
     """
     if not t > 0:
         raise ValueError("t must be positive")
+    if not np.isfinite(t):
+        raise ValueError("t must be finite")
     R = int(np.ceil(t * body.r_out))
     side = np.arange(-R, R + 1, dtype=np.int64)
     rest = np.stack(np.meshgrid(*[side] * (body.ambient - 1), indexing="ij"), axis=-1)

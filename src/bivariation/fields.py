@@ -104,18 +104,8 @@ class Field:
 
     def embed(self, box: Box) -> "Field":
         """Re-home onto a containing box (same mesh); new cells are zeros."""
-        if box.mesh != self.box.mesh or box.dim != self.box.dim:
-            raise ValueError("embedding requires the same mesh and dimension")
-        for o_new, o_old, e_new, e_old in zip(
-            box.origin, self.box.origin, box.extent, self.box.extent
-        ):
-            if o_new > o_old or o_new + e_new < o_old + e_old:
-                raise ValueError("target box does not contain the field's box")
+        sl = _embed_slices(box, self.box)
         out = np.zeros(box.extent)
-        sl = tuple(
-            slice(o_old - o_new, o_old - o_new + e_old)
-            for o_new, o_old, e_old in zip(box.origin, self.box.origin, self.box.extent)
-        )
         out[sl] = self.samples
         return Field(box, out)
 
@@ -127,6 +117,19 @@ class Field:
         lo = np.array([int(ax.min()) + o for ax, o in zip(nz, self.box.origin)])
         hi = np.array([int(ax.max()) + o for ax, o in zip(nz, self.box.origin)])
         return lo, hi
+
+
+def _embed_slices(outer: Box, inner: Box) -> tuple[slice, ...]:
+    """The slices of ``outer``'s sample array that ``inner``'s cells occupy;
+    raises ValueError unless ``outer`` contains ``inner`` at the same mesh
+    and dimension."""
+    if outer.mesh != inner.mesh or outer.dim != inner.dim:
+        raise ValueError("embedding requires the same mesh and dimension")
+    for o_new, o_old, e_new, e_old in zip(outer.origin, inner.origin, outer.extent, inner.extent):
+        if o_new > o_old or o_new + e_new < o_old + e_old:
+            raise ValueError("target box does not contain the field's box")
+    return tuple(slice(o_old - o_new, o_old - o_new + e_old)
+                 for o_new, o_old, e_old in zip(outer.origin, inner.origin, inner.extent))
 
 
 @dataclass(frozen=True)
@@ -142,12 +145,18 @@ class NormReport:
 
 def lp_norm(f: Field, p: float) -> float:
     """(sum |f|^p h^d)^(1/p); max |f| for p = inf.  Rejects p <= 0."""
+    return _lp_norm(f.samples, f.box.cell_volume, p)
+
+
+def _lp_norm(samples: np.ndarray, cell_volume: float, p: float) -> float:
+    """:func:`lp_norm` of the samples of a field whose cells have measure
+    ``cell_volume``."""
     if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
-    a = np.abs(f.samples)
+    a = np.abs(samples)
     if np.isinf(p):
         return float(a.max()) if a.size else 0.0
-    return float((np.sum(a**p) * f.box.cell_volume) ** (1.0 / p))
+    return float((np.sum(a**p) * cell_volume) ** (1.0 / p))
 
 
 def weak_lp_quasinorm(f: Field, p: float) -> float:

@@ -8,6 +8,7 @@ library versions are quarantined to the manifest.
 from __future__ import annotations
 
 import csv
+import itertools
 import time
 from contextvars import ContextVar
 from dataclasses import dataclass, fields
@@ -18,7 +19,7 @@ import numpy as np
 from .. import __version__
 from ..averages import CACHE_COUNTS, AvgRequest, TimeGrid, _field_values
 from ..bodies import ball, body_from_descriptor
-from ..cz import cz_certify, cz_decompose, format_cz_report
+from ..cz import _decompose_rows, cz_certify, format_cz_report
 from ..extremal import (
     LOWER_THRESHOLD,
     UPPER_THRESHOLD,
@@ -32,13 +33,13 @@ from ..extremal import (
 from ..dyadic import level_range
 from ..fields import Field, _bmo_rows, lp_norm, weak_lp_quasinorm
 from ..martingale import (
+    _domination_rows,
+    _domination_verdicts,
     _ladder_rows,
     _product_variation_checks,
     _tent_rows,
     _weighted_sums,
-    domination_check,
     paraproduct_telescope,
-    star_maximal,
     young_convolution_check,
 )
 from ..squarefn import long_variation_check, square_function
@@ -363,27 +364,47 @@ def _bilinear_maximal_sq(cfg: ExperimentConfig) -> RatioReport:
     against |h1 h2|^2 on the pairs whose product does not vanish."""
     box = standard_box(with_updates(cfg, grid=min(cfg.grid, 64)))
     cover = int(np.log2(max(box.extent)))
-    rows = []
-    for trial in range(cfg.trials):
+
+    def draw(trial):
         rng = trial_rng(cfg.seed, trial)
         n = int(rng.integers(1, min(5, cover) + 1))
         k = int(rng.integers(0, n))
         sparse = bool(rng.random() < 0.5)
         h1, h2 = random_measurable_pair(box, max(n - 1, 0), rng, sparse=sparse)
-        body = random_body(box.dim, rng)
-        rep = domination_check(body, h1, h2, n, k)
-        num = float(np.sum(rep.bound.samples**2)) * box.cell_volume
-        den = float(np.sum((h1.samples * h2.samples) ** 2)) * box.cell_volume
-        # the squared-maximal ratio is tracked on nondegenerate pairs only:
-        # disjoint-support pairs can have num > 0 with den = 0 (see the
-        # edge-case tests), which makes the tracked constant meaningless
-        ratio = num / den if den > 0.0 else np.nan
-        st = star_maximal(h1, n)
-        star_ok = float(np.sum(st.samples**2)) <= 3**box.dim * float(np.sum(h1.samples**2)) + 1e-9
-        rows.append((trial, n, k, body.kind, sparse, rep.max_excess, rep.holds, ratio, star_ok))
+        return trial, n, k, sparse, h1, h2, random_body(box.dim, rng)
+
+    rows = []
+    # a trial holds its two fields and its average, bound and star rows
+    for batch in _in_batches(map(draw, range(cfg.trials)), lambda _: 5 * box.cell_count):
+        rows += _domination_batch_rows(box, batch)
     # an infinite ratio makes the sup infinite, which fails the ceiling
     sup_ratio = max((r[7] for r in rows if not np.isnan(r[7])), default=0.0)
     return _report(cfg, "bilinear_maximal_sq", rows, sup_ratio)
+
+
+def _domination_batch_rows(box, batch: list[tuple]) -> list[tuple]:
+    """The CSV rows of drawn trials ``(trial, n, k, sparse, h1, h2, body)``,
+    each the bytes of a trial evaluated alone: one averaging call and one
+    stack of cube-value grids per level (docs/notes.md, note 13).  Each sum
+    reduces one row of a C-contiguous block, as ``np.sum`` of one field does."""
+    average, bound, star = _domination_rows([(body, h1, h2, n, k)
+                                             for _, n, k, _, h1, h2, body in batch])
+    _, max_excess, holds = _domination_verdicts(average, bound)
+    rows1 = np.stack([h1.samples.ravel() for *_, h1, _, _ in batch])
+    rows2 = np.stack([h2.samples.ravel() for *_, h2, _ in batch])
+    num = (np.sum(bound**2, axis=1) * box.cell_volume).tolist()
+    den = (np.sum((rows1 * rows2) ** 2, axis=1) * box.cell_volume).tolist()
+    star_sq = np.sum(star**2, axis=1).tolist()
+    h1_sq = np.sum(rows1**2, axis=1).tolist()
+    out = []
+    for i, (trial, n, k, sparse, _, _, body) in enumerate(batch):
+        # the squared-maximal ratio is tracked on nondegenerate pairs only:
+        # disjoint-support pairs can have num > 0 with den = 0 (see the
+        # edge-case tests), which makes the tracked constant meaningless
+        ratio = num[i] / den[i] if den[i] > 0.0 else np.nan
+        star_ok = star_sq[i] <= 3**box.dim * h1_sq[i] + 1e-9
+        out.append((trial, n, k, body.kind, sparse, max_excess[i], holds[i], ratio, star_ok))
+    return out
 
 
 def _suite_domination(cfg: ExperimentConfig, outdir: Path) -> bool:
@@ -487,19 +508,28 @@ def _suite_carleson(cfg: ExperimentConfig, outdir: Path) -> bool:
 # cz suite
 
 def _suite_cz(cfg: ExperimentConfig, outdir: Path) -> bool:
-    ok = True
     box = standard_box(cfg)
-    rows = []
-    report_text = None
-    for trial in range(cfg.trials):
+
+    def draw(trial):
+        """The trial's decompositions ``(trial, family, f, p_i, alpha)``, one
+        per p_i; the heights come from the stream, not from the results."""
         rng = trial_rng(cfg.seed, trial)
         f, _, fam, _ = random_pair(box, rng)
         if not np.any(f.samples):
-            continue
-        for p_i in (1.0, 1.5, 2.0):
-            height = float(rng.uniform(0.2, 2.0) * np.mean(np.abs(f.samples)[f.samples != 0]))
-            alpha = height ** (p_i / cfg.p)
-            out = cz_decompose(f, p_i, alpha, cfg.p)
+            return []
+        scale = np.mean(np.abs(f.samples)[f.samples != 0])
+        return [(trial, fam, f, p_i, float(rng.uniform(0.2, 2.0) * scale) ** (p_i / cfg.p))
+                for p_i in (1.0, 1.5, 2.0)]
+
+    ok = True
+    rows = []
+    report_text = None
+    draws = itertools.chain.from_iterable(map(draw, range(cfg.trials)))
+    # a decomposition holds its field on the root box, the good part, the
+    # power blocks and the pieces
+    for batch in _in_batches(draws, lambda _: 4 * box.cell_count):
+        outs = _decompose_rows([(f, p_i, alpha) for _, _, f, p_i, alpha in batch], cfg.p)
+        for (trial, fam, f, p_i, alpha), out in zip(batch, outs):
             cert = cz_certify(out, f)
             rows.append(
                 (trial, fam, p_i, alpha, len(out.bad_pieces), out.flagged, cert.all_pass)

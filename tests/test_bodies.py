@@ -111,6 +111,13 @@ def test_enumerate_rejects_bad_t():
         enumerate_lattice(ball(1), 0.0)
 
 
+@pytest.mark.parametrize("t", [float("inf"), float("nan"), -float("inf")])
+def test_enumerate_rejects_non_finite_t(t):
+    # an infinite scan box used to surface as OverflowError from int(ceil(t))
+    with pytest.raises(ValueError, match="t must be"):
+        enumerate_lattice(ball(1), t)
+
+
 def full_box_scan(body, t):
     # the scan the slabs replaced: the whole box at once, then a lexicographic sort
     R = int(np.ceil(t * body.r_out))

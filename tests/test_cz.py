@@ -287,12 +287,26 @@ def _oracle_certify(out, f):
     return CZCertificate(checks=checks, margins=margins)
 
 
+def _cube_box(cube, like):
+    return Box(like.dim, cube.corner(), (cube.side_cells,) * like.dim, like.mesh)
+
+
+def _on_root_box(out):
+    """``out`` with each piece on the root box, as the oracles store them."""
+    return replace(out, bad_pieces=tuple((c, piece.embed(out.good.box))
+                                         for c, piece in out.bad_pieces))
+
+
 def _assert_same_output(new, old):
+    """``new`` holds each piece on its cube's box, ``old`` on the root box."""
     assert new.good.box == old.good.box
     assert new.good.samples.tobytes() == old.good.samples.tobytes()
     assert [c for c, _ in new.bad_pieces] == [c for c, _ in old.bad_pieces]
-    for (_, a), (_, b) in zip(new.bad_pieces, old.bad_pieces):
+    for cube, piece in new.bad_pieces:
+        assert piece.box == _cube_box(cube, new.good.box)
+    for (_, a), (_, b) in zip(_on_root_box(new).bad_pieces, old.bad_pieces):
         assert a.samples.tobytes() == b.samples.tobytes()
+    assert new.bad.samples.tobytes() == old.bad.samples.tobytes()
     assert (new.flagged, new.root_level) == (old.flagged, old.root_level)
 
 
@@ -336,7 +350,13 @@ def cz_cases(draw):
 @example(_normal_case((0, 0), (64, 48), 0.37, 1.0, 1.0, depth=10, seed=1))
 def test_level_descent_matches_recursive_oracle(case):
     f, p_i, alpha, p = case
-    _assert_same_output(cz_decompose(f, p_i, alpha, p), _oracle_decompose(f, p_i, alpha, p))
+    out = cz_decompose(f, p_i, alpha, p)
+    _assert_same_output(out, _oracle_decompose(f, p_i, alpha, p))
+    # the certifier sums each piece as if stored on the root box: normal
+    # values show any other summation order in the margins' last bits
+    cert, oracle = cz_certify(out, f), _oracle_certify(_on_root_box(out), f)
+    assert list(cert.checks.items()) == list(oracle.checks.items())
+    assert list(cert.margins.items()) == list(oracle.margins.items())
 
 
 def _forgeries():
@@ -344,13 +364,14 @@ def _forgeries():
     out = cz_decompose(f, 1.0, 1.9, 1.0)
     (cube, piece), rest = out.bad_pieces[0], out.bad_pieces[1:]
     assert [c.corner() for c, _ in out.bad_pieces] == [(0,), (6,)]
-    leaked = piece.samples.copy()
+    # a piece may sit on any box inside the root box: this one leaks past its cube
+    leaked = piece.embed(out.good.box).samples.copy()
     leaked[3] = 1e-3
     children = [DyadicCube(cube.level - 1, (2 * cube.coords[0] + o,)) for o in (0, 1)]
     return f, out, {
         "duplicated": (out.bad_pieces + out.bad_pieces[:1],
                        {"i_reconstruction", "ii_disjoint_cubes", "vi_cube_mass"}),
-        "leaked": (((cube, Field(piece.box, leaked)),) + rest,
+        "leaked": (((cube, Field(out.good.box, leaked)),) + rest,
                    {"i_reconstruction", "iii_support", "iv_mean_zero"}),
         "scaled": (((cube, Field(piece.box, 1e3 * piece.samples)),) + rest,
                    {"i_reconstruction", "v_piece_size", "vii_bad_total"}),
@@ -365,7 +386,20 @@ def test_forged_certificates_fail_their_checks(kind):
     assert cz_certify(out, f).all_pass
     pieces, failing = forged[kind]
     bad_out = replace(out, bad_pieces=pieces)
-    cert, oracle = cz_certify(bad_out, f), _oracle_certify(bad_out, f)
+    cert, oracle = cz_certify(bad_out, f), _oracle_certify(_on_root_box(bad_out), f)
     assert {name for name, ok in cert.checks.items() if not ok} == failing
     assert list(cert.checks.items()) == list(oracle.checks.items())
     assert list(cert.margins.items()) == list(oracle.margins.items())
+
+
+def test_pieces_live_on_their_cubes_boxes():
+    f = line([3.0, 1.0, 0.0, 0.0, 0.0, 0.0, 2.5, 1.5])
+    out = cz_decompose(f, 1.0, 1.9, 1.0)
+    assert [p.box for _, p in out.bad_pieces] == [Box(1, (0,), (2,)), Box(1, (6,), (2,))]
+    assert [p.samples.tolist() for _, p in out.bad_pieces] == [[1.0, -1.0], [0.5, -0.5]]
+    assert out.bad.samples.tolist() == [1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.5, -0.5]
+    # a piece whose box leaves the root box cannot be summed on it
+    cube, piece = out.bad_pieces[0]
+    outside = Field(Box(1, (-2,), (4,)), np.ones(4))
+    with pytest.raises(ValueError):
+        cz_certify(replace(out, bad_pieces=((cube, outside),)), f)

@@ -1,11 +1,16 @@
-"""The identities and carleson suites evaluate their trials together, bit for bit.
+"""The identities, carleson, domination and cz suites evaluate their trials
+together, bit for bit.
 
 The projection ladder takes many fields at once (``martingale._ladder_rows``),
 ``paraproduct_telescope`` makes one averaging call for all of its pieces, and
 the suites draw their trials first and then make one ladder pass, one BMO
-scan and one q-variation DP per distinct length.  Each is held to the code it
+scan and one q-variation DP per distinct length.  The domination trials make
+one averaging call and one stack of cube-value grids per level, and the cz
+decompositions one level-wise descent.  Each is held to the code it
 replaced, copied below unchanged as an oracle: the one-field projection, the
-per-piece telescope and the per-trial suite loops (docs/notes.md, note 12).
+per-piece telescope, the per-field maximal functions, the per-root descent
+with root-box pieces, the choice-based trial generators and the per-trial
+suite loops (docs/notes.md, notes 12 and 13).
 """
 
 from unittest import mock
@@ -17,12 +22,26 @@ from hypothesis import strategies as st
 
 from bivariation import averages, martingale
 from bivariation.averages import avg_field
-from bivariation.dyadic import cell_cube_ids, level_range
+from bivariation.bodies import ball, cube, gamma_body
+from bivariation.cz import CZCertificate, CZOutput, MAX_ROOT_CELLS, format_cz_report
+from bivariation.dyadic import (
+    DyadicCube,
+    cell_cube_ids,
+    cells_by_cube,
+    covering_level,
+    cube_cell_values,
+    cube_slices,
+    level_range,
+    orthant_regions,
+)
 from bivariation.fields import Box, Field, bmo_dyadic_norm, lp_norm
 from bivariation.harness import suites
 from bivariation.harness.config import ExperimentConfig, with_updates
 from bivariation.harness.generators import (
+    FAMILIES,
     random_body,
+    random_field,
+    random_measurable_pair,
     random_pair,
     random_step_field,
     standard_box,
@@ -31,10 +50,18 @@ from bivariation.harness.generators import (
 from bivariation.martingale import (
     TELESCOPE_TOL,
     WEIGHTED_PAD_FACTOR,
+    MeasurabilityError,
+    _cube_value_grids,
     _ladder_rows,
+    _maximal_rows,
+    _neighbor_max,
+    bilinear_maximal,
     carleson_weighted_sum,
     cond_expect,
+    domination_check,
+    measurable_field,
     paraproduct_telescope,
+    star_maximal,
     young_convolution_check,
 )
 from bivariation.variation import sup_vs_variation_check, vq_exact, vq_value_batch
@@ -469,3 +496,445 @@ def test_values_at_matches_the_tuple_index(dim, batch, seed):
     got, want = f.values_at(lattice), oracle_values_at(f, lattice)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert same_bits(got, want)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the per-field maximal functions and the per-trial domination loop
+
+def oracle_cube_value_grid(f, level):
+    _, table, _ = cell_cube_ids(f.box, level)
+    order, starts = cells_by_cube(f.box, level)
+    vals = f.samples.ravel()[order]
+    vmax = np.maximum.reduceat(vals, starts)
+    spread = vmax - np.minimum.reduceat(vals, starts)
+    bad = np.nonzero(spread > 0.0)[0]
+    if bad.size:
+        c = bad[0]
+        raise MeasurabilityError(level, table[c], float(spread[c]))
+    return vmax.reshape(table[-1] - table[0] + 1)
+
+
+def oracle_neighbor_max(a):
+    padded = np.zeros(tuple(n + 2 for n in a.shape), dtype=a.dtype)
+    padded[(slice(1, -1),) * a.ndim] = a
+    out = np.zeros_like(a)
+    for shift in np.ndindex(*([3] * a.ndim)):
+        sl = tuple(slice(s, s + a.shape[ax]) for ax, s in enumerate(shift))
+        np.maximum(out, padded[sl], out=out)
+    return out
+
+
+def oracle_star_maximal(h, n):
+    ids, _, _ = cell_cube_ids(h.box, n - 1)
+    grid = oracle_neighbor_max(np.abs(oracle_cube_value_grid(h, n - 1)))
+    return Field(h.box, grid.ravel()[ids]).samples
+
+
+def oracle_bilinear_maximal(h1, h2, n):
+    level = n - 1
+    a1 = np.abs(oracle_cube_value_grid(h1, level))
+    a2 = np.abs(oracle_cube_value_grid(h2, level))
+    a = oracle_neighbor_max(oracle_neighbor_max(a1) * a2)
+    b = oracle_neighbor_max(a1 * oracle_neighbor_max(a2))
+    ids, _, _ = cell_cube_ids(h1.box, level)
+    return Field(h1.box, np.maximum(a, b).ravel()[ids]).samples
+
+
+def oracle_domination_check(body, h1, h2, n, k):
+    avg = avg_field(body, (2.0**k) * h1.box.mesh, h1, h2, "continuum_quadrature")
+    bound = oracle_bilinear_maximal(h1, h2, n)
+    excess = np.abs(avg.samples) - bound
+    max_excess = float(excess.max())
+    tol = 1e-12 * max(1.0, float(bound.max(initial=0.0)))
+    return float(np.abs(avg.samples).max()), max_excess, max_excess <= tol, bound
+
+
+def oracle_domination_rows(cfg):
+    box = standard_box(with_updates(cfg, grid=min(cfg.grid, 64)))
+    cover = int(np.log2(max(box.extent)))
+    rows = []
+    for trial in range(cfg.trials):
+        rng = trial_rng(cfg.seed, trial)
+        n = int(rng.integers(1, min(5, cover) + 1))
+        k = int(rng.integers(0, n))
+        sparse = bool(rng.random() < 0.5)
+        h1, h2 = random_measurable_pair(box, max(n - 1, 0), rng, sparse=sparse)
+        body = random_body(box.dim, rng)
+        _, max_excess, holds, bound = oracle_domination_check(body, h1, h2, n, k)
+        num = float(np.sum(bound**2)) * box.cell_volume
+        den = float(np.sum((h1.samples * h2.samples) ** 2)) * box.cell_volume
+        ratio = num / den if den > 0.0 else np.nan
+        st = oracle_star_maximal(h1, n)
+        star_ok = float(np.sum(st**2)) <= 3**box.dim * float(np.sum(h1.samples**2)) + 1e-9
+        rows.append((trial, n, k, body.kind, sparse, max_excess, holds, ratio, star_ok))
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the per-root descent with root-box pieces, its certifier, and the
+# per-trial cz loop
+
+def oracle_cube_lp_avg_pow(f, cube, p_i):
+    total = float(np.sum(np.abs(cube_cell_values(f, cube)) ** p_i)) * f.box.cell_volume
+    return total / cube.volume(f.box.mesh, f.box.dim)
+
+
+def oracle_descend(fr, root, p_i, threshold_pow, bounds):
+    d, mesh = fr.box.dim, fr.box.mesh
+    block = fr.samples[cube_slices(fr.box, root)]
+    lo = np.clip(bounds[0] - root.corner(), 0, root.side_cells)
+    hi = np.clip(bounds[1] + 1 - root.corner(), 0, root.side_cells)
+    window = tuple(slice(a, b) for a, b in zip(lo, hi))
+    pw = np.zeros(block.shape)
+    pw[window] = np.abs(block[window]) ** p_i
+    offsets = np.array(list(np.ndindex(*([2] * d))), dtype=np.int64)
+    active = np.zeros((1, d), dtype=np.int64)
+    selected = []
+    for level in range(root.level - 1, -1, -1):
+        if not len(active):
+            break
+        n, side = 1 << (root.level - level), 1 << level
+        cubes = pw.reshape((n, side) * d).transpose(*range(0, 2 * d, 2), *range(1, 2 * d, 2))
+        children = (2 * active[:, None, :] + offsets).reshape(-1, d)
+        rows = cubes[tuple(children.T)].reshape(len(children), -1)
+        avg = np.sum(rows, axis=-1) * fr.box.cell_volume / (side * mesh) ** d
+        above = avg > threshold_pow
+        corner = np.array(root.coords, dtype=np.int64) << (root.level - level)
+        selected += [DyadicCube(level, tuple(int(v) for v in c)) for c in children[above] + corner]
+        active = children[~above & (avg > 0.0)]
+    return selected
+
+
+def oracle_cz_decompose(f, p_i, alpha, p):
+    bounds = f.support_bounds()
+    threshold_pow = float(alpha ** p)
+    roots = []
+    flagged = False
+    for lo, hi in orthant_regions(*bounds):
+        level = covering_level(lo, hi)
+        root = DyadicCube(level, tuple(int(v) >> level for v in lo))
+        while oracle_cube_lp_avg_pow(f, root, p_i) > threshold_pow:
+            root = root.parent()
+            if root.side_cells ** f.box.dim > MAX_ROOT_CELLS:
+                flagged = True
+                break
+        roots.append(root)
+    root_level = max(r.level for r in roots)
+    out_lo = np.min([f.box.origin, *(r.corner() for r in roots)], axis=0)
+    out_hi = np.max([np.add(f.box.origin, f.box.extent),
+                     *(np.add(r.corner(), r.side_cells) for r in roots)], axis=0)
+    root_box = Box(f.box.dim, tuple(out_lo), tuple(out_hi - out_lo), f.box.mesh)
+    fr = f.embed(root_box)
+    if flagged:
+        selected = roots
+    else:
+        selected = [c for root in roots for c in oracle_descend(fr, root, p_i, threshold_pow, bounds)]
+    pieces = []
+    good = fr.samples.copy()
+    for cube in sorted(selected, key=lambda c: (c.level, c.coords)):
+        sl = cube_slices(root_box, cube)
+        mean = float(np.sum(fr.samples[sl].ravel())) * root_box.cell_volume
+        mean /= cube.volume(root_box.mesh, root_box.dim)
+        piece = np.zeros(root_box.extent)
+        piece[sl] = fr.samples[sl] - mean
+        good[sl] = mean
+        pieces.append((cube, Field(root_box, piece)))
+    return CZOutput(good=Field(root_box, good), bad_pieces=tuple(pieces), p_i=p_i,
+                    alpha=alpha, p=p, root_level=root_level, flagged=flagged)
+
+
+def oracle_cz_certify(out, f):
+    f = f.embed(out.good.box)
+    d = f.box.dim
+    p_i, alpha, p = out.p_i, out.alpha, out.p
+    height = float(alpha ** (p / p_i))
+    tol = 1e-12 * max(1.0, float(np.abs(f.samples).max()))
+    mean_tol = 1e-12 * max(1.0, lp_norm(f, 1.0))
+    c5 = 2.0 ** (d + p_i)
+    seen = np.zeros(f.box.extent, dtype=bool)
+    disjoint = supp_ok = mean_ok = ok5 = maximal = True
+    mean_worst = worst5 = total_q = 0.0
+    for cube, piece in out.bad_pieces:
+        sl, vol = cube_slices(f.box, cube), cube.volume(f.box.mesh, d)
+        disjoint &= not np.any(seen[sl])
+        seen[sl] = True
+        supp_ok &= np.count_nonzero(piece.samples) == np.count_nonzero(piece.samples[sl])
+        m = abs(float(np.sum(piece.samples)) * f.box.cell_volume)
+        mean_worst = max(mean_worst, m)
+        mean_ok &= not m > mean_tol
+        lhs = lp_norm(piece, p_i) ** p_i
+        rhs = c5 * (alpha**p) * vol
+        worst5 = max(worst5, lhs / rhs if rhs else np.inf)
+        ok5 &= not lhs > rhs * (1 + 1e-12)
+        total_q += vol
+        if cube.level < out.root_level:
+            maximal &= not oracle_cube_lp_avg_pow(f, cube.parent(), p_i) > alpha**p
+    total = np.zeros(out.good.box.extent)
+    for _, piece in out.bad_pieces:
+        total += piece.samples
+    bad = Field(out.good.box, total)
+    err = float(np.abs(out.good.samples + bad.samples - f.samples).max())
+    rhs6 = (alpha**-p) * lp_norm(f, p_i) ** p_i
+    lhs7, rhs7 = lp_norm(bad, p_i), 2.0 ** ((d + p_i) / p_i) * lp_norm(f, p_i)
+    lhs8a, rhs8a = lp_norm(out.good, p_i), lp_norm(f, p_i)
+    lhs8b, rhs8b = lp_norm(out.good, np.inf), 2.0 ** (d / p_i) * height
+    rows = [
+        ("i_reconstruction", err <= tol, err),
+        ("ii_disjoint_cubes", disjoint, 0.0),
+        ("iii_support", supp_ok, 0.0),
+        ("iv_mean_zero", mean_ok, mean_worst),
+        ("v_piece_size", ok5, worst5),
+        ("vi_cube_mass", total_q <= rhs6 * (1 + 1e-12), total_q / rhs6 if rhs6 else 0.0),
+        ("vii_bad_total", lhs7 <= rhs7 * (1 + 1e-12), lhs7 / rhs7 if rhs7 else 0.0),
+        ("viii_good_bounds", lhs8a <= rhs8a * (1 + 1e-12) and lhs8b <= rhs8b * (1 + 1e-12),
+         max(lhs8a / rhs8a if rhs8a else 0.0, lhs8b / rhs8b if rhs8b else 0.0)),
+        ("maximality", maximal or out.flagged, 0.0),
+    ]
+    return CZCertificate({name: ok for name, ok, _ in rows}, {name: m for name, _, m in rows})
+
+
+def oracle_cz_loop(cfg):
+    """(rows, report text, all passed) of the per-trial cz loop."""
+    ok = True
+    box = standard_box(cfg)
+    rows = []
+    report_text = None
+    for trial in range(cfg.trials):
+        rng = trial_rng(cfg.seed, trial)
+        f, _, fam, _ = random_pair(box, rng)
+        if not np.any(f.samples):
+            continue
+        for p_i in (1.0, 1.5, 2.0):
+            height = float(rng.uniform(0.2, 2.0) * np.mean(np.abs(f.samples)[f.samples != 0]))
+            alpha = height ** (p_i / cfg.p)
+            out = oracle_cz_decompose(f, p_i, alpha, cfg.p)
+            cert = oracle_cz_certify(out, f)
+            rows.append((trial, fam, p_i, alpha, len(out.bad_pieces), out.flagged, cert.all_pass))
+            ok &= cert.all_pass
+            if report_text is None:
+                report_text = format_cz_report(out, cert)
+    return rows, report_text, ok
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the choice-based trial generators
+
+def oracle_random_field(box, family, rng):
+    w = box.mesh * max(box.extent)
+    pos = np.meshgrid(*[ax * box.mesh for ax in box.lattice_axes()], indexing="ij")
+    vals = np.zeros(box.extent)
+    if family == "indicator":
+        for _ in range(rng.integers(1, 5)):
+            c = rng.choice([-2.0, -1.0, 1.0, 2.0])
+            lo = rng.uniform(0.0, w, size=box.dim)
+            hi = lo + rng.uniform(0.05 * w, 0.5 * w, size=box.dim)
+            mask = np.ones(box.extent, dtype=bool)
+            for ax in range(box.dim):
+                mask &= (pos[ax] >= lo[ax]) & (pos[ax] < hi[ax])
+            vals += c * mask
+    elif family == "trig":
+        for _ in range(4):
+            amp = rng.uniform(-1.0, 1.0)
+            freq = rng.integers(1, 9, size=box.dim)
+            phase = rng.uniform(0.0, 2 * np.pi)
+            arg = sum(2 * np.pi * freq[ax] * pos[ax] / w for ax in range(box.dim))
+            vals += amp * np.cos(arg + phase)
+    elif family == "spike":
+        width = w / 16.0
+        for _ in range(rng.integers(1, 4)):
+            amp = rng.uniform(3.0, 10.0) * rng.choice([-1.0, 1.0])
+            lo = rng.uniform(0.0, w - width, size=box.dim)
+            mask = np.ones(box.extent, dtype=bool)
+            for ax in range(box.dim):
+                mask &= (pos[ax] >= lo[ax]) & (pos[ax] < lo[ax] + width)
+            vals += amp * mask
+    return Field(box, vals)
+
+
+def oracle_random_pair(box, rng):
+    fam1, fam2 = rng.choice(FAMILIES, size=2)
+    return oracle_random_field(box, fam1, rng), oracle_random_field(box, fam2, rng), str(fam1), str(fam2)
+
+
+def oracle_random_body(d, rng):
+    kind = rng.choice(["ball", "cube", "gamma"])
+    if kind == "ball":
+        return ball(d)
+    if kind == "cube":
+        return cube(d)
+    while True:
+        g = rng.uniform(-1.5, 1.5, size=(2, 2))
+        if abs(np.linalg.det(g)) > 0.3:
+            return gamma_body(d, g)
+
+
+# ---------------------------------------------------------------------------
+# The stacked maximal functions
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([1, 2]),
+    st.integers(-40, 10),
+    st.integers(1, 40),
+    st.sampled_from([1.0, 0.37, 2.0]),
+    st.integers(0, 5),
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+)
+@example(1, -37, 40, 0.37, 5, 3, 1)  # a level whose cubes straddle the box's ends
+@example(2, -3, 9, 2.0, 0, 2, 2)  # level 0: one cube per cell
+def test_stacked_maximals_match_the_per_grid_functions(dim, origin, size, mesh, level, n, seed):
+    rng = np.random.default_rng(seed)
+    extent = (size,) if dim == 1 else (1 + size % 9, 1 + size // 5)
+    box = Box(dim, (origin,) * dim, extent[:dim], mesh)
+    ncubes = cell_cube_ids(box, level)[2]
+    vals = rng.normal(size=(2, n, ncubes))
+    vals[rng.random(size=vals.shape) < 0.3] = -0.0
+    h1s = [measurable_field(box, level, v) for v in vals[0]]
+    h2s = [measurable_field(box, level, v) for v in vals[1]]
+    rows1 = np.stack([h.samples.ravel() for h in h1s])
+    rows2 = np.stack([h.samples.ravel() for h in h2s])
+    grids = _cube_value_grids(box, rows1, level)
+    stacked = _neighbor_max(np.abs(grids))
+    bound, star = _maximal_rows(box, rows1, rows2, level)
+    assert bound.flags.c_contiguous and star.flags.c_contiguous
+    for i, (h1, h2) in enumerate(zip(h1s, h2s)):
+        grid = oracle_cube_value_grid(h1, level)
+        assert same_bits(grids[i], grid)
+        assert same_bits(stacked[i], oracle_neighbor_max(np.abs(grid)))
+        want_bound = oracle_bilinear_maximal(h1, h2, level + 1)
+        want_star = oracle_star_maximal(h1, level + 1)
+        assert same_bits(bound[i], want_bound.ravel())
+        assert same_bits(star[i], want_star.ravel())
+        assert same_bits(bilinear_maximal(h1, h2, level + 1).samples, want_bound)
+        assert same_bits(star_maximal(h1, level + 1).samples, want_star)
+
+
+def test_stacked_cube_values_raise_on_the_first_bad_row():
+    box = Box(1, (-3,), (12,), 0.37)
+    rng = np.random.default_rng(5)
+    rows = np.stack([measurable_field(box, 2, rng.normal(size=4)).samples for _ in range(4)])
+    rows[2, 5] += 1.0  # rows 2 and 3 are not level-2 measurable
+    rows[3, 0] += 1.0
+    with pytest.raises(MeasurabilityError) as got:
+        _cube_value_grids(box, rows, 2)
+    with pytest.raises(MeasurabilityError) as want:
+        oracle_cube_value_grid(Field(box, rows[2]), 2)
+    assert str(got.value) == str(want.value)
+    assert got.value.cube_coords == want.value.cube_coords
+
+
+def test_domination_check_is_the_one_trial_view():
+    box = Box(2, (-4, 2), (8, 6), 0.37)
+    rng = np.random.default_rng(8)
+    for n, k in ((1, 0), (2, 1), (3, 0), (3, 2)):
+        h1, h2 = random_measurable_pair(box, n - 1, rng, sparse=bool(n % 2))
+        body = random_body(2, rng)
+        rep = domination_check(body, h1, h2, n, k)
+        max_average, max_excess, holds, bound = oracle_domination_check(body, h1, h2, n, k)
+        assert (rep.max_average, rep.max_excess, rep.holds) == (max_average, max_excess, holds)
+        assert same_bits(rep.bound.samples, bound)
+    with pytest.raises(ValueError, match="need k < n"):
+        domination_check(body, h1, h2, 2, 2)
+
+
+# ---------------------------------------------------------------------------
+# The domination and cz suites against their per-trial loops
+
+def _counts(route):
+    """(result, CACHE_COUNTS deltas, memo keys) of ``route`` from an empty memo."""
+    averages._POINT_CACHE.clear()
+    before = dict(averages.CACHE_COUNTS)
+    try:
+        out = route()
+        keys = list(averages._POINT_CACHE)
+    finally:
+        averages._POINT_CACHE.clear()
+    return out, {key: averages.CACHE_COUNTS[key] - before[key] for key in before}, keys
+
+
+DOMINATION_HEADER = ["trial", "n", "k", "body", "sparse", "max_excess", "dominated", "sq_ratio",
+                     "star_l2_ok"]
+
+
+@pytest.mark.parametrize("seed, trials, grid, d", [
+    (0, 3, 64, 1), (1, 60, 64, 1), (6, 40, 16, 1), (2, 12, 8, 2), (3, 6, 16, 2),
+])
+def test_domination_rows_match_the_per_trial_loop(tmp_path, seed, trials, grid, d):
+    cfg = ExperimentConfig(suite="domination", grid=grid, d=d, trials=trials, seed=seed,
+                           out=str(tmp_path)).validate()
+    rows, counts, keys = _counts(lambda: oracle_domination_rows(cfg))
+    csv = _oracle_csv(tmp_path, "domination.csv", DOMINATION_HEADER, rows)
+    sup = max((r[7] for r in rows if not np.isnan(r[7])), default=0.0)
+    want = suites._report(cfg, "bilinear_maximal_sq", rows, sup)
+    status = 0 if want.passed and all(r[6] and r[8] for r in rows) else 1
+    for bound in BATCH_BOUNDS:
+        with mock.patch.object(suites, "_BATCH_VALUES", bound):
+            got, got_counts, got_keys = _counts(lambda: suites._bilinear_maximal_sq(cfg))
+            assert (repr(got.rows), got.max_ratio, got.passed) == (repr(rows), want.max_ratio,
+                                                                    want.passed)
+            assert (got_counts, got_keys) == (counts, keys), bound
+            assert _counts(lambda: suites.run_suite("domination", cfg))[0] == status
+        assert (tmp_path / "domination" / "domination.csv").read_bytes() == csv, bound
+
+
+@pytest.mark.parametrize("trials", [200, 1000])
+def test_domination_replays_the_loops_memo_lookups(trials):
+    # at 1000 trials the memo is cleared mid-run, at 256 entries
+    cfg = ExperimentConfig(suite="domination", trials=trials, seed=0).validate()
+    _, counts, keys = _counts(lambda: oracle_domination_rows(cfg))
+    for bound in (suites._BATCH_VALUES, 50_000):
+        with mock.patch.object(suites, "_BATCH_VALUES", bound):
+            _, got_counts, got_keys = _counts(lambda: suites._bilinear_maximal_sq(cfg))
+        assert (got_counts, got_keys) == (counts, keys), bound
+    assert counts["hits"] + counts["misses"] == trials
+    # more insertions than the memo holds: the run crosses a clear
+    assert (counts["misses"] > 256) == (trials == 1000)
+
+
+@pytest.mark.parametrize("seed, trials, grid, d", [
+    (0, 3, 64, 1), (1, 50, 64, 1), (5, 30, 256, 1), (9, 25, 32, 1), (2, 12, 8, 2), (4, 8, 32, 2),
+])
+def test_cz_rows_match_the_per_trial_loop(tmp_path, seed, trials, grid, d):
+    cfg = ExperimentConfig(suite="cz", grid=grid, d=d, trials=trials, seed=seed,
+                           out=str(tmp_path)).validate()
+    rows, report, ok = oracle_cz_loop(cfg)
+    csv = _oracle_csv(tmp_path, "cz.csv",
+                      ["trial", "family", "p_i", "alpha", "n_pieces", "flagged", "all_pass"], rows)
+    for bound in BATCH_BOUNDS:
+        with mock.patch.object(suites, "_BATCH_VALUES", bound):
+            assert suites.run_suite("cz", cfg) == (0 if ok else 1)
+        assert (tmp_path / "cz" / "cz_certificates.csv").read_bytes() == csv, bound
+        assert (tmp_path / "cz" / "cz_example_report.txt").read_text() == report, bound
+
+
+# ---------------------------------------------------------------------------
+# The trial generators against their choice-based draws
+
+GENERATOR_BOXES = [
+    Box(1, (0,), (64,), 1.0),
+    Box(1, (0,), (256,), 0.25),
+    Box(1, (-9,), (33,), 0.37),
+    Box(2, (0, 0), (16, 16), 4.0),
+    Box(2, (0, 0), (32, 32), 2.0),
+    Box(2, (-5, 3), (7, 12), 0.37),
+]
+
+
+@pytest.mark.parametrize("box", GENERATOR_BOXES, ids=str)
+def test_generators_match_the_choice_based_draws(box):
+    for seed in range(120):
+        got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        a, b = random_pair(box, got), oracle_random_pair(box, want)
+        assert a[2:] == b[2:] and type(a[2]) is type(b[2]) is str
+        assert same_bits(a[0].samples, b[0].samples) and same_bits(a[1].samples, b[1].samples)
+        for family in FAMILIES:
+            assert same_bits(random_field(box, family, got).samples,
+                             oracle_random_field(box, family, want).samples)
+        assert random_body(box.dim, got) == oracle_random_body(box.dim, want)
+        assert got.random() == want.random()  # the streams go on alike
+
+
+def test_random_field_rejects_unknown_families():
+    with pytest.raises(ValueError, match="unknown family"):
+        random_field(GENERATOR_BOXES[0], "sawtooth", np.random.default_rng(0))

@@ -242,9 +242,9 @@ def test_slices_build_each_repeated_scale_once():
         return tables, counts, list(averages._POINT_CACHE)
 
     try:
-        loop = run(lambda: [_slices(body, [T])[0] for T in Ts])
+        loop = run(lambda: [_slices([(body, T)])[0] for T in Ts])
         with mock.patch.object(averages, "slice_tables", counting):
-            batch = run(lambda: _slices(body, Ts))
+            batch = run(lambda: _slices([(body, T) for T in Ts]))
         assert sorted(built) == [3.0, 5.5, 7.25]
         assert loop[1] == batch[1] == {"hits": 5, "misses": 3}
         assert loop[2] == batch[2]
@@ -275,9 +275,9 @@ def test_slices_replay_the_loops_evictions():
         return counts, list(averages._POINT_CACHE)
 
     try:
-        loop = run(lambda: [_slices(body, [T]) for T in Ts])
+        loop = run(lambda: [_slices([(body, T)]) for T in Ts])
         with mock.patch.object(averages, "slice_tables", counting):
-            batch = run(lambda: _slices(body, Ts))
+            batch = run(lambda: _slices([(body, T) for T in Ts]))
         assert built == Ts[:-1]
         assert loop == batch
         assert loop[0] == {"hits": 0, "misses": 9}
