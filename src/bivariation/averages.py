@@ -40,8 +40,9 @@ __all__ = [
 MODES = ("continuum_quadrature", "lattice_counting")
 
 # values per block of an ordered sum, and at least one row; a _node_average fill
-# forms its block in pieces of at most this many products, and at least one cell
-# (docs/notes.md, note 4)
+# forms its block in pieces of at most this many products (four times as many
+# from its product table, which holds at most eight times as many), and at
+# least one cell (docs/notes.md, notes 4 and 14)
 _CHUNK_CELLS = 16_384
 
 
@@ -231,12 +232,67 @@ def _ordered_sum(n_rows: int, width: int, step: int, fill) -> np.ndarray:
     return buf[0]
 
 
+def _pairwise_sum(g: np.ndarray) -> np.ndarray:
+    """(batch, W) sums over axis 1 of a (batch, k, W) array, each value the
+    bits of ``np.sum`` of its k terms laid out as one contiguous run: numpy's
+    pairwise order, done with whole-row operations (docs/notes.md, note 4)."""
+    B, k, W = g.shape
+    j = 0
+    while k > 128 and k % 16 == 0:
+        # numpy splits a long run at half its length, rounded down to a
+        # multiple of 8; an even split is summed as twice as many half runs
+        k //= 2
+        j += 1
+    g = g.reshape(B << j, k, W)
+    if k > 128:
+        n2 = k // 2 - k // 2 % 8
+        acc = np.add(_pairwise_sum(g[:, :n2]), _pairwise_sum(g[:, n2:]))
+    elif k < 8:  # added in order from +0.0
+        acc = g[:, 0] + 0.0
+        for i in range(1, k):
+            acc += g[:, i]
+    else:
+        # eight running sums, term i into sum i % 8 (the reduction over the
+        # slow axis of a C-contiguous block adds row after row), added as
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in order
+        k8 = k - k % 8
+        r = np.add.reduce(g[:, :k8].reshape(B << j, k8 // 8, 8 * W), axis=1).reshape(-1, W)
+        if k8 == k:
+            return _add_pairs(r, 3 + j)
+        acc = _add_pairs(r, 3)
+        for i in range(k8, k):
+            acc += g[:, i]
+    return _add_pairs(acc, j)
+
+
+def _add_pairs(x: np.ndarray, levels: int) -> np.ndarray:
+    """Rows 2i and 2i + 1 added, ``levels`` times over."""
+    for _ in range(levels):
+        x = np.add(x[0::2], x[1::2])
+    return x
+
+
+def _product_table(p1: np.ndarray, p2: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """(len(delta), p1.size) table whose row r is ``p1[z] * p2[z - delta[r]]``,
+    zero where ``z - delta[r]`` is off ``p2``; built in blocks of rows, so its
+    scratch is one block."""
+    D = int(np.abs(delta).max())
+    q = np.zeros(p2.size + 2 * D)
+    q[D : D + p2.size] = p2
+    shifted = _windows(q, p1.size)
+    table = np.empty((delta.size, p1.size))
+    step = max(1, _CHUNK_CELLS // p1.size)
+    for r0 in range(0, delta.size, step):
+        np.multiply(p1, shifted[D - delta[r0 : r0 + step]], out=table[r0 : r0 + step])
+    return table
+
+
 def _node_average(a1, a2, y1, y2, run: int, extend: str = "constant") -> np.ndarray:
     """Mean over the integer offset pairs ``(y1[i], y2[i])`` of ``a1(x + y1)
     a2(x + y2)`` at every cell x, flattened; the arrays are extended by zeros
     (``extend="constant"``) or periodically (``"wrap"``).  Each run of ``run``
     consecutive nodes is summed pairwise per cell, and the runs are added in
-    order (docs/notes.md, note 4)."""
+    order (docs/notes.md, notes 4 and 14)."""
     ext = np.asarray(a1.shape)
     # a coordinate past the extent reads only the extension from every cell,
     # so its class modulo the extent (wrap) or the extent itself (zeros) reads
@@ -252,30 +308,51 @@ def _node_average(a1, a2, y1, y2, run: int, extend: str = "constant") -> np.ndar
     inner = a1.shape[-1]
     starts = (np.indices(a1.shape[:-1] + (1,)).reshape(a1.ndim, -1).T + R) @ strides
     off1, off2, n = y1 @ strides, y2 @ strides, len(y1)
+    del y1, y2  # the clamped copies; the offsets are all the fill reads
+    # a node reads p2 at its p1 read minus delta = off1 - off2, so nodes with
+    # one delta share their products: one table row per distinct delta, in
+    # increasing order, when the table fits (docs/notes.md, note 14)
+    delta = off1 - off2
+    lo = int(delta.min())
+    seen = np.zeros(int(delta.max()) - lo + 1, dtype=bool)
+    seen[delta - lo] = True
+    table = np.count_nonzero(seen) * p1.size <= 8 * _CHUNK_CELLS
+    if table:
+        prods = _product_table(p1, p2, np.flatnonzero(seen) + lo).ravel()
+        off1 = (np.cumsum(seen)[delta - lo] - 1) * p1.size + off1
+        piece = 4 * _CHUNK_CELLS
+    else:
+        piece = _CHUNK_CELLS
 
     def fill(start, stop, out):
         # one row per run; a short last run is alone in its block
         rows = stop - start
         nodes = slice(start * run, stop * run)
-        o1, o2 = off1[nodes], off2[nodes]
-        k = o1.size // rows
-        # pieces of at most _CHUNK_CELLS products and at least one cell: cw
-        # cells of one line, or lw whole lines when a line fits
-        cw = max(1, min(inner, _CHUNK_CELLS // (rows * k)))
-        lw = max(1, _CHUNK_CELLS // (rows * k * inner))
+        k = off1[nodes].size // rows
+        # (k, rows, 1): node j of every run of the block leads
+        o1 = off1[nodes].reshape(rows, k).T[:, :, None]
+        o2 = off2[nodes].reshape(rows, k).T[:, :, None]
+        # pieces of at most `piece` products and at least one cell: cw cells
+        # of one line, or lw whole lines when a line fits
+        cw = max(1, min(inner, piece // (rows * k)))
+        lw = max(1, piece // (rows * k * inner))
         out = out.reshape(rows, len(starts), inner)
         for l0 in range(0, len(starts), lw):
-            s = starts[l0 : l0 + lw, None]
+            s = starts[l0 : l0 + lw]
             for c0 in range(0, inner, cw):
                 c1 = min(c0 + cw, inner)
-                # row j of a window view is p[c0 + j : c1 + j], so each (line, node)
-                # pair is one copy of c1 - c0 consecutive values
-                g = _windows(p1[c0:], c1 - c0)[s + o1]
-                g *= _windows(p2[c0:], c1 - c0)[s + o2]
-                # C-contiguous with the run last, so each cell's run is summed
-                # pairwise in the order a (cells, run) block is
-                g = np.ascontiguousarray(g.reshape(len(s), rows, k, c1 - c0).transpose(1, 0, 3, 2))
-                np.sum(g, axis=-1, out=out[:, l0 : l0 + len(s), c0:c1])
+                # row j of a window view is p[c0 + j : c1 + j], so each (node,
+                # run, line) is one copy of c1 - c0 consecutive values
+                if table:
+                    g = _windows(prods[c0:], c1 - c0)[s + o1]
+                else:
+                    g = _windows(p1[c0:], c1 - c0)[s + o1]
+                    g *= _windows(p2[c0:], c1 - c0)[s + o2]
+                dst = out[:, l0 : l0 + len(s), c0:c1]
+                if k == 1:  # a run of one node sums to its product
+                    dst[...] = g[0]
+                else:
+                    dst[...] = _pairwise_sum(g.reshape(1, k, -1)).reshape(dst.shape)
 
     step = max(1, _CHUNK_CELLS // (a1.size * run)) if n % run == 0 else 1
     return _ordered_sum(-(-n // run), a1.size, step, fill) / n
@@ -487,7 +564,7 @@ def dtt_avg_field(lam: np.ndarray, t: float, f1: Field, f2: Field) -> Field:
 
 def dtt_avg_via_body(lam: np.ndarray, t: float, f1: Field, f2: Field, x) -> float:
     """Same average through the equivalent convex-body route with the inverse matrix."""
-    L = np.asarray(lam, dtype=np.float64).reshape(2, 2)
+    L = _dtt_matrix(lam, t, f1, f2)
     body = gamma_body(f1.box.dim, np.linalg.inv(L))
     # the normalized body's dilate at (raw_scale * t) is the raw body's dilate at t
     return avg_at(AvgRequest(body, t * body.raw_scale, f1, f2, "continuum_quadrature"), x)

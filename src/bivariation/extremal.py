@@ -344,11 +344,20 @@ def ergodic_avg_profile(
         raise ValueError("torus sample arrays must share a shape")
     if body.d != f1.ndim or f1.ndim != 1:
         raise ValueError("body dimension does not match the torus (the profile needs d = 1)")
+    if f1.size == 0:
+        raise ValueError("torus sample arrays must not be empty")
+    if not t > 0:
+        raise ValueError("t must be positive")
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
+    # a non-finite shift would round to INT64_MIN, which is 0 modulo m
+    beta = float(np.asarray(beta, dtype=np.float64).reshape(1)[0])
+    if not math.isfinite(beta):
+        raise ValueError("beta must be finite")
     m = f1.size
     h = default_rotation_mesh(t) if quad_mesh is None else float(quad_mesh)
     if not (h > 0 and math.isfinite(h)):
         raise ValueError("quadrature mesh must be positive and finite")
-    beta = float(np.asarray(beta, dtype=np.float64).reshape(1)[0])
     pts = enumerate_lattice(body, t / h).points
     if len(pts) == 0:
         raise ValueError(f"no quadrature nodes at t={t}")

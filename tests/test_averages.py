@@ -490,6 +490,25 @@ def test_dtt_field_rejects_d2():
         dtt_avg_field(np.eye(2), 2.0, f, f)
 
 
+@pytest.mark.parametrize("lam, t, message", [
+    ([[1.0, 2.0], [2.0, 4.0]], 1.0, "matrix must be nonsingular"),
+    ([[np.nan, 0.0], [0.0, 1.0]], 2.0, "matrix entries must be finite"),
+    ([[1.0, 0.0], [np.inf, 1.0]], 2.0, "matrix entries must be finite"),
+    (np.eye(2), 0.0, "t must be positive"),
+    (np.eye(2), np.nan, "t must be positive"),
+    (np.eye(2), np.inf, "t must be finite"),
+])
+def test_dtt_routes_raise_the_same_errors(lam, t, message):
+    # the body route once raised LinAlgError for a singular matrix, and a
+    # gamma_body radius error for a NaN entry
+    f = Field(wide_box(), np.ones(33))
+    for route in (dtt_avg, dtt_avg_via_body):
+        with pytest.raises(ValueError, match=message):
+            route(lam, t, f, f, [0])
+    with pytest.raises(ValueError, match=message):
+        dtt_avg_field(lam, t, f, f)
+
+
 def test_dtt_field_matches_pointwise():
     box = wide_box(65)
     rng = np.random.default_rng(10)

@@ -400,6 +400,27 @@ def test_profile_rejects_bad_quad_mesh(quad_mesh):
         ergodic_avg_profile([0.3], f, f, ball(1), 2.0, quad_mesh=quad_mesh)
 
 
+@pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+def test_profile_rejects_non_finite_beta(beta):
+    # rint(nan) cast to int64 is INT64_MIN, 0 modulo m: the beta = 0 profile f1 * f2
+    f = np.arange(8.0)
+    with pytest.raises(ValueError, match="beta must be finite"):
+        ergodic_avg_profile([beta], f, f, ball(1), 2.0)
+
+
+@pytest.mark.parametrize("t, message", [(np.inf, "t must be finite"), (np.nan, "t must be positive")])
+def test_profile_rejects_non_finite_t(t, message):
+    f = np.ones(8)
+    with pytest.raises(ValueError, match=message):
+        ergodic_avg_profile([0.3], f, f, ball(1), t)
+
+
+def test_profile_rejects_an_empty_torus():
+    f = np.ones(0)
+    with pytest.raises(ValueError, match="torus sample arrays must not be empty"):
+        ergodic_avg_profile([0.3], f, f, ball(1), 2.0)
+
+
 @pytest.mark.parametrize("d_body, shape", [(2, (8,)), (1, (8, 8)), (2, (8, 8))])
 def test_profile_rejects_other_than_d1(d_body, shape):
     f = np.ones(shape)

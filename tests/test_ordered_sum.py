@@ -1,7 +1,8 @@
 """The two summation kernels and their callers, bit for bit.
 
-``_ordered_sum`` is checked against a plain ``acc += row`` loop, and the
-node-table kernel ``_node_average`` against a plain per-node loop.  Each
+``_ordered_sum`` is checked against a plain ``acc += row`` loop, its run sums
+``_pairwise_sum`` against ``np.sum`` of contiguous runs, and the node-table
+kernel ``_node_average`` against a plain per-node loop.  Each
 caller is checked against the loop it replaced, copied below unchanged as an
 oracle: the d = 1 sliced kernel (``_ordered_sum``'s other caller), and the
 three callers of ``_node_average``: the d >= 2 gather, ``dtt_avg_field`` and
@@ -26,6 +27,7 @@ from bivariation.averages import (
     TimeGrid,
     _node_average,
     _ordered_sum,
+    _pairwise_sum,
     _points,
     avg_field,
     avg_field_sweep,
@@ -197,6 +199,26 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def offset_table(kind, rng, n, run, reach, d):
+    """(y1, y2): n nodes uniform in [-reach, reach] (``"random"``), or a table
+    whose nodes share their differences as the callers' tables do:
+    ``rint(L u)`` over a run x run u-grid in u1-major order, as
+    ``dtt_avg_field`` builds it (``"linear"``), or rounded multiples of one
+    irrational shift over the integer points of a square, as
+    ``ergodic_avg_profile`` builds it (``"rotation"``)."""
+    if kind == "random":
+        return tuple(rng.integers(-reach, reach + 1, size=(n, d)) for _ in "12")
+    if kind == "linear":
+        j = np.arange(run) - run // 2
+        u1, u2 = (u.reshape(-1, 1) for u in np.meshgrid(j, j, indexing="ij"))
+        L = rng.uniform(-1.0, 1.0, size=(2, 2, d)) * max(reach, 1) / max(run // 2, 1)
+        return tuple(np.rint(M[0] * u1 + M[1] * u2).astype(np.int64) for M in L)
+    r = max(1, int(np.sqrt(n)) // 2)
+    p1, p2 = (p.reshape(-1, 1) for p in np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1)))
+    shift = np.sqrt(2.0) * max(reach, 1) * np.ones(d)
+    return tuple(np.rint(shift * p).astype(np.int64) for p in (p1, p2))
+
+
 def peak_bytes(fn) -> int:
     """Peak traced allocation while ``fn()`` runs."""
     tracemalloc.start()
@@ -264,6 +286,21 @@ def test_ordered_sum_is_sequential_for_one_column():
     assert same_bits(_ordered_sum(col.size, 1, 64, fill), [acc])
 
 
+@pytest.mark.parametrize("width", [1, 2, 1000])
+@pytest.mark.parametrize("k", [*range(1, 10), 15, 16, 17, 127, 128, 129, 255, 256, 257,
+                               1023, 1024, 1025, 2100])
+def test_pairwise_sum_matches_np_sum_of_contiguous_runs(k, width):
+    # the guard on numpy's pairwise block: 8 running sums up to 128 terms,
+    # halved at multiples of 8 above
+    batch = 1 if width == 1000 else 3
+    rng = np.random.default_rng(k * 10_000 + width)
+    g = rng.normal(size=(batch, k, width)) * 10.0 ** rng.integers(-8, 9, size=(batch, k, width))
+    g[rng.random(g.shape) < 0.1] = -0.0
+    g[0, :, 0] = -0.0  # a run of negative zeros sums to +0.0
+    runs = np.ascontiguousarray(g.transpose(0, 2, 1))
+    assert same_bits(_pairwise_sum(g), np.sum(runs, axis=-1))
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from([(1,), (6,), (17,), (1, 5), (3, 4), (2, 3, 4)]),
@@ -273,26 +310,34 @@ def test_ordered_sum_is_sequential_for_one_column():
     st.one_of(st.integers(0, 8), st.integers(9, 60), st.just(10**6)),
     st.sampled_from([_CHUNK_CELLS, 40, 7]),
     st.integers(0, 2**32 - 1),
+    st.sampled_from(["random", "linear", "rotation"]),
 )
-@example((6,), 24, 4, "constant", 3, 48, 0)  # blocks of two full runs of 4 nodes
-@example((3, 4), 23, 5, "constant", 2, _CHUNK_CELLS, 1)  # d = 2, a short last run
-@example((1,), 23, 5, "constant", 1, _CHUNK_CELLS, 2)  # one cell, a short last run
-@example((7,), 30, 3, "wrap", 50, 40, 3)  # wrap, offsets past the extent
-@example((3, 4), 40, 10, "wrap", 9, 60, 4)  # wrap in d = 2, several runs per block
-@example((17,), 60, 12, "constant", 10**6, _CHUNK_CELLS, 5)  # offsets far past the extent
-@example((3, 4), 30, 4, "constant", 10**6, _CHUNK_CELLS, 6)
-@example((3, 4), 30, 4, "wrap", 10**6, _CHUNK_CELLS, 7)
-@example((17,), 120, 50, "constant", 9, 40, 8)  # a run longer than the chunk: one-cell pieces
-@example((17,), 60, 12, "wrap", 9, 40, 9)  # pieces of 3 cells, a short last piece
-@example((3, 5), 120, 50, "constant", 4, 40, 10)  # d = 2, each line cut into one-cell pieces
-@example((2, 3, 4), 40, 8, "constant", 3, _CHUNK_CELLS, 11)  # all six lines in one piece
-@example((2, 3, 4), 24, 2, "wrap", 3, 40, 12)  # pieces of five whole lines, then one
-@example((8, 8), 2100, 1024, "constant", 6, _CHUNK_CELLS, 13)  # sweep_d2: run 1024, short last run
-def test_node_average_matches_per_node_loop(shape, n, run, extend, reach, chunk, seed):
+@example((6,), 24, 4, "constant", 3, 48, 0, "random")  # blocks of two full runs of 4 nodes
+@example((3, 4), 23, 5, "constant", 2, _CHUNK_CELLS, 1, "random")  # d = 2, a short last run
+@example((1,), 23, 5, "constant", 1, _CHUNK_CELLS, 2, "random")  # one cell, a short last run
+@example((7,), 30, 3, "wrap", 50, 40, 3, "random")  # wrap, offsets past the extent
+@example((3, 4), 40, 10, "wrap", 9, 60, 4, "random")  # wrap in d = 2, several runs per block
+@example((17,), 60, 12, "constant", 10**6, _CHUNK_CELLS, 5, "random")  # offsets far past the extent
+@example((3, 4), 30, 4, "constant", 10**6, _CHUNK_CELLS, 6, "random")
+@example((3, 4), 30, 4, "wrap", 10**6, _CHUNK_CELLS, 7, "random")
+@example((17,), 120, 50, "constant", 9, 40, 8, "random")  # a run longer than the chunk: one-cell pieces
+@example((17,), 60, 12, "wrap", 9, 40, 9, "random")  # pieces of 3 cells, a short last piece
+@example((3, 5), 120, 50, "constant", 4, 40, 10, "random")  # d = 2, each line cut into one-cell pieces
+@example((2, 3, 4), 40, 8, "constant", 3, _CHUNK_CELLS, 11, "random")  # all six lines in one piece
+@example((2, 3, 4), 24, 2, "wrap", 3, 40, 12, "random")  # pieces of five whole lines, then one
+@example((8, 8), 2100, 1024, "constant", 6, _CHUNK_CELLS, 13, "random")  # sweep_d2: run 1024, short last run
+# tables whose nodes share their differences: the product table is built
+# (145 rows for 2025 nodes), or, with _CHUNK_CELLS at 7, does not fit
+@example((64,), 1, 45, "constant", 40, _CHUNK_CELLS, 14, "linear")  # dtt_avg_field: run J = 45
+@example((64,), 1, 45, "constant", 40, 7, 15, "linear")
+@example((24,), 150, 1, "wrap", 30, _CHUNK_CELLS, 16, "rotation")  # ergodic_avg_profile: run 1
+@example((24,), 150, 1, "wrap", 30, 7, 16, "rotation")
+@example((3, 4), 1, 6, "constant", 5, _CHUNK_CELLS, 17, "linear")  # d = 2, a table of 21 rows
+def test_node_average_matches_per_node_loop(shape, n, run, extend, reach, chunk, seed, kind):
     rng = np.random.default_rng(seed)
     a1, a2 = (rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape) for _ in "12")
     a1.flat[0] = -0.0
-    y1, y2 = (rng.integers(-reach, reach + 1, size=(n, len(shape))) for _ in "12")
+    y1, y2 = offset_table(kind, rng, n, run, reach, len(shape))
     with mock.patch.object(averages, "_CHUNK_CELLS", chunk):
         got = _node_average(a1, a2, y1, y2, run, extend)
     assert same_bits(got, oracle_node_average(a1, a2, y1, y2, run, extend))
@@ -311,6 +356,9 @@ def test_node_average_scratch_stays_within_the_chunk():
     f1, f2 = (Field(box, rng.normal(size=512)) for _ in "12")
     L = np.array([[1.0, 0.4], [-0.3, 0.9]])
     assert peak_bytes(lambda: dtt_avg_field(L, 2.25 * 2.0**0.9, f1, f2)) < 2_000_000
+    # the ergodic suite's largest scale: m = 64 at t = 16, run 1
+    g1, g2 = (rng.normal(size=64) for _ in "12")
+    assert peak_bytes(lambda: ergodic_avg_profile([2.0**0.5], g1, g2, ball(1), 16.0)) < 2_000_000
 
 
 # ---------------------------------------------------------------------------
