@@ -160,22 +160,18 @@ def _points(body: ConvexBody, T: float) -> np.ndarray:
 
 def _slices(keys) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The slice table of every ``(body, T)`` in ``keys``.  The tables the memo
-    lacks are built by one ``slice_tables`` call per body, each distinct scale
-    once; then each key is looked up in turn as a one-scale call would, so
-    the memo and ``CACHE_COUNTS`` end as after a loop of one-scale calls
-    (docs/notes.md, notes 9, 11 and 13)."""
+    lacks are built by one ``slice_tables`` call, each distinct key once,
+    whatever their bodies; then each key is looked up in turn as a one-key
+    call would, so the memo and ``CACHE_COUNTS`` end as after a loop of
+    one-key calls (docs/notes.md, notes 9, 11 and 13)."""
     keys = [(body, float(T), "slices") for body, T in keys]
     found = [_POINT_CACHE.get(key) for key in keys]
     if None in found:
-        missing = {}  # per body, its missing keys in order of first need
-        for key, v in zip(keys, found):
-            if v is None:
-                missing.setdefault(key[0], {})[key] = None
-        built = {}
-        for body, ks in missing.items():
-            built.update(zip(ks, slice_tables(body, [key[1] for key in ks])))
+        # the missing keys in order of first need
+        missing = list(dict.fromkeys(key for key, v in zip(keys, found) if v is None))
+        built = dict(zip(missing, slice_tables([key[:2] for key in missing])))
         found = [built[key] if v is None else v for key, v in zip(keys, found)]
-    # a table found above and evicted by an earlier scale's insertion is a
+    # a table found above and evicted by an earlier key's insertion is a
     # miss here, as in the loop, and goes back in unchanged
     return [_cached(key, lambda v=v: v) for key, v in zip(keys, found)]
 
@@ -409,8 +405,9 @@ def _sliced_values(reqs: list[AvgRequest], x: int, width: int) -> np.ndarray:
     per distinct (body, scale), whose columns are the points of every request
     with that body and scale.  A row is read as whole windows of f1 extended
     by zeros and of the f2 prefix sums extended by their end values, so it
-    holds the values a clipped gather reads.  Each field pair has one row of each extension,
-    built once for the largest reach (docs/notes.md, notes 4, 9 and 11).
+    holds the values a clipped gather reads.  Each field pair has one segment
+    of each extension, built once for the largest reach of its requests
+    (docs/notes.md, notes 4, 9 and 11).
     """
     req = reqs[0]
     n = req.f1.box.extent[0]
@@ -426,30 +423,42 @@ def _sliced_values(reqs: list[AvgRequest], x: int, width: int) -> np.ndarray:
     if req.sign < 0:
         # f1 is read at x - k, and the window of f2 is x - [lo, hi]
         scales = [(cols, -ks, -hi, -lo) for cols, ks, lo, hi in scales]
-    # every offset read (k, lo, hi + 1) is less than R in size, so one point
-    # below -R or above n + R - 1 reads only the extensions; clamping it there
-    # reads the same values and keeps the arrays O(n + R), not O(|x|) (the
-    # whole box starts at 0, which the clamp leaves alone).  The ks are
-    # monotone and lo <= hi, so the ends of ks, min(lo) and max(hi) bound them.
-    R = max(max(abs(int(k[0])), abs(int(k[-1])), 1 - int(lo.min()), int(hi.max()) + 1)
-            for _, k, lo, hi in scales) + 1
-    E = 2 * R  # extension on each side; box index i is array index i + E
-    # one extension row per field pair, in order of first use; the pairs are
-    # told apart by identity, which only decides what is shared
+    # every offset read (k, lo, hi + 1) of a scale is less than its reach R
+    # in size, so one point below -R or above n + R - 1 reads only the
+    # extensions; clamping it there reads the same values and keeps the
+    # arrays O(n + R), not O(|x|).  The ks are monotone and lo <= hi, so the
+    # ends of ks, min(lo) and max(hi) bound them.
+    reach = [max(abs(int(k[0])), abs(int(k[-1])), 1 - int(lo.min()), int(hi.max()) + 1) + 1
+             for _, k, lo, hi in scales]
+    # one extension segment per field pair, in order of first use, sized for
+    # the largest reach of its requests; the pairs are told apart by
+    # identity, which only decides what is shared
     pair = {}
     col_pair = [pair.setdefault((id(r.f1), id(r.f2)), (len(pair), r.f1, r.f2))[0] for r in reqs]
-    L = n + 2 * E + 1  # one row of either extension; every read stays in its row
-    ext1 = np.zeros((len(pair), L))
-    extp = np.zeros((len(pair), L))
-    for p, f1, f2 in pair.values():
-        ext1[p, E : E + n] = f1.samples
-        np.cumsum(f2.samples, out=extp[p, E + 1 : E + n + 1])
-        extp[p, E + n + 1 :] = extp[p, E + n]
+    R = [0] * len(pair)
+    for (cols, *_), r in zip(scales, reach):
+        for i in cols:
+            R[col_pair[i]] = max(R[col_pair[i]], r)
+    # per pair: where its segment starts, the extension E on each side that
+    # keeps every read inside the segment, and the first point's clamped
+    # shift from the box origin; box index i is array index start + E + i
+    segments, size = [], 0
+    for r in R:
+        shift = min(max(int(x) - req.f1.box.origin[0], -r), n + r - width)
+        E = r + max(0, -shift, shift + width - n)
+        segments.append((size, E, shift))
+        size += n + 2 * E + 1
+    ext1 = np.zeros(size)
+    extp = np.zeros(size)
+    for (_, f1, f2), (start, E, _) in zip(pair.values(), segments):
+        a = start + E
+        ext1[a : a + n] = f1.samples
+        np.cumsum(f2.samples, out=extp[a + 1 : a + n + 1])
+        extp[a + n + 1 : a + n + E + 1] = extp[a + n]
     f1w = _windows(ext1, width)
     pw = _windows(extp, width)
-    off = min(max(int(x) - req.f1.box.origin[0], -R), n + R - width) + E
     # each request reads its pair's windows from its own origin
-    origin = [p * L + off for p in col_pair]
+    origin = [sum(segments[p]) for p in col_pair]
 
     values = np.empty((len(reqs), width))
     for (cols, k1, lo, hi), count in zip(scales, counts):

@@ -33,7 +33,6 @@ __all__ = [
     "shell",
     "symmetric_difference_volume",
     "boundary_cube_count",
-    "slice_table",
     "slice_tables",
     "body_from_descriptor",
     "spot_check",
@@ -97,8 +96,7 @@ class CubeBody(ConvexBody):
     kind = "cube"
 
     def contains_dilated(self, points, t):
-        p = np.asarray(points, dtype=np.float64)
-        return np.max(np.abs(p), axis=1) <= self.r_in * t
+        return _cube_contains(points, self.r_in, t)
 
 
 @dataclass(frozen=True)
@@ -114,13 +112,7 @@ class GammaBody(ConvexBody):
     raw_scale: float = 1.0
 
     def contains_dilated(self, points, t):
-        p = np.asarray(points, dtype=np.float64)
-        y1, y2 = p[:, : self.d], p[:, self.d :]
-        ok = np.ones(len(p), dtype=bool)
-        for w1, w2 in self.rows:
-            v = w1 * y1 + w2 * y2
-            ok &= np.einsum("ij,ij->i", v, v) < t * t
-        return ok
+        return _gamma_contains(points, self.rows, t)
 
 
 @dataclass(frozen=True)
@@ -143,6 +135,31 @@ class CustomBody(ConvexBody):
     def contains_dilated(self, points, t):
         p = np.asarray(points, dtype=np.float64)
         return np.asarray(self.predicate(p / np.reshape(t, (-1, 1))), dtype=bool)
+
+
+# The cube and gamma membership tests, with the body's parameters given once
+# for every point or once per point: the stacked slice-table passes test each
+# row against its own body (docs/notes.md, note 9)
+
+def _cube_contains(points, r_in, t) -> np.ndarray:
+    """Membership of points (n, 2d) in the closed cube dilate of inner radius
+    ``r_in`` at ``t``; each is one value, or an (n,) array."""
+    p = np.asarray(points, dtype=np.float64)
+    return np.max(np.abs(p), axis=1) <= r_in * t
+
+
+def _gamma_contains(points, rows, t) -> np.ndarray:
+    """Membership of points (n, 2d) in the strict gamma dilate at ``t`` whose
+    coefficient rows are ``rows``, pairs (w1, w2): each w and t is one value,
+    or one per point (w as an (n, 1) array, t as an (n,) array)."""
+    p = np.asarray(points, dtype=np.float64)
+    d = p.shape[1] // 2
+    y1, y2 = p[:, :d], p[:, d:]
+    ok = np.ones(len(p), dtype=bool)
+    for w1, w2 in rows:
+        v = w1 * y1 + w2 * y2
+        ok &= np.einsum("ij,ij->i", v, v) < t * t
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -435,67 +452,114 @@ def _linear_rows(body: ConvexBody):
 # ---------------------------------------------------------------------------
 # One-dimensional slices (d = 1 only): {m : (k, m) in G_t} is an integer interval
 
-_TABLE_ROWS = 1 << 12  # stacked rows of one slice_tables pass; bounds its scratch memory
+_TABLE_ROWS = 1 << 12  # stacked rows of one slice-table pass; bounds its scratch memory
 
 
-def slice_table(body: ConvexBody, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every nonempty slice of G_t for d = 1 at once, as int64 arrays (ks, lo, hi).
+def slice_tables(keys) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The d = 1 slice table of G_t for every ``(body, t)`` in ``keys``, as
+    int64 arrays (ks, lo, hi), one table per key.
 
-    Row i is the integer interval [lo[i], hi[i]] of the k = ks[i] slice, with
-    ks increasing.  Candidate bounds come from per-kind closed forms and are
-    corrected by unit steps against the body's own membership test, all rows
-    stepping together, so slice sums agree exactly with pointwise enumeration.
+    Row i of a table is the integer interval [lo[i], hi[i]] of the k = ks[i]
+    slice, one row per nonempty slice, with ks increasing.  Candidate bounds
+    come from per-kind closed forms and are corrected by unit steps against
+    the body's own membership test, so slice sums agree exactly with
+    pointwise enumeration.  The rows of many keys are stacked, each carrying
+    its own scale and its own body's parameters, and step together: all ball
+    keys share their passes, all cube keys, and all gamma keys with as many
+    coefficient rows; any other body has passes of its own.  A pass stacks
+    at most ``_TABLE_ROWS`` rows, or one key.  Each row goes through the
+    arithmetic and membership tests of a one-key build, so each table is its
+    one-key table exactly (docs/notes.md, note 9).
     """
-    return slice_tables(body, [t])[0]
+    keys = [(body, float(t)) for body, t in keys]
+    if any(body.d != 1 for body, _ in keys):
+        raise ValueError("slice_tables requires d = 1")
+    stacks = {}  # the positions of the keys of each stack, in key order
+    for i, (body, _) in enumerate(keys):
+        stacks.setdefault(_stack_of(body), []).append(i)
+    tables = [None] * len(keys)
+    for at in stacks.values():
+        for i, table in zip(at, _stacked_tables([keys[i] for i in at])):
+            tables[i] = table
+    return tables
 
 
-def slice_tables(body: ConvexBody, ts) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``slice_table(body, t)`` for every scale t in ``ts``, built in few passes.
+def _stack_of(body: ConvexBody):
+    """Bodies with one value here share stacked passes: the ball test reads
+    no parameter, and the cube and gamma tests read theirs per row."""
+    kind = type(body)
+    if kind is GammaBody:
+        return kind, len(body.rows)
+    return kind if kind in (Ball, CubeBody) else body
 
-    The rows of the scales are stacked, each carrying its own scale, so the
-    closed-form candidates and the unit-step fixups run once over every row
-    of a pass; a pass stacks at most ``_TABLE_ROWS`` rows, or one scale.
-    Each row goes through the arithmetic and membership tests of a one-scale
-    build, so each table is the one-scale table exactly (docs/notes.md, note 9).
-    """
-    if body.d != 1:
-        raise ValueError("slice_table requires d = 1")
-    if len(ts) == 0:
-        return []
-    Ks = [int(np.ceil(t * body.r_out)) for t in ts]
-    sizes = [2 * K + 1 for K in Ks]
-    if len(ts) > 1 and sum(sizes) > _TABLE_ROWS:
+
+def _stacked_tables(keys):
+    """The tables of keys of one stack, in passes of at most ``_TABLE_ROWS``
+    rows, or one key."""
+    sizes = [2 * int(np.ceil(t * body.r_out)) + 1 for body, t in keys]
+    if len(keys) > 1 and sum(sizes) > _TABLE_ROWS:
         # no row reads another, so the tables do not depend on the split
-        half = len(ts) // 2
-        return slice_tables(body, ts[:half]) + slice_tables(body, ts[half:])
-    ks = np.concatenate([np.arange(-K, K + 1, dtype=np.int64) for K in Ks])
+        half = len(keys) // 2
+        return _stacked_tables(keys[:half]) + _stacked_tables(keys[half:])
+    return _table_pass(keys, sizes)
+
+
+def _table_pass(keys, sizes):
+    """One stacked pass: rows k = -K..K of each key, ``sizes[i] = 2K + 1``."""
+    body = keys[0][0]
+    ks = np.concatenate([np.arange(-(s // 2), s // 2 + 1, dtype=np.int64) for s in sizes])
     kf = ks.astype(np.float64)
-    t = np.repeat(np.asarray(ts, dtype=np.float64), sizes)  # each row's scale
+    t = np.repeat(np.array([t for _, t in keys]), sizes)  # each row's scale
+    # the parameters of each row's body: given once when the pass has one
+    # body, else one per row
+    one = all(b == body for b, _ in keys)
+    # the linear kinds' constraints (a1, a2): |a1 k + a2 m| < t for a gamma
+    # body, a1 k + a2 m <= t for a half-space list
+    if isinstance(body, GammaBody):
+        lines = body.rows if one else [
+            tuple(np.repeat(a, sizes) for a in zip(*line))
+            for line in zip(*(b.rows for b, _ in keys))
+        ]
+    else:
+        lines = body.halfspaces if isinstance(body, PolytopeBody) else ()
     if isinstance(body, (Ball, CubeBody)):
         # symmetric candidates [-M, M]; M = -1 marks a row the body misses
         if isinstance(body, Ball):
             r2 = t * t - kf * kf
             M = np.where(r2 >= 0, np.floor(np.sqrt(np.abs(r2))), -1.0)
         else:
-            h = body.r_in * t
+            r_in = body.r_in if one else np.repeat([b.r_in for b, _ in keys], sizes)
+            h = r_in * t
             M = np.where(np.abs(kf) <= h, np.floor(h), -1.0)
         lo, hi = -M.astype(np.int64), M.astype(np.int64)
     else:
         lo_f, hi_f = -t, t
-        linear = _linear_rows(body)
-        for a1, a2 in linear[0] if linear is not None else ():
-            if a2 != 0.0:
+        for a1, a2 in lines:
+            # a row whose a2 is 0 takes no bound from the constraint
+            with np.errstate(divide="ignore", invalid="ignore"):
                 b1, b2 = (-t - a1 * kf) / a2, (t - a1 * kf) / a2
-                lo_f = np.maximum(lo_f, np.minimum(b1, b2))
-                hi_f = np.minimum(hi_f, np.maximum(b1, b2))
+            slanted = np.not_equal(a2, 0.0)
+            lo_f = np.where(slanted, np.maximum(lo_f, np.minimum(b1, b2)), lo_f)
+            hi_f = np.where(slanted, np.minimum(hi_f, np.maximum(b1, b2)), hi_f)
         lo = np.floor(lo_f).astype(np.int64) - 1
         hi = np.ceil(hi_f).astype(np.int64) + 1
+
+    if one or isinstance(body, Ball):  # the ball test reads no parameter
+        def member(pts, rows):
+            return body.contains_dilated(pts, t[rows])
+    elif isinstance(body, CubeBody):
+        def member(pts, rows):
+            return _cube_contains(pts, r_in[rows], t[rows])
+    else:  # gamma bodies with as many coefficient rows
+        def member(pts, rows):
+            return _gamma_contains(pts, [(a1[rows, None], a2[rows, None]) for a1, a2 in lines],
+                                   t[rows])
 
     def inside(rows, m):
         pts = np.empty((len(rows), 2))  # np.stack here took about 14% of a build
         pts[:, 0] = kf[rows]
         pts[:, 1] = m
-        return body.contains_dilated(pts, t[rows])
+        return member(pts, rows)
 
     def step_while(rows, m, delta, test):
         # m[i] += delta while test holds at m[i], for every row at once
@@ -512,7 +576,7 @@ def slice_tables(body: ConvexBody, ts) -> list[tuple[np.ndarray, np.ndarray, np.
     rows = np.flatnonzero(lo <= hi)
     lo = step_while(rows, lo[rows], -1, lambda r, m: inside(r, m - 1))
     hi = step_while(rows, hi[rows], 1, lambda r, m: inside(r, m + 1))
-    # the kept rows of each scale, still in stacking order
+    # the kept rows of each key, still in stacking order
     ends = np.searchsorted(rows, np.cumsum(sizes)).tolist()
     ks = ks[rows]
     return [(ks[a:b], lo[a:b], hi[a:b]) for a, b in zip([0, *ends], ends)]

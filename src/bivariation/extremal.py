@@ -328,6 +328,33 @@ def default_rotation_mesh(t: float) -> float:
     return float(2.0 ** min(j, 0))
 
 
+def _torus_samples(f1, f2, body: ConvexBody, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """The torus sample arrays as floats, after checking them against each
+    other and the body, and checking the scale."""
+    f1 = np.asarray(f1, dtype=np.float64)
+    f2 = np.asarray(f2, dtype=np.float64)
+    if f1.shape != f2.shape:
+        raise ValueError("torus sample arrays must share a shape")
+    if body.d != f1.ndim:
+        raise ValueError("body dimension does not match the torus")
+    if f1.size == 0:
+        raise ValueError("torus sample arrays must not be empty")
+    if not t > 0:
+        raise ValueError("t must be positive")
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
+    return f1, f2
+
+
+def _finite_shift(v, d: int, name: str) -> np.ndarray:
+    """``v`` as d finite floats: a non-finite shift would round to INT64_MIN,
+    which is 0 modulo m, and answer silently."""
+    v = np.asarray(v, dtype=np.float64).reshape(d)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite")
+    return v
+
+
 def ergodic_avg_profile(
     beta, f1: np.ndarray, f2: np.ndarray, body: ConvexBody, t: float,
     quad_mesh: float | None = None,
@@ -338,22 +365,10 @@ def ergodic_avg_profile(
     whole profile by a fixed number of grid cells, so the average is a mean of
     rolled sample products, one row per node.
     """
-    f1 = np.asarray(f1, dtype=np.float64)
-    f2 = np.asarray(f2, dtype=np.float64)
-    if f1.shape != f2.shape:
-        raise ValueError("torus sample arrays must share a shape")
-    if body.d != f1.ndim or f1.ndim != 1:
+    f1, f2 = _torus_samples(f1, f2, body, t)
+    if f1.ndim != 1:
         raise ValueError("body dimension does not match the torus (the profile needs d = 1)")
-    if f1.size == 0:
-        raise ValueError("torus sample arrays must not be empty")
-    if not t > 0:
-        raise ValueError("t must be positive")
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    # a non-finite shift would round to INT64_MIN, which is 0 modulo m
-    beta = float(np.asarray(beta, dtype=np.float64).reshape(1)[0])
-    if not math.isfinite(beta):
-        raise ValueError("beta must be finite")
+    beta = float(_finite_shift(beta, 1, "beta")[0])
     m = f1.size
     h = default_rotation_mesh(t) if quad_mesh is None else float(quad_mesh)
     if not (h > 0 and math.isfinite(h)):
@@ -376,19 +391,14 @@ def ergodic_bilinear_avg(
     ``f1, f2`` are samples on the uniform m^d torus grid (nearest-node
     evaluation); the quadrature mesh defaults to the torus mesh 1/m.
     """
-    f1 = np.asarray(f1, dtype=np.float64)
-    f2 = np.asarray(f2, dtype=np.float64)
-    if f1.shape != f2.shape:
-        raise ValueError("torus sample arrays must share a shape")
+    f1, f2 = _torus_samples(f1, f2, body, t)
     d = f1.ndim
-    if body.d != d:
-        raise ValueError("body dimension does not match the torus")
     m = f1.shape[0]
     h = 1.0 / m if quad_mesh is None else float(quad_mesh)
-    if h <= 0 or abs(round(1.0 / h) - 1.0 / h) > 1e-9:
+    if not (h > 0 and math.isfinite(h)) or abs(round(1.0 / h) - 1.0 / h) > 1e-9:
         raise ValueError("quadrature mesh must divide 1")
-    beta = np.asarray(beta, dtype=np.float64).reshape(d)
-    omega = np.asarray(omega, dtype=np.float64).reshape(d)
+    beta = _finite_shift(beta, d, "beta")
+    omega = _finite_shift(omega, d, "omega")
     pts = enumerate_lattice(body, t / h).points
     if len(pts) == 0:
         raise ValueError(f"no quadrature nodes at t={t}")

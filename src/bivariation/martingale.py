@@ -309,41 +309,71 @@ def paraproduct_telescope(
     ``piece(E_(l-1)f1, E_(l-1)f2) - piece(E_j f1, E_j f2)
       = sum_(n=l..j) [piece(d_(1,n), E_(n-1)f2) + piece(E_n f1, d_(2,n))]``
     and reports the two boundary magnitudes (the coarse one decays as j grows;
-    the fine one stabilizes once l reaches the cell level).
+    the fine one stabilizes once l reaches the cell level).  The one-trial
+    view of :func:`_telescope_rows`.
     """
-    if l > j:
-        raise ValueError("need l <= j")
-    if l < 1:
-        raise ValueError("need l >= 1 so that E_(l-1) is defined")
-    if f1.box != f2.box:
-        raise ValueError("fields must share one box")
-    box = f1.box
-    # e[i] holds E_(l-1+i) f1 and E_(l-1+i) f2, from one ladder
-    e = _ladder_rows(box, np.stack([f1.samples.ravel(), f2.samples.ravel()]), range(l - 1, j + 1))
-    # the piece operands: the fine and coarse boundaries, then per level n
-    # (d_(1,n), E_(n-1) f2) and (E_n f1, d_(2,n)), in the order rhs adds them
-    ops = [(e[0][0], e[0][1]), (e[-1][0], e[-1][1])]
-    for m in range(1, len(e)):  # e[m] = E_(l-1+m)
-        ops.append((e[m - 1][0] - e[m][0], e[m - 1][1]))
-        ops.append((e[m][0], e[m - 1][1] - e[m][1]))
-    a, b = np.stack([u for u, _ in ops]), np.stack([v for _, v in ops])
-    # every piece shares the body and the scale: one averaging call, whose
-    # rows are the bytes of one-piece calls (docs/notes.md, notes 11 and 12)
-    t = float((2.0**k) * box.mesh)
-    averages = _field_values([AvgRequest(body, t, Field(box, u), Field(box, v)) for u, v in ops])
-    pieces = averages - _product_rows(box, a, b, [k])[0]
-    fine, coarse = pieces[0], pieces[1]
-    lhs = fine - coarse
-    rhs = np.zeros_like(lhs)
-    for p in pieces[2:]:
-        rhs += p
-    residual = float(np.abs(lhs - rhs).max())
-    return TelescopeReport(
-        residual_max=residual,
-        fine_boundary_max=float(np.abs(fine).max()),
-        coarse_boundary_max=float(np.abs(coarse).max()),
-        holds=residual < TELESCOPE_TOL,
-    )
+    return _telescope_rows([(f1, f2, body, k, l, j)])[0]
+
+
+def _telescope_rows(trials) -> list[TelescopeReport]:
+    """The report of every trial ``(f1, f2, body, k, l, j)`` on one box, each
+    the bytes of a lone ``paraproduct_telescope``: one ladder over every
+    field, one averaging call for every piece of every trial, its memo
+    lookups in trial order, and one level-k product ladder per distinct k
+    (docs/notes.md, note 12)."""
+    box = trials[0][0].box
+    for f1, f2, _, _, l, j in trials:
+        if l > j:
+            raise ValueError("need l <= j")
+        if l < 1:
+            raise ValueError("need l >= 1 so that E_(l-1) is defined")
+        if f1.box != box or f2.box != box:
+            raise ValueError("fields must share one box")
+    n = len(trials)
+    base = min(l for *_, l, _ in trials) - 1
+    # e[m][i] is E_(base+m) of trial i's f1, and e[m][n + i] of its f2
+    rows = np.stack([t[i].samples.ravel() for i in (0, 1) for t in trials])
+    e = _ladder_rows(box, rows, range(base, max(j for *_, j in trials) + 1))
+    # the piece operands of each trial: the fine and coarse boundaries, then
+    # per level (d_(1,n), E_(n-1) f2) and (E_n f1, d_(2,n)), in the order rhs adds them
+    reqs, ks = [], []
+    for i, (_, _, body, k, l, j) in enumerate(trials):
+        e1 = [e[m - base][i] for m in range(l - 1, j + 1)]
+        e2 = [e[m - base][n + i] for m in range(l - 1, j + 1)]
+        ops = [(e1[0], e2[0]), (e1[-1], e2[-1])]
+        for m in range(1, len(e1)):
+            ops.append((e1[m - 1] - e1[m], e2[m - 1]))
+            ops.append((e1[m], e2[m - 1] - e2[m]))
+        # the pieces share the body and the scale of their trial
+        t = float((2.0**k) * box.mesh)
+        reqs += [AvgRequest(body, t, Field(box, u), Field(box, v)) for u, v in ops]
+        ks += [k] * len(ops)
+    del e, e1, e2, ops  # the operands live on in the pieces' fields
+    # one averaging call, whose rows are the bytes of one-piece calls
+    # (docs/notes.md, notes 11 and 12)
+    pieces = _field_values(reqs)
+    ks = np.array(ks)
+    for k in np.unique(ks).tolist():
+        at = np.flatnonzero(ks == k)
+        a = np.stack([reqs[i].f1.samples.ravel() for i in at])
+        b = np.stack([reqs[i].f2.samples.ravel() for i in at])
+        pieces[at] -= _product_rows(box, a, b, [k])[0]
+    reports, first = [], 0
+    for *_, l, j in trials:
+        fine, coarse, *rest = pieces[first : first + 2 * (j - l + 2)]
+        first += 2 * (j - l + 2)
+        lhs = fine - coarse
+        rhs = np.zeros_like(lhs)
+        for p in rest:
+            rhs += p
+        residual = float(np.abs(lhs - rhs).max())
+        reports.append(TelescopeReport(
+            residual_max=residual,
+            fine_boundary_max=float(np.abs(fine).max()),
+            coarse_boundary_max=float(np.abs(coarse).max()),
+            holds=residual < TELESCOPE_TOL,
+        ))
+    return reports
 
 
 # ---------------------------------------------------------------------------

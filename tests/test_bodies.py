@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 
 from bivariation import bodies
 from bivariation.bodies import (
+    Ball,
+    CubeBody,
     CustomBody,
+    GammaBody,
     ball,
     body_from_descriptor,
     boundary_cube_count,
@@ -18,7 +21,6 @@ from bivariation.bodies import (
     normalize,
     polytope_body,
     shell,
-    slice_table,
     slice_tables,
     spot_check,
     symmetric_difference_volume,
@@ -312,7 +314,7 @@ def test_slice_interval_matches_enumeration(maker):
     rng = np.random.default_rng(6)
     # random scales, integers, and scales a rounding step either side of lattice radii
     for t in [*rng.uniform(0.5, 9.0, size=20), 1.0, 2.0, 7.0, *NEAR_RADII[:6]]:
-        assert_table_matches_enumeration(body, t, slice_table(body, t))
+        assert_table_matches_enumeration(body, t, slice_tables([(body, t)])[0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -323,22 +325,155 @@ def test_slice_interval_matches_enumeration(maker):
 @example(len(SLICE_BODIES) - 1, [7.3, 30.0, 0.5])  # rows with gaps, scales out of order
 def test_slice_tables_match_one_scale_tables(which, ts):
     body = SLICE_BODIES[which]
-    tables = slice_tables(body, ts)
+    tables = slice_tables([(body, t) for t in ts])
     assert len(tables) == len(ts)
     # passes of at most 5 stacked rows split every list, down to one scale a pass
     with mock.patch.object(bodies, "_TABLE_ROWS", 5):
-        split = slice_tables(body, ts)
+        split = slice_tables([(body, t) for t in ts])
     for table, other in zip(tables, split):
         assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(table, other))
     for t, table in zip(ts, tables):
-        one = slice_table(body, t)
+        one = slice_tables([(body, t)])[0]
         assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(table, one))
         assert_table_matches_enumeration(body, t, table)
 
 
+# every kind stacks with another of its kind: two cubes of other inner radii,
+# two balls and four gamma bodies; the last gamma body and the square have
+# constraints with a2 = 0
+STACK_BODIES = SLICE_BODIES + [
+    gamma_body(1, [[0.7, -1.2], [1.1, 0.4]]),
+    gamma_body(1, [[1.0, 0.0], [0.0, 1.0]]),
+    CubeBody(d=1, r_in=0.4),
+    Ball(d=1, r_in=0.5),
+    polytope_body(1, [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+]
+
+
+def oracle_contains_dilated(body, points, t):
+    """The per-body cube and gamma membership tests the per-row tests replaced."""
+    p = np.asarray(points, dtype=np.float64)
+    if type(body) is CubeBody:
+        return np.max(np.abs(p), axis=1) <= body.r_in * t
+    if type(body) is GammaBody:
+        y1, y2 = p[:, : body.d], p[:, body.d :]
+        ok = np.ones(len(p), dtype=bool)
+        for w1, w2 in body.rows:
+            v = w1 * y1 + w2 * y2
+            ok &= np.einsum("ij,ij->i", v, v) < t * t
+        return ok
+    return body.contains_dilated(p, t)
+
+
+def oracle_slice_tables(body, ts):
+    """The one-body build the stacked passes replaced, with the per-body
+    membership tests."""
+    if body.d != 1:
+        raise ValueError("slice_table requires d = 1")
+    if len(ts) == 0:
+        return []
+    Ks = [int(np.ceil(t * body.r_out)) for t in ts]
+    sizes = [2 * K + 1 for K in Ks]
+    if len(ts) > 1 and sum(sizes) > bodies._TABLE_ROWS:
+        half = len(ts) // 2
+        return oracle_slice_tables(body, ts[:half]) + oracle_slice_tables(body, ts[half:])
+    ks = np.concatenate([np.arange(-K, K + 1, dtype=np.int64) for K in Ks])
+    kf = ks.astype(np.float64)
+    t = np.repeat(np.asarray(ts, dtype=np.float64), sizes)
+    if isinstance(body, (Ball, CubeBody)):
+        if isinstance(body, Ball):
+            r2 = t * t - kf * kf
+            M = np.where(r2 >= 0, np.floor(np.sqrt(np.abs(r2))), -1.0)
+        else:
+            h = body.r_in * t
+            M = np.where(np.abs(kf) <= h, np.floor(h), -1.0)
+        lo, hi = -M.astype(np.int64), M.astype(np.int64)
+    else:
+        lo_f, hi_f = -t, t
+        linear = bodies._linear_rows(body)
+        for a1, a2 in linear[0] if linear is not None else ():
+            if a2 != 0.0:
+                b1, b2 = (-t - a1 * kf) / a2, (t - a1 * kf) / a2
+                lo_f = np.maximum(lo_f, np.minimum(b1, b2))
+                hi_f = np.minimum(hi_f, np.maximum(b1, b2))
+        lo = np.floor(lo_f).astype(np.int64) - 1
+        hi = np.ceil(hi_f).astype(np.int64) + 1
+
+    def inside(rows, m):
+        pts = np.empty((len(rows), 2))
+        pts[:, 0] = kf[rows]
+        pts[:, 1] = m
+        return oracle_contains_dilated(body, pts, t[rows])
+
+    def step_while(rows, m, delta, test):
+        active = np.ones(len(rows), dtype=bool)
+        while active.any():
+            active[active] = test(rows[active], m[active])
+            m[active] += delta
+        return m
+
+    rows = np.arange(len(ks))
+    lo = step_while(rows, lo, 1, lambda r, m: (m <= hi[r]) & ~inside(r, m))
+    hi = step_while(rows, hi, -1, lambda r, m: (m >= lo[r]) & ~inside(r, m))
+    rows = np.flatnonzero(lo <= hi)
+    lo = step_while(rows, lo[rows], -1, lambda r, m: inside(r, m - 1))
+    hi = step_while(rows, hi[rows], 1, lambda r, m: inside(r, m + 1))
+    ends = np.searchsorted(rows, np.cumsum(sizes)).tolist()
+    ks = ks[rows]
+    return [(ks[a:b], lo[a:b], hi[a:b]) for a, b in zip([0, *ends], ends)]
+
+
+def same_table(a, b) -> bool:
+    return all(u.dtype == v.dtype and u.tobytes() == v.tobytes() for u, v in zip(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(
+    st.tuples(st.integers(0, len(STACK_BODIES) - 1),
+              st.one_of(st.floats(0.3, 12.0), st.sampled_from(NEAR_RADII))),
+    max_size=14,
+))
+@example([(i, 7.3) for i in range(len(STACK_BODIES))])  # one key of every body
+# constraints with a2 = 0 whose line a1 k = t holds the slice k = 3, where
+# the bound the constraint does not give would be 0 / 0
+@example([(11, 3.0 * STACK_BODIES[11].halfspaces[0][0]), (8, 3.0 * STACK_BODIES[8].rows[0][0]),
+          (2, 3.0)])
+@example([(6, 30.0), (2, 0.5), (6, 7.3), (7, 3.0), (2, 9.5), (8, 2.0), (6, 0.5)])  # gamma rows with gaps
+def test_stacked_passes_match_one_key_tables(picks):
+    keys = [(STACK_BODIES[i], t) for i, t in picks]
+    tables = slice_tables(keys)
+    assert len(tables) == len(keys)
+    # passes of at most 5 stacked rows split every list across body boundaries
+    with mock.patch.object(bodies, "_TABLE_ROWS", 5):
+        split = slice_tables(keys)
+    for (body, t), table, other in zip(keys, tables, split):
+        want = oracle_slice_tables(body, [t])[0]
+        assert same_table(table, want) and same_table(other, want)
+        assert same_table(slice_tables([(body, t)])[0], want)
+
+
+@pytest.mark.parametrize("body", [
+    cube(1),
+    CubeBody(d=1, r_in=0.4),
+    cube(2),
+    gamma_body(1, [[1.0, 0.4], [-0.3, 0.9]]),
+    gamma_body(1, [[1.0, 0.0], [0.0, 1.0]]),
+    gamma_body(2, [[1.0, 0.3], [-0.2, 0.9]]),
+    GammaBody(d=1, r_in=1.0),  # no coefficient rows: every point is inside
+], ids=lambda b: f"{type(b).__name__}-d{b.d}")
+def test_cube_and_gamma_membership_match_the_per_body_tests(body):
+    rng = np.random.default_rng(4)
+    pts = rng.integers(-4, 5, size=(400, body.ambient)).astype(np.float64)
+    ts = rng.choice([0.5, 1.0, np.sqrt(2.0), 2.0, 3.0, np.sqrt(8.0), *NEAR_RADII], size=len(pts))
+    for t in (ts, 3.0, NEAR_RADII[1]):
+        got = body.contains_dilated(pts, t)
+        assert got.dtype == bool
+        assert np.array_equal(got, oracle_contains_dilated(body, pts, t))
+
+
 def test_slice_tables_require_d1():
     with pytest.raises(ValueError, match="requires d = 1"):
-        slice_tables(ball(2), [1.0])
+        slice_tables([(ball(1), 1.0), (ball(2), 1.0)])
 
 
 @pytest.mark.parametrize("body", [

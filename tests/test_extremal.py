@@ -384,6 +384,14 @@ def test_rotation_mesh_must_divide_one():
         ergodic_bilinear_avg([0.5], f, f, ball(1), 1.0, [0.0], quad_mesh=0.3)
 
 
+@pytest.mark.parametrize("quad_mesh", [0.0, -0.5, np.nan, np.inf])
+def test_rotation_average_rejects_bad_quad_mesh(quad_mesh):
+    # inf read as a zero scale ("t must be positive"); nan failed in round()
+    f = np.ones(8)
+    with pytest.raises(ValueError, match="quadrature mesh must divide 1"):
+        ergodic_bilinear_avg([0.5], f, f, ball(1), 1.0, [0.0], quad_mesh=quad_mesh)
+
+
 @pytest.mark.parametrize("t", [0.0, -1.0])
 def test_rotation_averages_reject_nonpositive_t(t):
     f = np.ones(8)
@@ -419,6 +427,29 @@ def test_profile_rejects_an_empty_torus():
     f = np.ones(0)
     with pytest.raises(ValueError, match="torus sample arrays must not be empty"):
         ergodic_avg_profile([0.3], f, f, ball(1), 2.0)
+
+
+@pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+def test_rotation_average_rejects_non_finite_beta(beta):
+    # rint(nan) cast to int64 is INT64_MIN, 0 modulo m: beta = nan answered f[0]**2
+    f = np.arange(1.0, 9.0)
+    with pytest.raises(ValueError, match="beta must be finite"):
+        ergodic_bilinear_avg([beta], f, f, ball(1), 2.0, [0.5])
+
+
+@pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf])
+def test_rotation_average_rejects_non_finite_omega(omega):
+    f = np.arange(1.0, 9.0)
+    with pytest.raises(ValueError, match="omega must be finite"):
+        ergodic_bilinear_avg([0.3], f, f, ball(1), 2.0, [omega])
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 0)])
+def test_rotation_average_rejects_an_empty_torus(shape):
+    # the default mesh 1/m divided by zero
+    f = np.zeros(shape)
+    with pytest.raises(ValueError, match="torus sample arrays must not be empty"):
+        ergodic_bilinear_avg([0.3] * len(shape), f, f, ball(len(shape)), 2.0, [0.1] * len(shape))
 
 
 @pytest.mark.parametrize("d_body, shape", [(2, (8,)), (1, (8, 8)), (2, (8, 8))])

@@ -42,7 +42,7 @@ from bivariation.bodies import (
     gamma_body,
     normalize,
     polytope_body,
-    slice_table,
+    slice_tables,
 )
 from bivariation.dyadic import level_range
 from bivariation.extremal import default_rotation_mesh, ergodic_avg_profile
@@ -88,7 +88,7 @@ def oracle_sliced_values(req: AvgRequest, xs: np.ndarray) -> tuple[np.ndarray, i
     o2, n2 = f2.box.origin[0], f2.box.extent[0]
     prefix = np.concatenate([[0.0], np.cumsum(f2.samples)])
     xs = np.asarray(xs, dtype=np.int64)
-    ks, mlo, mhi = slice_table(body, req.scaled_t)
+    ks, mlo, mhi = slice_tables([(body, req.scaled_t)])[0]
     count = int(np.sum(mhi - mlo + 1))
     if count == 0:
         raise DegenerateScale(f"no nodes in the body dilate at t={req.t}")

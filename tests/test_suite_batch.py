@@ -2,9 +2,10 @@
 together, bit for bit.
 
 The projection ladder takes many fields at once (``martingale._ladder_rows``),
-``paraproduct_telescope`` makes one averaging call for all of its pieces, and
-the suites draw their trials first and then make one ladder pass, one BMO
-scan and one q-variation DP per distinct length.  The domination trials make
+``martingale._telescope_rows`` makes one averaging call for every piece of a
+batch of telescope trials, and the suites draw their trials first and then
+make one ladder pass, one BMO scan and one q-variation DP per distinct
+length.  The domination trials make
 one averaging call and one stack of cube-value grids per level, and the cz
 decompositions one level-wise descent.  Each is held to the code it
 replaced, copied below unchanged as an oracle: the one-field projection, the
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bivariation import averages, martingale
+from bivariation import averages, bodies, martingale
 from bivariation.averages import avg_field
 from bivariation.bodies import ball, cube, gamma_body
 from bivariation.cz import CZCertificate, CZOutput, MAX_ROOT_CELLS, format_cz_report
@@ -370,6 +371,32 @@ def test_telescope_replays_the_per_piece_memo_lookups(dim):
     finally:
         averages._POINT_CACHE.clear()
     assert got == want == {"hits": 9, "misses": 1}
+
+
+@pytest.mark.parametrize("dim, seed", [(1, 0), (1, 1), (1, 2), (2, 3)])
+def test_telescope_rows_match_the_per_trial_loop(dim, seed):
+    # mixed bodies, scales and level ranges, and one repeated (body, scale)
+    rng = np.random.default_rng(seed)
+    box = Box(dim, (-3,) * dim, (24,) if dim == 1 else (6, 5), 0.37)
+    trials = []
+    for _ in range(12 if dim == 1 else 4):
+        f1 = Field(box, rng.normal(size=box.cell_count))
+        f2 = Field(box, rng.normal(size=box.cell_count))
+        l = int(rng.integers(1, 3))
+        trials.append((f1, f2, random_body(dim, rng), int(rng.integers(0, 5)), l,
+                       l + int(rng.integers(0, 4))))
+    trials.append((trials[0][1], trials[0][0], *trials[0][2:]))
+    batch, counts, keys = _counts(lambda: martingale._telescope_rows(trials))
+    loop, loop_counts, loop_keys = _counts(lambda: [paraproduct_telescope(*t) for t in trials])
+    assert (counts, keys) == (loop_counts, loop_keys)
+    assert len({body for _, _, body, *_ in trials}) > 2
+    for got, want, trial in zip(batch, loop, trials):
+        for rep in (want, oracle_telescope(*trial)):
+            rep = rep if isinstance(rep, tuple) else (
+                rep.residual_max, rep.fine_boundary_max, rep.coarse_boundary_max, rep.holds)
+            assert same_bits(rep[:3], [got.residual_max, got.fine_boundary_max,
+                                       got.coarse_boundary_max])
+            assert got.holds is rep[3]
 
 
 def test_telescope_rejects_fields_on_different_boxes():
@@ -890,6 +917,39 @@ def test_domination_replays_the_loops_memo_lookups(trials):
     assert counts["hits"] + counts["misses"] == trials
     # more insertions than the memo holds: the run crosses a clear
     assert (counts["misses"] > 256) == (trials == 1000)
+
+
+def test_calibration_batch_passes_stay_within_the_table_rows():
+    # tools/calibrate.py runs 10 000 domination trials; the suite closes its
+    # first batch at 3277 of them, which needs a table for each distinct key
+    cfg = ExperimentConfig(suite="domination", trials=10_000, seed=20240801).validate()
+
+    class FirstBatch(Exception):
+        pass
+
+    def first(box, batch):
+        raise FirstBatch(box, batch)
+
+    with mock.patch.object(suites, "_domination_batch_rows", first), \
+            pytest.raises(FirstBatch) as caught:
+        suites._bilinear_maximal_sq(cfg)
+    box, batch = caught.value.args
+    assert len(batch) == -(-suites._BATCH_VALUES // (5 * box.cell_count))
+    table_pass = bodies._table_pass
+    passes = []
+
+    def counting(keys, sizes):
+        passes.append((len(keys), sum(sizes)))
+        return table_pass(keys, sizes)
+
+    trials = [(body, h1, h2, n, k) for _, n, k, _, h1, h2, body in batch]
+    with mock.patch.object(bodies, "_table_pass", counting):
+        _counts(lambda: martingale._domination_rows(trials))
+    keys = {(body, (2.0**k) * box.mesh) for body, _, _, _, k in trials}
+    assert sum(n for n, _ in passes) == len(keys) > 1000
+    assert max(rows for _, rows in passes) <= bodies._TABLE_ROWS
+    # the gamma bodies share their passes
+    assert len(passes) < 10
 
 
 @pytest.mark.parametrize("seed, trials, grid, d", [

@@ -66,7 +66,7 @@ def oracle_sweep_values(reqs, x, width):
     req = reqs[0]
     f1, f2 = req.f1, req.f2
     n = f1.box.extent[0]
-    tables = slice_tables(req.body, [r.scaled_t for r in reqs])
+    tables = slice_tables([(req.body, r.scaled_t) for r in reqs])
     counts = [int(np.sum(hi - lo + 1)) for _, lo, hi in tables]
     for r, count in zip(reqs, counts):
         if count == 0:
@@ -229,13 +229,13 @@ def test_slices_build_each_repeated_scale_once():
     Ts = [3.0, 5.5, 3.0, 7.25, 5.5, 3.0, 9.0, 7.25]
     built = []
 
-    def counting(b, ts):
-        built.extend(ts)
-        return slice_tables(b, ts)
+    def counting(keys):
+        built.extend(t for _, t in keys)
+        return slice_tables(keys)
 
     def run(route):
         averages._POINT_CACHE.clear()
-        averages._POINT_CACHE[(body, 9.0, "slices")] = slice_tables(body, [9.0])[0]
+        averages._POINT_CACHE[(body, 9.0, "slices")] = slice_tables([(body, 9.0)])[0]
         before = dict(averages.CACHE_COUNTS)
         tables = route()
         counts = {k: averages.CACHE_COUNTS[k] - before[k] for k in before}
@@ -261,9 +261,9 @@ def test_slices_replay_the_loops_evictions():
     Ts = [2.0 + 0.5 * i for i in range(8)] + [2.0]
     built = []
 
-    def counting(b, ts):
-        built.extend(ts)
-        return slice_tables(b, ts)
+    def counting(keys):
+        built.extend(t for _, t in keys)
+        return slice_tables(keys)
 
     def run(route):
         averages._POINT_CACHE.clear()
