@@ -54,12 +54,10 @@ from .extremal import (
 from .fields import (
     Box,
     Field,
-    NormReport,
     bmo_dyadic_norm,
     export_csv,
     import_csv,
     lp_norm,
-    norm_report,
     read_ndf1,
     weak_lp_quasinorm,
     write_ndf1,

@@ -73,13 +73,16 @@ class AvgRequest:
     @property
     def scaled_t(self) -> float:
         """Dilation parameter in lattice units."""
-        if self.mode == "lattice_counting":
-            return self.t
-        return self.t / self.f1.box.mesh
+        return _lattice_t(self.mode, self.t, self.f1.box.mesh)
 
     @property
     def sign(self) -> int:
         return -1 if self.mode == "lattice_counting" else 1
+
+
+def _lattice_t(mode: str, t: float, mesh: float) -> float:
+    """The scale ``t`` of ``mode`` in lattice units."""
+    return t if mode == "lattice_counting" else t / mesh
 
 
 @dataclass(frozen=True)
@@ -357,7 +360,9 @@ def _node_average(a1, a2, y1, y2, run: int, extend: str = "constant") -> np.ndar
 def avg_field(body: ConvexBody, t: float, f1: Field, f2: Field,
               mode: str = "continuum_quadrature") -> Field:
     """Average at every cell of the shared box; fast sliced path for d = 1."""
-    return Field(f1.box, _field_values([AvgRequest(body, t, f1, f2, mode)])[0])
+    AvgRequest(body, t, f1, f2, mode)  # the argument checks
+    rows1, rows2 = f1.samples.reshape(1, -1), f2.samples.reshape(1, -1)
+    return Field(f1.box, _field_values(f1.box, mode, [(body, t, 0)], rows1, rows2)[0])
 
 
 def avg_field_sweep(body: ConvexBody, grid: TimeGrid, f1: Field, f2: Field,
@@ -365,100 +370,94 @@ def avg_field_sweep(body: ConvexBody, grid: TimeGrid, f1: Field, f2: Field,
     """(len(grid), cells) matrix whose row i is ``avg_field`` at the i-th scale,
     flattened, bit for bit.  For d = 1 every scale shares one slice-table
     build and one set of field extensions (docs/notes.md, note 9)."""
-    reqs = [AvgRequest(body, t, f1, f2, mode) for t in grid.times]
-    return _field_values(reqs) if reqs else np.zeros((0, f1.box.cell_count))
+    if not len(grid):
+        return np.zeros((0, f1.box.cell_count))
+    AvgRequest(body, grid.times[0], f1, f2, mode)  # the argument checks; TimeGrid checked t
+    rows1, rows2 = f1.samples.reshape(1, -1), f2.samples.reshape(1, -1)
+    return _field_values(f1.box, mode, [(body, t, 0) for t in grid.times], rows1, rows2)
 
 
-def _field_values(reqs: list[AvgRequest]) -> np.ndarray:
-    """(len(reqs), cells): the averages at every cell of the shared box, one
-    row per request, each the bytes of a one-request call.  The requests
-    share the mode and the box, and may differ in their body, fields and
-    scale: one sweep, every trial of a sweep suite grid, or every trial of a
-    domination batch (docs/notes.md, notes 11 and 13).  The memo is looked
-    up in request order."""
-    req = reqs[0]
-    box = req.f1.box
-    if req.body.d == 1:
-        return _sliced_values(reqs, box.origin[0], box.extent[0])
-    return np.stack([_gather_values(r) for r in reqs])
+def _field_values(box, mode: str, reqs, rows1: np.ndarray, rows2: np.ndarray) -> np.ndarray:
+    """(len(reqs), cells): the averages at every cell of ``box``, one row per
+    request ``(body, t, pair)``, each the bytes of a one-request call on the
+    fields whose row-major samples are ``rows1[pair]`` and ``rows2[pair]``.
+    The requests may differ in body, scale and pair, and several may read
+    one pair: one sweep, every trial of a sweep suite grid, or every trial
+    of a domination batch.  Nothing is checked here; the public views check
+    their ``Field``s (docs/notes.md, notes 11, 13 and 15).  The memo is
+    looked up in request order."""
+    if reqs[0][0].d == 1:
+        return _sliced_values(box, mode, reqs, rows1, rows2, box.origin[0], box.extent[0])
+    return _gather_values(box, mode, reqs, rows1, rows2)
 
 
-def _gather_values(req: AvgRequest) -> np.ndarray:
-    """The d >= 2 average at every cell, flattened: a gather over the lattice
-    points of the dilate."""
-    d = req.body.d
-    pts = _points(req.body, req.scaled_t)
-    if len(pts) == 0:
-        raise DegenerateScale(f"no nodes in the body dilate at t={req.t}")
-    y = req.sign * pts
-    # runs of 1024 nodes: the pairwise blocks that fix the bytes (docs/notes.md, note 4)
-    return _node_average(req.f1.samples, req.f2.samples, y[:, :d], y[:, d:], 1024)
+def _gather_values(box, mode: str, reqs, rows1: np.ndarray, rows2: np.ndarray) -> np.ndarray:
+    """The d >= 2 average at every cell of every request ``(body, t, pair)``,
+    one flattened row each: a gather over the lattice points of the dilate."""
+    sign = -1 if mode == "lattice_counting" else 1
+    values = []
+    for body, t, p in reqs:
+        pts = _points(body, _lattice_t(mode, t, box.mesh))
+        if len(pts) == 0:
+            raise DegenerateScale(f"no nodes in the body dilate at t={t}")
+        y = sign * pts
+        # runs of 1024 nodes: the pairwise blocks that fix the bytes (docs/notes.md, note 4)
+        values.append(_node_average(rows1[p].reshape(box.extent), rows2[p].reshape(box.extent),
+                                    y[:, : body.d], y[:, body.d :], 1024))
+    return np.stack(values)
 
 
-def _sliced_values(reqs: list[AvgRequest], x: int, width: int) -> np.ndarray:
+def _sliced_values(box, mode: str, reqs, rows1: np.ndarray, rows2: np.ndarray,
+                   x: int, width: int) -> np.ndarray:
     """d = 1 kernel at the ``width`` lattice points x, x + 1, ... (the whole
-    box, or one point), one row per request: the sum over slices k of
-    f1(x +- k) * (prefix window of f2).  The requests share the mode and the
-    box; their bodies, fields and scales may differ.
+    box, or one point), one row per request ``(body, t, pair)``: the sum
+    over slices k of f1(x +- k) * (prefix window of f2), with f1 and f2 the
+    rows ``rows1[pair]`` and ``rows2[pair]``.
 
     One row per slice k, summed in increasing k by ``_ordered_sum``, one sum
     per distinct (body, scale), whose columns are the points of every request
     with that body and scale.  A row is read as whole windows of f1 extended
     by zeros and of the f2 prefix sums extended by their end values, so it
-    holds the values a clipped gather reads.  Each field pair has one segment
-    of each extension, built once for the largest reach of its requests
+    holds the values a clipped gather reads.  The extensions of every pair
+    are one block, one row per pair, sized for the call's largest reach
     (docs/notes.md, notes 4, 9 and 11).
     """
-    req = reqs[0]
-    n = req.f1.box.extent[0]
-    tables = _slices([(r.body, r.scaled_t) for r in reqs])
+    n = box.extent[0]
+    Ts = [_lattice_t(mode, t, box.mesh) for _, t, _ in reqs]
+    tables = _slices([(body, T) for (body, _, _), T in zip(reqs, Ts)])
     cols_of = {}  # the requests of each distinct (body, scale), in request order
-    for i, r in enumerate(reqs):
-        cols_of.setdefault((r.body, r.scaled_t), []).append(i)
+    for i, ((body, _, _), T) in enumerate(zip(reqs, Ts)):
+        cols_of.setdefault((body, T), []).append(i)
     scales = [(cols, *tables[cols[0]]) for cols in cols_of.values()]
     counts = [int((hi - lo).sum()) + hi.size for _, _, lo, hi in scales]
     for (cols, *_), count in zip(scales, counts):
         if count == 0:  # the scales come in order of first request
-            raise DegenerateScale(f"no nodes in the body dilate at t={reqs[cols[0]].t}")
-    if req.sign < 0:
+            raise DegenerateScale(f"no nodes in the body dilate at t={reqs[cols[0]][1]}")
+    if mode == "lattice_counting":
         # f1 is read at x - k, and the window of f2 is x - [lo, hi]
         scales = [(cols, -ks, -hi, -lo) for cols, ks, lo, hi in scales]
-    # every offset read (k, lo, hi + 1) of a scale is less than its reach R
-    # in size, so one point below -R or above n + R - 1 reads only the
-    # extensions; clamping it there reads the same values and keeps the
-    # arrays O(n + R), not O(|x|).  The ks are monotone and lo <= hi, so the
-    # ends of ks, min(lo) and max(hi) bound them.
-    reach = [max(abs(int(k[0])), abs(int(k[-1])), 1 - int(lo.min()), int(hi.max()) + 1) + 1
-             for _, k, lo, hi in scales]
-    # one extension segment per field pair, in order of first use, sized for
-    # the largest reach of its requests; the pairs are told apart by
-    # identity, which only decides what is shared
-    pair = {}
-    col_pair = [pair.setdefault((id(r.f1), id(r.f2)), (len(pair), r.f1, r.f2))[0] for r in reqs]
-    R = [0] * len(pair)
-    for (cols, *_), r in zip(scales, reach):
-        for i in cols:
-            R[col_pair[i]] = max(R[col_pair[i]], r)
-    # per pair: where its segment starts, the extension E on each side that
-    # keeps every read inside the segment, and the first point's clamped
-    # shift from the box origin; box index i is array index start + E + i
-    segments, size = [], 0
-    for r in R:
-        shift = min(max(int(x) - req.f1.box.origin[0], -r), n + r - width)
-        E = r + max(0, -shift, shift + width - n)
-        segments.append((size, E, shift))
-        size += n + 2 * E + 1
-    ext1 = np.zeros(size)
-    extp = np.zeros(size)
-    for (_, f1, f2), (start, E, _) in zip(pair.values(), segments):
-        a = start + E
-        ext1[a : a + n] = f1.samples
-        np.cumsum(f2.samples, out=extp[a + 1 : a + n + 1])
-        extp[a + n + 1 : a + n + E + 1] = extp[a + n]
+    # every offset read (k, lo, hi + 1) is less than the reach R in size, so
+    # one point below -R or above n + R - 1 reads only the extensions;
+    # clamping it there reads the same values and keeps the arrays O(n + R),
+    # not O(|x|).  The ks are monotone and lo <= hi, so the ends of ks,
+    # min(lo) and max(hi) bound them.
+    R = max(max(abs(int(k[0])), abs(int(k[-1])), 1 - int(lo.min()), int(hi.max()) + 1) + 1
+            for _, k, lo, hi in scales)
+    # the first point's clamped shift from the box origin, and the extension
+    # E on each side that keeps every read inside a pair's row: box index i
+    # of pair p is flat index p * size + E + i of the block
+    shift = min(max(int(x) - box.origin[0], -R), n + R - width)
+    E = R + max(0, -shift, shift + width - n)
+    size = n + 2 * E + 1
+    ext1 = np.zeros((len(rows1), size))
+    extp = np.zeros((len(rows2), size))
+    ext1[:, E : E + n] = rows1
+    np.cumsum(rows2, axis=1, out=extp[:, E + 1 : E + n + 1])  # sequential along each row
+    extp[:, E + n + 1 :] = extp[:, E + n, None]
     f1w = _windows(ext1, width)
     pw = _windows(extp, width)
     # each request reads its pair's windows from its own origin
-    origin = [sum(segments[p]) for p in col_pair]
+    origin = [p * size + E + shift for _, _, p in reqs]
 
     values = np.empty((len(reqs), width))
     for (cols, k1, lo, hi), count in zip(scales, counts):
@@ -504,7 +503,10 @@ def fast_slice_avg(req: AvgRequest, x) -> float:
         raise ValueError("fast_slice_avg requires d = 1")
     if req.mode != "lattice_counting":
         raise ValueError("fast_slice_avg requires lattice_counting mode")
-    return float(_sliced_values([req], _lattice_point(x, 1)[0], 1)[0, 0])
+    rows1, rows2 = req.f1.samples.reshape(1, -1), req.f2.samples.reshape(1, -1)
+    at = _sliced_values(req.f1.box, req.mode, [(req.body, req.t, 0)], rows1, rows2,
+                        _lattice_point(x, 1)[0], 1)
+    return float(at[0, 0])
 
 
 # ---------------------------------------------------------------------------

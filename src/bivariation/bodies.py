@@ -357,7 +357,12 @@ class VolumeEstimate:
 def symmetric_difference_volume(
     body: ConvexBody, t: float, v, n_samples: int = 200_000, seed: int = 0
 ) -> VolumeEstimate:
-    """Monte-Carlo |G_t  symdiff  (v + G_t)| with its standard error."""
+    """Monte-Carlo |G_t  symdiff  (v + G_t)| with its standard error.
+
+    It checks the convex-body estimate |G_t symdiff (v + G_t)| <= C |v| t^(2d-1)
+    (the boundary of G_t has area O(t^(2d-1))): the regularity in x of the
+    average A_t^G that the paper's comparisons of nearby averages rest on.
+    """
     if not t > 0:
         raise ValueError("t must be positive")
     v = np.asarray(v, dtype=np.float64)
@@ -382,6 +387,11 @@ def symmetric_difference_volume(
 
 def boundary_cube_count(body: ConvexBody, k: int, n: int) -> int:
     """Number of side-2^n dyadic cubes in R^(2d) meeting the boundary of G_(2^k).
+
+    It checks the convex-body estimate that this count is O(2^((k-n)(2d-1))):
+    the cubes that lie inside or outside G_(2^k) are averaged exactly, so
+    only these cubes separate A_(2^k) on level-n measurable inputs from the
+    dyadic maximal bound of the paper's domination argument.
 
     Classification is exact for balls and interval-arithmetic conservative for
     the linear kinds (cubes that cannot be certified inside or outside count

@@ -20,11 +20,9 @@ from .dyadic import cell_cube_ids, cells_by_cube_size, level_range
 __all__ = [
     "Box",
     "Field",
-    "NormReport",
     "lp_norm",
     "weak_lp_quasinorm",
     "bmo_dyadic_norm",
-    "norm_report",
     "write_ndf1",
     "read_ndf1",
     "export_csv",
@@ -132,17 +130,6 @@ def _embed_slices(outer: Box, inner: Box) -> tuple[slice, ...]:
                  for o_new, o_old, e_old in zip(outer.origin, inner.origin, inner.extent))
 
 
-@dataclass(frozen=True)
-class NormReport:
-    exponent: float
-    kind: str  # strong | weak | bmo_dyadic
-    value: float
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("norm value must be nonnegative")
-
-
 def lp_norm(f: Field, p: float) -> float:
     """(sum |f|^p h^d)^(1/p); max |f| for p = inf.  Rejects p <= 0."""
     return _lp_norm(f.samples, f.box.cell_volume, p)
@@ -166,13 +153,19 @@ def weak_lp_quasinorm(f: Field, p: float) -> float:
     (the level sets are right-continuous steps, so the sup is attained from below
     at each distinct sample value).
     """
+    return _weak_lp_quasinorm(f.samples, f.box.cell_volume, p)
+
+
+def _weak_lp_quasinorm(samples: np.ndarray, cell_volume: float, p: float) -> float:
+    """:func:`weak_lp_quasinorm` of the samples of a field whose cells have
+    measure ``cell_volume``."""
     if not (p > 0 and np.isfinite(p)):
         raise ValueError(f"p must be a positive finite real, got {p}")
-    a = np.sort(np.abs(f.samples), axis=None)[::-1]
+    a = np.sort(np.abs(samples), axis=None)[::-1]
     if a.size == 0 or a[0] == 0.0:
         return 0.0
     ranks = np.arange(1, a.size + 1, dtype=np.float64)
-    return float(np.max(a * (ranks * f.box.cell_volume) ** (1.0 / p)))
+    return float(np.max(a * (ranks * cell_volume) ** (1.0 / p)))
 
 
 def bmo_dyadic_norm(f: Field) -> float:
@@ -212,18 +205,6 @@ def _bmo_rows(box: Box, rows: np.ndarray) -> np.ndarray:
             osc = np.mean(np.abs(block - a[:, None]), axis=1)
             np.maximum(best, osc.reshape(len(rows), cubes).max(axis=1), out=best)
     return best
-
-
-def norm_report(f: Field, p: float, kind: str = "strong") -> NormReport:
-    if kind == "strong":
-        v = lp_norm(f, p)
-    elif kind == "weak":
-        v = weak_lp_quasinorm(f, p)
-    elif kind == "bmo_dyadic":
-        v = bmo_dyadic_norm(f)
-    else:
-        raise ValueError(f"unknown norm kind {kind!r}")
-    return NormReport(exponent=p, kind=kind, value=v)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from ..averages import CACHE_COUNTS, AvgRequest, TimeGrid, _field_values
+from ..averages import CACHE_COUNTS, TimeGrid, _field_values
 from ..bodies import ball, body_from_descriptor
 from ..cz import _decompose_rows, cz_certify, format_cz_report
 from ..extremal import (
@@ -31,7 +31,7 @@ from ..extremal import (
     sample_torus,
 )
 from ..dyadic import level_range
-from ..fields import Field, _bmo_rows, lp_norm, weak_lp_quasinorm
+from ..fields import _bmo_rows, _lp_norm, _weak_lp_quasinorm, lp_norm
 from ..martingale import (
     _domination_rows,
     _domination_verdicts,
@@ -120,18 +120,25 @@ def _write_constant(path: Path, rep: RatioReport, passed: bool, **extra):
 _BATCH_VALUES = 1 << 20
 
 
-def _in_batches(trials, values):
-    """The drawn ``trials`` in consecutive lists, each closed once the
-    ``values(trial)`` of its trials reach ``_BATCH_VALUES``."""
-    batch, held = [], 0
+def _batched(trials, values, evaluate) -> list:
+    """The rows ``evaluate(batch)`` of the drawn ``trials``, concatenated in
+    trial order; each batch is a run of consecutive trials, closed once
+    their ``values(trial)`` reach ``_BATCH_VALUES``."""
+    rows, batch, held = [], [], 0
     for trial in trials:
         batch.append(trial)
         held += values(trial)
         if held >= _BATCH_VALUES:
-            yield batch
+            rows += evaluate(batch)
             batch, held = [], 0
     if batch:
-        yield batch
+        rows += evaluate(batch)
+    return rows
+
+
+def _stack(fields) -> np.ndarray:
+    """(N, cells): the row-major samples of ``fields``, one row each."""
+    return np.stack([f.samples.ravel() for f in fields])
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +158,8 @@ def run_norm_sweep(cfg: ExperimentConfig) -> RatioReport:
         grid = TimeGrid.dyadic_spanning(0, 6, per_block=1, rng=rng)
         return trial, f1, f2, fam1, fam2, grid
 
-    rows = []
-    for batch in _in_batches(map(draw, range(cfg.trials)), lambda t: len(t[-1]) * box.cell_count):
-        rows += _sweep_rows(cfg, body, box, batch)
+    rows = _batched(map(draw, range(cfg.trials)), lambda t: len(t[-1]) * box.cell_count,
+                    lambda batch: _sweep_rows(cfg, body, box, batch))
     ratios = np.array([r[-1] for r in rows])
     # unlike the other tracked constants, an infinite ratio fails the sweep
     return _report(cfg, sweep_key(cfg.norm, cfg.p1, cfg.p2, cfg.p, cfg.q), rows,
@@ -165,8 +171,9 @@ def _sweep_rows(cfg: ExperimentConfig, body, box, batch: list[tuple]) -> list[tu
     each the bytes of a trial evaluated alone: one averaging call for every
     trial's scales, one q-variation DP per distinct grid length and, for the
     BMO norm, one scan (docs/notes.md, note 11)."""
-    mat = _field_values([AvgRequest(body, t, f1, f2)
-                         for _, f1, f2, _, _, grid in batch for t in grid.times])
+    reqs = [(body, t, i) for i, (*_, grid) in enumerate(batch) for t in grid.times]
+    mat = _field_values(box, "continuum_quadrature", reqs,
+                        _stack(t[1] for t in batch), _stack(t[2] for t in batch))
     sizes = [len(grid) for *_, grid in batch]
     starts = np.cumsum([0, *sizes]).tolist()
     vq = np.empty((len(batch), box.cell_count))
@@ -180,8 +187,8 @@ def _sweep_rows(cfg: ExperimentConfig, body, box, batch: list[tuple]) -> list[tu
         nums = _bmo_rows(box, vq).tolist()
         p1 = p2 = np.inf
     else:
-        norm = lp_norm if cfg.norm == "strong" else weak_lp_quasinorm
-        nums = [norm(Field(box, v), cfg.p) for v in vq]
+        norm = _lp_norm if cfg.norm == "strong" else _weak_lp_quasinorm
+        nums = [norm(v, box.cell_volume, cfg.p) for v in vq]
         p1, p2 = cfg.p1, cfg.p2
     out = []
     for (trial, f1, f2, fam1, fam2, grid), num in zip(batch, nums):
@@ -266,19 +273,17 @@ def _ao_rows(batch: list[tuple]) -> list[tuple]:
 
 
 def _suite_identities(cfg: ExperimentConfig, outdir: Path) -> bool:
-    ok = True
+    def variation_reports(batch):
+        # one DP per distinct length over the rows a*b, b, a of every trial
+        values = _pair_variations([(a, b) for _, a, b, _ in batch], cfg.q).tolist()
+        return [(trial, _product_rule_report(a, b, *v), _sup_report(a, t0, v[2]))
+                for (trial, a, b, t0), v in zip(batch, values)]
 
-    # one DP per distinct length over the rows a*b, b, a of every trial
-    rows_pr, rows_sup = [], []
     draws = (_identity_trial(cfg, trial) for trial in range(cfg.trials))
-    for batch in _in_batches(draws, lambda t: 3 * t[1].size):
-        values = _pair_variations([(a, b) for _, a, b, _ in batch], cfg.q)
-        for (trial, a, b, t0), (lhs, vb, va) in zip(batch, values.tolist()):
-            pr = _product_rule_report(a, b, lhs, vb, va)
-            rows_pr.append((trial, pr.lhs, pr.rhs, pr.holds))
-            sv = _sup_report(a, t0, va)
-            rows_sup.append((trial, sv.lhs, sv.rhs, sv.holds))
-            ok &= pr.holds and sv.holds
+    reports = _batched(draws, lambda t: 3 * t[1].size, variation_reports)
+    rows_pr = [(trial, pr.lhs, pr.rhs, pr.holds) for trial, pr, _ in reports]
+    rows_sup = [(trial, sv.lhs, sv.rhs, sv.holds) for trial, _, sv in reports]
+    ok = all(r[-1] for r in rows_pr + rows_sup)
     _write_csv(outdir / "product_rule.csv", ["trial", "lhs", "rhs", "pass"], rows_pr)
     _write_csv(outdir / "sup_vs_variation.csv", ["trial", "lhs", "rhs", "pass"], rows_sup)
 
@@ -294,10 +299,8 @@ def _suite_identities(cfg: ExperimentConfig, outdir: Path) -> bool:
 
     # aggregated almost-orthogonality data: which constant (w or w^2) the
     # sequence-level sum supports
-    rows_ao = []
     draws = (_ao_trial(cfg, trial) for trial in range(cfg.trials))
-    for batch in _in_batches(draws, lambda _: _AO_J.size):
-        rows_ao += _ao_rows(batch)
+    rows_ao = _batched(draws, lambda _: _AO_J.size, _ao_rows)
     _write_csv(
         outdir / "almost_orthogonality_constants.csv",
         ["trial", "ratio_vs_w", "ratio_vs_w_squared"],
@@ -312,16 +315,18 @@ def _suite_identities(cfg: ExperimentConfig, outdir: Path) -> bool:
         body = random_body(1, rng)
         return trial, f1, f2, body, int(rng.integers(0, 7))
 
+    def telescope_rows(batch):
+        reps = _telescope_rows(box, _stack(t[1] for t in batch), _stack(t[2] for t in batch),
+                               [(body, k, 1, 7) for *_, body, k in batch])
+        return [(trial, k, rep.residual_max, rep.coarse_boundary_max, rep.holds)
+                for (trial, *_, k), rep in zip(batch, reps)]
+
     # one averaging call for every piece of a batch, whatever its body
     # (docs/notes.md, note 12); each of a trial's 16 pieces holds its two
     # operands, its average and its product
-    rows_para = []
     draws = map(telescope_trial, range(min(cfg.trials, 25)))
-    for batch in _in_batches(draws, lambda _: 64 * box.cell_count):
-        reps = _telescope_rows([(f1, f2, body, k, 1, 7) for _, f1, f2, body, k in batch])
-        for (trial, *_, k), rep in zip(batch, reps):
-            rows_para.append((trial, k, rep.residual_max, rep.coarse_boundary_max, rep.holds))
-            ok &= rep.holds
+    rows_para = _batched(draws, lambda _: 64 * box.cell_count, telescope_rows)
+    ok &= all(r[-1] for r in rows_para)
     _write_csv(
         outdir / "paraproduct_telescope.csv",
         ["trial", "k", "residual_max", "coarse_boundary_max", "pass"],
@@ -345,7 +350,7 @@ def _martingale_structure_rows(cfg: ExperimentConfig, box) -> list[tuple]:
     top = 7
     drawn = [(trial, *random_pair(box, trial_rng(cfg.seed, 40_000 + trial)))
              for trial in range(min(cfg.trials, 50))]
-    rows = np.stack([f.samples.ravel() for _, f, *_ in drawn])
+    rows = _stack(f for _, f, *_ in drawn)
     e = _ladder_rows(box, rows, range(top + 1))  # E_0 f .. E_7 f
     recon = e[top].copy()
     for j in range(1, top + 1):
@@ -380,10 +385,9 @@ def _bilinear_maximal_sq(cfg: ExperimentConfig) -> RatioReport:
         h1, h2 = random_measurable_pair(box, max(n - 1, 0), rng, sparse=sparse)
         return trial, n, k, sparse, h1, h2, random_body(box.dim, rng)
 
-    rows = []
     # a trial holds its two fields and its average, bound and star rows
-    for batch in _in_batches(map(draw, range(cfg.trials)), lambda _: 5 * box.cell_count):
-        rows += _domination_batch_rows(box, batch)
+    rows = _batched(map(draw, range(cfg.trials)), lambda _: 5 * box.cell_count,
+                    lambda batch: _domination_batch_rows(box, batch))
     # an infinite ratio makes the sup infinite, which fails the ceiling
     sup_ratio = max((r[7] for r in rows if not np.isnan(r[7])), default=0.0)
     return _report(cfg, "bilinear_maximal_sq", rows, sup_ratio)
@@ -394,11 +398,10 @@ def _domination_batch_rows(box, batch: list[tuple]) -> list[tuple]:
     each the bytes of a trial evaluated alone: one averaging call and one
     stack of cube-value grids per level (docs/notes.md, note 13).  Each sum
     reduces one row of a C-contiguous block, as ``np.sum`` of one field does."""
-    average, bound, star = _domination_rows([(body, h1, h2, n, k)
-                                             for _, n, k, _, h1, h2, body in batch])
+    rows1, rows2 = _stack(t[4] for t in batch), _stack(t[5] for t in batch)
+    average, bound, star = _domination_rows(box, rows1, rows2,
+                                            [(body, n, k) for _, n, k, *_, body in batch])
     _, max_excess, holds = _domination_verdicts(average, bound)
-    rows1 = np.stack([h1.samples.ravel() for *_, h1, _, _ in batch])
-    rows2 = np.stack([h2.samples.ravel() for *_, h2, _ in batch])
     num = (np.sum(bound**2, axis=1) * box.cell_volume).tolist()
     den = (np.sum((rows1 * rows2) ** 2, axis=1) * box.cell_volume).tolist()
     star_sq = np.sum(star**2, axis=1).tolist()
@@ -442,18 +445,19 @@ def _carleson_weighted(cfg: ExperimentConfig) -> RatioReport:
         # left out below leaves the others' draws as they were
         return trial, fam, f, b, int(rng.integers(0, 5))
 
-    rows = []
-    for batch in _in_batches(map(draw, range(cfg.trials)), lambda _: _ladder_values(wbox)):
-        bmo = _bmo_rows(wbox, np.stack([b.samples.ravel() for *_, b, _ in batch]))
-        kept = []
-        for (trial, fam, f, b, n), norm in zip(batch, bmo.tolist()):
-            denom = lp_norm(f, 2.0) ** 2 * norm**2
-            if denom != 0.0:
-                kept.append((trial, fam, f, b, n, denom))
-        if kept:
-            values = _weighted_sums([(f, b, n) for _, _, f, b, n, _ in kept], cfg.l, cfg.eps)
-            rows += [(trial, fam, n, val, val / denom)
-                     for (trial, fam, _, _, n, denom), val in zip(kept, values)]
+    def evaluate(batch):
+        frows, brows = _stack(t[2] for t in batch), _stack(t[3] for t in batch)
+        norms = _bmo_rows(wbox, brows).tolist()
+        denoms = [lp_norm(f, 2.0) ** 2 * norm**2 for (_, _, f, _, _), norm in zip(batch, norms)]
+        kept = [i for i, denom in enumerate(denoms) if denom != 0.0]
+        if not kept:
+            return []
+        values = _weighted_sums(wbox, frows[kept], brows[kept], [batch[i][4] for i in kept],
+                                cfg.l, cfg.eps)
+        return [(batch[i][0], batch[i][1], batch[i][4], val, val / denoms[i])
+                for i, val in zip(kept, values)]
+
+    rows = _batched(map(draw, range(cfg.trials)), lambda _: _ladder_values(wbox), evaluate)
     return _report(cfg, "carleson_weighted", rows, max([0.0, *(r[-1] for r in rows)]))
 
 
@@ -468,27 +472,31 @@ def _martingale_product_variation(cfg: ExperimentConfig) -> RatioReport:
     wbox = standard_box(with_updates(cfg, d=1, grid=32))
     draws = ((trial, *random_pair(wbox, trial_rng(cfg.seed, 60_000 + trial))[:2])
              for trial in range(cfg.trials))
-    rows = []
-    for batch in _in_batches(draws, lambda _: 2 * _ladder_values(wbox)):
-        checks = _product_variation_checks([(f1, f2) for _, f1, f2 in batch], cfg.q)
-        rows += [(trial, rep.lhs, rep.rhs, rep.ratio) for (trial, *_), rep in zip(batch, checks)]
+    def evaluate(batch):
+        checks = _product_variation_checks(wbox, _stack(t[1] for t in batch),
+                                           _stack(t[2] for t in batch), cfg.q)
+        return [(trial, rep.lhs, rep.rhs, rep.ratio) for (trial, *_), rep in zip(batch, checks)]
+
+    rows = _batched(draws, lambda _: 2 * _ladder_values(wbox), evaluate)
     return _report(cfg, "martingale_product_variation", rows, _sup_finite(r[-1] for r in rows))
 
 
 def _suite_carleson(cfg: ExperimentConfig, outdir: Path) -> bool:
     box = standard_box(with_updates(cfg, d=1, grid=min(cfg.grid, 64)))
-    rows = []
     sups = [0.0] * 7  # per shift n = 0..6
 
     def draw(trial):
         rng = trial_rng(cfg.seed, trial)
         return trial, random_step_field(box, rng, block=int(rng.integers(2, 9)))
 
-    for batch in _in_batches(map(draw, range(cfg.trials)), lambda _: _ladder_values(box)):
-        profiles = _tent_rows(box, np.stack([b.samples.ravel() for _, b in batch]), len(sups) - 1)
-        for (trial, _), ratios in zip(batch, profiles.tolist()):
-            sups = [max(s, r) for s, r in zip(sups, ratios)]
-            rows.extend((trial, n, r) for n, r in enumerate(ratios))
+    def evaluate(batch):
+        profiles = _tent_rows(box, _stack(b for _, b in batch), len(sups) - 1).tolist()
+        return [(trial, n, r) for (trial, _), ratios in zip(batch, profiles)
+                for n, r in enumerate(ratios)]
+
+    rows = _batched(map(draw, range(cfg.trials)), lambda _: _ladder_values(box), evaluate)
+    for _, n, r in rows:
+        sups[n] = max(sups[n], r)
     _write_csv(outdir / "tent_ratios.csv", ["trial", "n", "ratio"], rows)
     # the level shift only removes terms, so the per-n sup is nonincreasing;
     # uniformity in n is exactly "bounded by the unshifted case, no growth"
@@ -528,30 +536,30 @@ def _suite_cz(cfg: ExperimentConfig, outdir: Path) -> bool:
         return [(trial, fam, f, p_i, float(rng.uniform(0.2, 2.0) * scale) ** (p_i / cfg.p))
                 for p_i in (1.0, 1.5, 2.0)]
 
-    ok = True
-    rows = []
-    report_text = None
+    report = []  # the report of the first decomposition
+
+    def evaluate(batch):
+        outs = _decompose_rows([(f, p_i, alpha) for _, _, f, p_i, alpha in batch], cfg.p)
+        rows = []
+        for (trial, fam, f, p_i, alpha), out in zip(batch, outs):
+            cert = cz_certify(out, f)
+            rows.append((trial, fam, p_i, alpha, len(out.bad_pieces), out.flagged, cert.all_pass))
+            if not report:
+                report.append(format_cz_report(out, cert))
+        return rows
+
     draws = itertools.chain.from_iterable(map(draw, range(cfg.trials)))
     # a decomposition holds its field on the root box, the good part, the
     # power blocks and the pieces
-    for batch in _in_batches(draws, lambda _: 4 * box.cell_count):
-        outs = _decompose_rows([(f, p_i, alpha) for _, _, f, p_i, alpha in batch], cfg.p)
-        for (trial, fam, f, p_i, alpha), out in zip(batch, outs):
-            cert = cz_certify(out, f)
-            rows.append(
-                (trial, fam, p_i, alpha, len(out.bad_pieces), out.flagged, cert.all_pass)
-            )
-            ok &= cert.all_pass
-            if report_text is None:
-                report_text = format_cz_report(out, cert)
+    rows = _batched(draws, lambda _: 4 * box.cell_count, evaluate)
     _write_csv(
         outdir / "cz_certificates.csv",
         ["trial", "family", "p_i", "alpha", "n_pieces", "flagged", "all_pass"],
         rows,
     )
-    if report_text is not None:
-        (outdir / "cz_example_report.txt").write_text(report_text)
-    return ok
+    if report:
+        (outdir / "cz_example_report.txt").write_text(report[0])
+    return all(r[-1] for r in rows)
 
 
 # ---------------------------------------------------------------------------

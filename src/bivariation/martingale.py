@@ -17,14 +17,13 @@ import numpy as np
 from .averages import AvgRequest, TimeGrid, _field_values, avg_field_sweep
 from .bodies import ConvexBody
 from .dyadic import cell_cube_ids, cells_by_cube, cube_slices, level_range
-from .fields import Field, _bmo_rows, lp_norm
+from .fields import Field, _bmo_rows, _lp_norm
 from .variation import InequalityReport, vq_value_batch
 
 __all__ = [
     "MeasurabilityError",
     "cond_expect",
     "mart_diff",
-    "is_measurable",
     "star_maximal",
     "bilinear_maximal",
     "domination_check",
@@ -140,14 +139,6 @@ def _cube_value_grids(box, rows: np.ndarray, level: int) -> np.ndarray:
     return vmax.reshape(len(rows), *(table[-1] - table[0] + 1))
 
 
-def is_measurable(f: Field, level: int) -> bool:
-    try:
-        _cube_value_grids(f.box, f.samples.reshape(1, -1), level)
-        return True
-    except MeasurabilityError:
-        return False
-
-
 def measurable_field(box, level: int, cube_values: np.ndarray) -> Field:
     """Build a level-measurable field from per-cube values (row-major cube order)."""
     ids, _, ncubes = cell_cube_ids(box, level)
@@ -232,30 +223,30 @@ def domination_check(body: ConvexBody, h1: Field, h2: Field, n: int, k: int) -> 
     the bound; see the edge-case tests.  The one-trial view of
     :func:`_domination_rows`.
     """
-    average, bound, _ = _domination_rows([(body, h1, h2, n, k)])
+    if h1.box != h2.box:
+        raise ValueError("h1 and h2 must share one box")
+    _measurable_level(n)
+    if k >= n:
+        raise ValueError(f"hypothesis violated: need k < n, got k={k}, n={n}")
+    AvgRequest(body, (2.0**k) * h1.box.mesh, h1, h2)  # the averaging call's checks
+    rows1, rows2 = h1.samples.reshape(1, -1), h2.samples.reshape(1, -1)
+    average, bound, _ = _domination_rows(h1.box, rows1, rows2, [(body, n, k)])
     max_average, max_excess, holds = (v[0] for v in _domination_verdicts(average, bound))
     return DominationReport(max_average, max_excess, holds, Field(h1.box, bound[0]))
 
 
-def _domination_rows(trials) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _domination_rows(box, rows1: np.ndarray, rows2: np.ndarray,
+                     trials) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(|average|, bound, star)``, each (N, cells), of every trial
-    ``(body, h1, h2, n, k)`` on one box, bit for bit: one averaging call for
-    every trial, its memo lookups in trial order, and one stack of
-    cube-value grids per measurability level n - 1 (docs/notes.md, note 13).
-    ``star`` is the star maximal of h1."""
-    box = trials[0][1].box
-    for _, h1, h2, n, k in trials:
-        if h1.box != box or h2.box != box:
-            raise ValueError("h1 and h2 must share one box")
-        _measurable_level(n)
-        if k >= n:
-            raise ValueError(f"hypothesis violated: need k < n, got k={k}, n={n}")
-    reqs = [AvgRequest(body, (2.0**k) * box.mesh, h1, h2) for body, h1, h2, _, k in trials]
-    average = np.abs(_field_values(reqs))
+    ``(body, n, k)`` on the row pair (h1, h2) of ``rows1`` and ``rows2``
+    (N, cells) with its index, bit for bit: one averaging call for every
+    trial, its memo lookups in trial order, and one stack of cube-value
+    grids per measurability level n - 1 (docs/notes.md, note 13).  ``star``
+    is the star maximal of h1."""
+    reqs = [(body, (2.0**k) * box.mesh, i) for i, (body, _, k) in enumerate(trials)]
+    average = np.abs(_field_values(box, "continuum_quadrature", reqs, rows1, rows2))
     bound, star = np.empty_like(average), np.empty_like(average)
-    rows1 = np.stack([h1.samples.ravel() for _, h1, _, _, _ in trials])
-    rows2 = np.stack([h2.samples.ravel() for _, _, h2, _, _ in trials])
-    ns = np.array([n for *_, n, _ in trials])
+    ns = np.array([n for _, n, _ in trials])
     for n in np.unique(ns).tolist():
         at = np.flatnonzero(ns == n)
         bound[at], star[at] = _maximal_rows(box, rows1[at], rows2[at], n - 1)
@@ -312,52 +303,54 @@ def paraproduct_telescope(
     the fine one stabilizes once l reaches the cell level).  The one-trial
     view of :func:`_telescope_rows`.
     """
-    return _telescope_rows([(f1, f2, body, k, l, j)])[0]
+    if l > j:
+        raise ValueError("need l <= j")
+    if l < 1:
+        raise ValueError("need l >= 1 so that E_(l-1) is defined")
+    if f1.box != f2.box:
+        raise ValueError("fields must share one box")
+    AvgRequest(body, (2.0**k) * f1.box.mesh, f1, f2)  # the pieces' checks
+    rows1, rows2 = f1.samples.reshape(1, -1), f2.samples.reshape(1, -1)
+    return _telescope_rows(f1.box, rows1, rows2, [(body, k, l, j)])[0]
 
 
-def _telescope_rows(trials) -> list[TelescopeReport]:
-    """The report of every trial ``(f1, f2, body, k, l, j)`` on one box, each
-    the bytes of a lone ``paraproduct_telescope``: one ladder over every
-    field, one averaging call for every piece of every trial, its memo
-    lookups in trial order, and one level-k product ladder per distinct k
-    (docs/notes.md, note 12)."""
-    box = trials[0][0].box
-    for f1, f2, _, _, l, j in trials:
-        if l > j:
-            raise ValueError("need l <= j")
-        if l < 1:
-            raise ValueError("need l >= 1 so that E_(l-1) is defined")
-        if f1.box != box or f2.box != box:
-            raise ValueError("fields must share one box")
+def _telescope_rows(box, rows1: np.ndarray, rows2: np.ndarray, trials) -> list[TelescopeReport]:
+    """The report of every trial ``(body, k, l, j)`` on the row pair (f1, f2)
+    of ``rows1`` and ``rows2`` (N, cells) with its index, each the bytes of
+    a lone ``paraproduct_telescope``: one ladder over every field, one
+    averaging call for every piece of every trial, its memo lookups in
+    trial order, and one level-k product ladder per distinct k over the
+    same operand rows (docs/notes.md, note 12)."""
     n = len(trials)
     base = min(l for *_, l, _ in trials) - 1
     # e[m][i] is E_(base+m) of trial i's f1, and e[m][n + i] of its f2
-    rows = np.stack([t[i].samples.ravel() for i in (0, 1) for t in trials])
-    e = _ladder_rows(box, rows, range(base, max(j for *_, j in trials) + 1))
+    e = _ladder_rows(box, np.concatenate([rows1, rows2]),
+                     range(base, max(j for *_, j in trials) + 1))
     # the piece operands of each trial: the fine and coarse boundaries, then
     # per level (d_(1,n), E_(n-1) f2) and (E_n f1, d_(2,n)), in the order rhs adds them
-    reqs, ks = [], []
-    for i, (_, _, body, k, l, j) in enumerate(trials):
+    ops, reqs, ks = [], [], []
+    for i, (body, k, l, j) in enumerate(trials):
         e1 = [e[m - base][i] for m in range(l - 1, j + 1)]
         e2 = [e[m - base][n + i] for m in range(l - 1, j + 1)]
-        ops = [(e1[0], e2[0]), (e1[-1], e2[-1])]
+        first = len(ops)
+        ops += [(e1[0], e2[0]), (e1[-1], e2[-1])]
         for m in range(1, len(e1)):
             ops.append((e1[m - 1] - e1[m], e2[m - 1]))
             ops.append((e1[m], e2[m - 1] - e2[m]))
         # the pieces share the body and the scale of their trial
         t = float((2.0**k) * box.mesh)
-        reqs += [AvgRequest(body, t, Field(box, u), Field(box, v)) for u, v in ops]
-        ks += [k] * len(ops)
-    del e, e1, e2, ops  # the operands live on in the pieces' fields
+        reqs += [(body, t, p) for p in range(first, len(ops))]
+        ks += [k] * (len(ops) - first)
+    # piece p averages row p of a against row p of b
+    a, b = np.stack([u for u, _ in ops]), np.stack([v for _, v in ops])
+    del e, e1, e2, ops
     # one averaging call, whose rows are the bytes of one-piece calls
     # (docs/notes.md, notes 11 and 12)
-    pieces = _field_values(reqs)
+    pieces = _field_values(box, "continuum_quadrature", reqs, a, b)
     ks = np.array(ks)
     for k in np.unique(ks).tolist():
         at = np.flatnonzero(ks == k)
-        a = np.stack([reqs[i].f1.samples.ravel() for i in at])
-        b = np.stack([reqs[i].f2.samples.ravel() for i in at])
-        pieces[at] -= _product_rows(box, a, b, [k])[0]
+        pieces[at] -= _product_rows(box, a[at], b[at], [k])[0]
     reports, first = [], 0
     for *_, l, j in trials:
         fine, coarse, *rest = pieces[first : first + 2 * (j - l + 2)]
@@ -471,30 +464,31 @@ def carleson_weighted_sum(f: Field, b: Field, l: float, eps: float, n: int) -> f
     omitted tail is small at desk scale.  The one-trial view of
     :func:`_weighted_sums`.
     """
-    return _weighted_sums([(f, b, n)], l, eps)[0]
-
-
-def _weighted_sums(trials, l: float, eps: float) -> list[float]:
-    """:func:`carleson_weighted_sum` of every ``(f, b, n)`` in ``trials``, on
-    one box, bit for bit: one difference ladder over every b, and the kernels
-    from the memo of ``_zeta_kernel``.  Each trial keeps its own
-    matrix-vector products: a matrix-matrix product may add in another order
-    (docs/notes.md, note 12)."""
     if not (1.0 < l < 2.0):
         raise ValueError(f"l must lie in (1, 2), got {l}")
     if not eps > 0:
         raise ValueError("eps must be positive")
-    box = trials[0][0].box
-    for f, b, n in trials:
-        if f.box != box or b.box != box:
-            raise ValueError("f and b must share one box")
-        if n < 0:
-            raise ValueError("n must be nonnegative")
+    if f.box != b.box:
+        raise ValueError("f and b must share one box")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return _weighted_sums(f.box, f.samples.reshape(1, -1), b.samples.reshape(1, -1), [n],
+                          l, eps)[0]
+
+
+def _weighted_sums(box, frows: np.ndarray, brows: np.ndarray, ns, l: float,
+                   eps: float) -> list[float]:
+    """:func:`carleson_weighted_sum` of every row f of ``frows`` (N, cells)
+    with the row b of ``brows`` and the shift n of ``ns`` at its index, bit
+    for bit: one difference ladder over every b, and the kernels from the
+    memo of ``_zeta_kernel``.  Each trial keeps its own matrix-vector
+    products: a matrix-matrix product may add in another order
+    (docs/notes.md, note 12)."""
     pad = max(1, int(round(WEIGHTED_PAD_FACTOR * max(box.extent))))
-    diffs = _diff_rows(box, np.stack([b.samples.ravel() for _, b, _ in trials]))
+    diffs = _diff_rows(box, brows)
     out = []
-    for i, (f, _, n) in enumerate(trials):
-        fl = np.abs(f.samples.ravel()) ** l
+    for i, (f, n) in enumerate(zip(frows, ns)):
+        fl = np.abs(f) ** l
         total = 0.0
         for k, diff in enumerate(diffs, start=n):
             kern = _zeta_kernel(box, k, eps, pad)
@@ -520,29 +514,29 @@ def martingale_product_variation_check(f1: Field, f2: Field, q: float) -> RatioC
     """L2 norm of the levelwise variation of E_j f1 * E_j f2 against
     min(||f1||_2 ||f2||_inf, ||f1||_inf ||f2||_2).  The one-pair view of
     :func:`_product_variation_checks`."""
-    return _product_variation_checks([(f1, f2)], q)[0]
-
-
-def _product_variation_checks(pairs, q: float) -> list[RatioCheck]:
-    """:func:`martingale_product_variation_check` of every ``(f1, f2)`` in
-    ``pairs``, on one box, bit for bit: one ladder over every factor and one
-    q-variation DP over every cell of every pair."""
-    box = pairs[0][0].box
-    if any(f1.box != box or f2.box != box for f1, f2 in pairs):
+    if f1.box != f2.box:
         raise ValueError("fields must share one box")
+    return _product_variation_checks(f1.box, f1.samples.reshape(1, -1),
+                                     f2.samples.reshape(1, -1), q)[0]
+
+
+def _product_variation_checks(box, rows1: np.ndarray, rows2: np.ndarray,
+                              q: float) -> list[RatioCheck]:
+    """:func:`martingale_product_variation_check` of every row pair of
+    ``rows1`` and ``rows2`` (N, cells), bit for bit: one ladder over every
+    factor and one q-variation DP over every cell of every pair."""
     _, top = level_range(box)
-    rows1 = np.stack([f1.samples.ravel() for f1, _ in pairs])
-    rows2 = np.stack([f2.samples.ravel() for _, f2 in pairs])
     products = _product_rows(box, rows1, rows2, range(top + 2))
     # (pairs * cells, levels): each cell's sequence over the levels, as a
     # one-pair call lays it out
-    vq = vq_value_batch(products.reshape(len(products), -1).T, q).reshape(len(pairs), -1)
+    vq = vq_value_batch(products.reshape(len(products), -1).T, q).reshape(len(rows1), -1)
+    vol = box.cell_volume
     out = []
-    for (f1, f2), v in zip(pairs, vq):
-        lhs = lp_norm(Field(box, v), 2.0)
+    for f1, f2, v in zip(rows1, rows2, vq):
+        lhs = _lp_norm(v, vol, 2.0)
         rhs = min(
-            lp_norm(f1, 2.0) * lp_norm(f2, np.inf),
-            lp_norm(f1, np.inf) * lp_norm(f2, 2.0),
+            _lp_norm(f1, vol, 2.0) * _lp_norm(f2, vol, np.inf),
+            _lp_norm(f1, vol, np.inf) * _lp_norm(f2, vol, 2.0),
         )
         ratio = 0.0 if lhs == 0.0 else (np.inf if rhs == 0.0 else lhs / rhs)
         out.append(RatioCheck(lhs, rhs, ratio))

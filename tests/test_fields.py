@@ -10,7 +10,6 @@ from bivariation.fields import (
     export_csv,
     import_csv,
     lp_norm,
-    norm_report,
     read_ndf1,
     weak_lp_quasinorm,
     write_ndf1,
@@ -247,15 +246,6 @@ def test_bmo_reaches_the_cube_holding_an_unaligned_box():
 def test_bmo_2d():
     f = Field(Box(2, (0, 0), (2, 2)), [[1.0, 1.0], [-1.0, -1.0]])
     assert bmo_dyadic_norm(f) == pytest.approx(1.0, rel=1e-15)
-
-
-def test_norm_report_kinds():
-    f = line([1.0, 2.0])
-    assert norm_report(f, 2.0).value == lp_norm(f, 2.0)
-    assert norm_report(f, 1.0, "weak").value == weak_lp_quasinorm(f, 1.0)
-    assert norm_report(f, np.inf, "bmo_dyadic").value == bmo_dyadic_norm(f)
-    with pytest.raises(ValueError):
-        norm_report(f, 1.0, "other")
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from bivariation.martingale import (
     carleson_weighted_sum,
     cond_expect,
     domination_check,
-    is_measurable,
     mart_diff,
     martingale_product_variation_check,
     measurable_field,
@@ -302,8 +301,12 @@ def test_measurable_field_roundtrip():
     box = Box(1, (0,), (8,))
     h = measurable_field(box, 1, [1.0, 2.0, 3.0, 4.0])
     assert np.array_equal(h.samples, [1, 1, 2, 2, 3, 3, 4, 4])
-    assert is_measurable(h, 1)
-    assert not is_measurable(line([1.0, 2.0]), 1)
+    # a level-1 star maximal reads the values of level-1 cubes: it accepts h
+    # and rejects a field that is not constant on its one cube
+    star_maximal(h, 2)
+    with pytest.raises(MeasurabilityError) as exc:
+        star_maximal(line([1.0, 2.0]), 2)
+    assert (exc.value.level, exc.value.cube_coords, exc.value.spread) == (1, (0,), 1.0)
 
 
 def test_bilinear_maximal_ones():

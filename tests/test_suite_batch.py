@@ -386,7 +386,10 @@ def test_telescope_rows_match_the_per_trial_loop(dim, seed):
         trials.append((f1, f2, random_body(dim, rng), int(rng.integers(0, 5)), l,
                        l + int(rng.integers(0, 4))))
     trials.append((trials[0][1], trials[0][0], *trials[0][2:]))
-    batch, counts, keys = _counts(lambda: martingale._telescope_rows(trials))
+    rows1 = np.stack([f1.samples.ravel() for f1, *_ in trials])
+    rows2 = np.stack([f2.samples.ravel() for _, f2, *_ in trials])
+    batch, counts, keys = _counts(
+        lambda: martingale._telescope_rows(box, rows1, rows2, [t[2:] for t in trials]))
     loop, loop_counts, loop_keys = _counts(lambda: [paraproduct_telescope(*t) for t in trials])
     assert (counts, keys) == (loop_counts, loop_keys)
     assert len({body for _, _, body, *_ in trials}) > 2
@@ -865,6 +868,37 @@ def test_domination_check_is_the_one_trial_view():
         domination_check(body, h1, h2, 2, 2)
 
 
+def test_batched_kernels_build_no_fields():
+    # the kernels take sample rows; a Field is built and checked only at the
+    # public views (docs/notes.md, note 15)
+    rng = np.random.default_rng(11)
+    box = Box(1, (-4,), (32,), 0.5)
+    # constant on level-1 cubes, so that n = 2 is a valid domination level
+    rows1, rows2 = np.repeat(rng.normal(size=(2, 3, 16)), 2, axis=2)
+    built = []
+    post_init = Field.__post_init__
+
+    def counting(self):
+        built.append(self.box)
+        post_init(self)
+
+    with mock.patch.object(Field, "__post_init__", counting):
+        averages._field_values(box, "lattice_counting", [(ball(1), 3.0, 1), (cube(1), 2.0, 1)],
+                               rows1, rows2)
+        box2 = Box(2, (0, 0), (4, 4))
+        averages._field_values(box2, "continuum_quadrature", [(ball(2), 1.5, 0)],
+                               rows1[:, :16], rows2[:, :16])
+        martingale._telescope_rows(box, rows1, rows2, [(ball(1), k, 1, 4) for k in (0, 1, 2)])
+        martingale._domination_rows(box, rows1, rows2, [(ball(1), 1, 0), (cube(1), 2, 1),
+                                                         (ball(1), 2, 0)])
+        martingale._weighted_sums(box, rows1, rows2, [0, 1, 2], 1.5, 1.0)
+        martingale._product_variation_checks(box, rows1, rows2, 3.0)
+        assert built == []
+        # the counter sees the one result Field of a public view
+        domination_check(ball(1), Field(box, rows1[0]), Field(box, rows2[0]), 2, 1)
+    assert built == [box] * 3
+
+
 # ---------------------------------------------------------------------------
 # The domination and cz suites against their per-trial loops
 
@@ -942,10 +976,12 @@ def test_calibration_batch_passes_stay_within_the_table_rows():
         passes.append((len(keys), sum(sizes)))
         return table_pass(keys, sizes)
 
-    trials = [(body, h1, h2, n, k) for _, n, k, _, h1, h2, body in batch]
+    rows1 = np.stack([h1.samples.ravel() for *_, h1, _, _ in batch])
+    rows2 = np.stack([h2.samples.ravel() for *_, h2, _ in batch])
+    trials = [(body, n, k) for _, n, k, _, _, _, body in batch]
     with mock.patch.object(bodies, "_table_pass", counting):
-        _counts(lambda: martingale._domination_rows(trials))
-    keys = {(body, (2.0**k) * box.mesh) for body, _, _, _, k in trials}
+        _counts(lambda: martingale._domination_rows(box, rows1, rows2, trials))
+    keys = {(body, (2.0**k) * box.mesh) for body, _, k in trials}
     assert sum(n for n, _ in passes) == len(keys) > 1000
     assert max(rows for _, rows in passes) <= bodies._TABLE_ROWS
     # the gamma bodies share their passes

@@ -1,6 +1,6 @@
-"""Smoke runs of the demos and the calibration tool, which import the package
-by name but are not otherwise exercised by the test suite, and each shipped
-ceiling against the suite statistic it bounds."""
+"""Smoke runs of the demos, the calibration tool and the run digest, which
+import the package by name but are not otherwise exercised by the test
+suite, and each shipped ceiling against the suite statistic it bounds."""
 
 import importlib.util
 import os
@@ -16,6 +16,7 @@ from bivariation.harness.suites import TRACKED
 
 ROOT = Path(__file__).resolve().parents[1]
 CALIBRATE = ROOT / "tools" / "calibrate.py"
+DIGEST = ROOT / "tools" / "run_digest.py"
 
 CASES = [("demo", p.name) for p in sorted((ROOT / "demos").glob("*.py"))] + [
     ("calibrate", "cal_sweeps")
@@ -71,3 +72,22 @@ def test_tooling_runs(kind, name, tmp_path, calibrate):
 ])
 def test_shipped_ceiling_bounds_statistic(key, calibrate):
     _within_ceiling({key: calibrate.tracked_max(key, CEILING_TRIALS[key])})
+
+
+def test_run_digest_smoke():
+    # every shipped config and default suite, each with its exit status,
+    # one sha256 per report and its manifest's two cache lines
+    proc = subprocess.run([sys.executable, str(DIGEST), "--seeds", "0", "--trials", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    runs = proc.stdout.split("\nrun ")
+    labels = [p.name for p in sorted((ROOT / "configs").glob("*.cfg"))]
+    labels += [f"default {s}" for s in ("square", "cz", "ergodic", "interp")]
+    assert [r.split(" seed=")[0].removeprefix("run ") for r in runs] == labels
+    for run in runs:
+        head, *lines = run.splitlines()
+        assert head.endswith(": exit 0"), head
+        digests = [line.split() for line in lines if " = " not in line]
+        assert digests and all(len(d) == 2 and len(d[0]) == 64 for d in digests), run
+        assert [line.split(": ")[1].split(" = ")[0] for line in lines if " = " in line] == [
+            "cache_hits", "cache_misses"]

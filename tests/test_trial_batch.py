@@ -23,6 +23,7 @@ from bivariation.averages import (
     TimeGrid,
     _field_values,
     _slices,
+    avg_field,
     avg_field_sweep,
 )
 from bivariation.bodies import (
@@ -171,10 +172,11 @@ def test_multi_pair_kernel_matches_per_pair_sweeps(which, origin, n, mesh, pool,
     box = Box(1, (origin,), (n,), mesh)
     rng = np.random.default_rng(seed)
     fields = [(Field(box, rng.normal(size=n)), Field(box, rng.normal(size=n))) for _ in picks]
+    rows1 = np.stack([f1.samples for f1, _ in fields])
+    rows2 = np.stack([f2.samples for _, f2 in fields])
     for mode in averages.MODES:
         grids = [TimeGrid(tuple(sorted({pool[i % len(pool)] for i in pick}))) for pick in picks]
-        reqs = [AvgRequest(body, t, f1, f2, mode)
-                for (f1, f2), grid in zip(fields, grids) for t in grid.times]
+        reqs = [(body, t, p) for p, grid in enumerate(grids) for t in grid.times]
         if not reqs:
             continue
         try:
@@ -183,9 +185,9 @@ def test_multi_pair_kernel_matches_per_pair_sweeps(which, origin, n, mesh, pool,
                     for (f1, f2), grid in zip(fields, grids)]
         except DegenerateScale:
             with pytest.raises(DegenerateScale):
-                _field_values(reqs)
+                _field_values(box, mode, reqs, rows1, rows2)
             continue
-        got = _field_values(reqs)
+        got = _field_values(box, mode, reqs, rows1, rows2)
         at = 0
         for (f1, f2), grid, rows in zip(fields, grids, want):
             assert same_bits(got[at : at + len(grid)], rows)
@@ -198,11 +200,31 @@ def test_multi_pair_kernel_shares_one_extension_per_pair():
     # the same pair behind several requests at one scale: equal columns
     box = Box(1, (-3,), (9,), 1.0)
     f1, f2 = Field(box, np.arange(9.0)), Field(box, np.cos(np.arange(9.0)))
-    g1 = Field(box, np.arange(9.0))  # equal by value, another object
-    reqs = [AvgRequest(ball(1), t, a, f2) for t in (2.0, 3.0) for a in (f1, f1, g1)]
-    got = _field_values(reqs)
+    # pair 1 holds the arrays of pair 0
+    rows1, rows2 = np.stack([f1.samples, f1.samples]), np.stack([f2.samples, f2.samples])
+    reqs = [(ball(1), t, p) for t in (2.0, 3.0) for p in (0, 0, 1)]
+    got = _field_values(box, "continuum_quadrature", reqs, rows1, rows2)
     want = oracle_sweep_values([AvgRequest(ball(1), t, f1, f2) for t in (2.0, 3.0)], -3, 9)
     assert same_bits(got, np.repeat(want, 3, axis=0))
+
+
+@pytest.mark.parametrize("mode", averages.MODES)
+@pytest.mark.parametrize("box, body", [
+    (Box(1, (-6,), (13,), 0.37), gamma_body(1, [[1.0, 0.4], [-0.2, 0.8]])),
+    (Box(2, (-2, 3), (5, 4), 0.5), ball(2)),
+], ids=["d1", "d2"])
+def test_kernel_rows_read_by_several_requests_match_separate_calls(box, body, mode):
+    # requests 0 and 2 read pair 0, and pairs 1 and 2 hold equal arrays
+    rng = np.random.default_rng(4)
+    f = [Field(box, rng.normal(size=box.cell_count)) for _ in range(3)]
+    pairs = [(f[0], f[1]), (f[2], f[0]), (Field(box, f[2].samples), Field(box, f[0].samples))]
+    rows1 = np.stack([a.samples.ravel() for a, _ in pairs])
+    rows2 = np.stack([b.samples.ravel() for _, b in pairs])
+    reqs = [(body, 1.5, 0), (body, 2.25, 1), (body, 2.25, 0), (body, 1.5, 2), (body, 2.25, 2)]
+    got = _field_values(box, mode, reqs, rows1, rows2)
+    for row, (_, t, p) in zip(got, reqs):
+        assert same_bits(row, avg_field(body, t, *pairs[p], mode).samples.ravel())
+    assert same_bits(got[1], got[4])
 
 
 def test_multi_pair_kernel_raises_the_first_degenerate_request():
@@ -213,12 +235,11 @@ def test_multi_pair_kernel_raises_the_first_degenerate_request():
         & (np.linalg.norm(y, axis=1) >= 0.9),
     )
     box = Box(1, (-5,), (11,), 1.0)
-    f, g = Field(box, np.arange(11.0)), Field(box, np.ones(11))
+    rows = np.stack([np.arange(11.0), np.ones(11)])
     for mode in averages.MODES:
-        reqs = [AvgRequest(hollow, t, a, a, mode) for a, ts in ((f, (1.0, 2.0)), (g, (1.3, 0.5)))
-                for t in ts]
+        reqs = [(hollow, t, p) for p, ts in enumerate(((1.0, 2.0), (1.3, 0.5))) for t in ts]
         with pytest.raises(DegenerateScale, match=f"^{re.escape('no nodes in the body dilate at t=1.3')}$"):
-            _field_values(reqs)
+            _field_values(box, mode, reqs, rows, rows)
 
 
 # ---------------------------------------------------------------------------
