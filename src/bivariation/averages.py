@@ -418,9 +418,9 @@ def _sliced_values(box, mode: str, reqs, rows1: np.ndarray, rows2: np.ndarray,
     per distinct (body, scale), whose columns are the points of every request
     with that body and scale.  A row is read as whole windows of f1 extended
     by zeros and of the f2 prefix sums extended by their end values, so it
-    holds the values a clipped gather reads.  The extensions of every pair
-    are one block, one row per pair, sized for the call's largest reach
-    (docs/notes.md, notes 4, 9 and 11).
+    holds the values a clipped gather reads.  The extensions of the pairs
+    are a few blocks, one row per pair, each block sized for the largest
+    reach among its pairs (docs/notes.md, notes 4, 9 and 11).
     """
     n = box.extent[0]
     Ts = [_lattice_t(mode, t, box.mesh) for _, t, _ in reqs]
@@ -441,23 +441,50 @@ def _sliced_values(box, mode: str, reqs, rows1: np.ndarray, rows2: np.ndarray,
     # clamping it there reads the same values and keeps the arrays O(n + R),
     # not O(|x|).  The ks are monotone and lo <= hi, so the ends of ks,
     # min(lo) and max(hi) bound them.
-    R = max(max(abs(int(k[0])), abs(int(k[-1])), 1 - int(lo.min()), int(hi.max()) + 1) + 1
-            for _, k, lo, hi in scales)
-    # the first point's clamped shift from the box origin, and the extension
-    # E on each side that keeps every read inside a pair's row: box index i
-    # of pair p is flat index p * size + E + i of the block
+    reach = [max(abs(int(k[0])), abs(int(k[-1])), 1 - int(lo.min()), int(hi.max()) + 1) + 1
+             for _, k, lo, hi in scales]
+    R = max(reach)
+    # the first point's clamped shift from the box origin; a row whose reads
+    # reach r needs an extension E = r + pad on each side
     shift = min(max(int(x) - box.origin[0], -R), n + R - width)
-    E = R + max(0, -shift, shift + width - n)
-    size = n + 2 * E + 1
-    ext1 = np.zeros((len(rows1), size))
-    extp = np.zeros((len(rows2), size))
-    ext1[:, E : E + n] = rows1
-    np.cumsum(rows2, axis=1, out=extp[:, E + 1 : E + n + 1])  # sequential along each row
-    extp[:, E + n + 1 :] = extp[:, E + n, None]
+    pad = max(0, -shift, shift + width - n)
+    # each pair's row is sized for the largest reach among its requests; the
+    # pairs fall into blocks by the bit length of that reach, each block one
+    # (pairs, size) run of flat extension arrays, box index i of the p-th
+    # pair of a block at its flat index + E + p * size.  A call whose scales
+    # share a bit length is one block of every pair at reach R, whose rows it
+    # reads through views.
+    blocks = [(slice(None), range(len(rows1)), R)]
+    if len({r.bit_length() for r in reach}) > 1:
+        req_reach = np.empty(len(reqs), dtype=np.int64)
+        for (cols, *_), r in zip(scales, reach):
+            req_reach[cols] = r
+        pair_reach = np.zeros(len(rows1), dtype=np.int64)
+        np.maximum.at(pair_reach, [p for _, _, p in reqs], req_reach)
+        pair_reach[pair_reach == 0] = R  # a pair no request reads
+        kind = np.frexp(pair_reach.astype(float))[1]
+        blocks = [(pairs, pairs.tolist(), int(pair_reach[pairs].max()))
+                  for pairs in (np.flatnonzero(kind == c) for c in np.unique(kind))]
+    total = sum(len(ids) * (n + 2 * (r + pad) + 1) for _, ids, r in blocks)
+    ext1 = np.zeros(total)
+    extp = np.zeros(total)
+    start = [0] * len(rows1)  # the flat index of each pair's box index 0
+    at = 0
+    for pairs, ids, r in blocks:
+        E = r + pad
+        size = n + 2 * E + 1
+        e1 = ext1[at : at + len(ids) * size].reshape(len(ids), size)
+        ep = extp[at : at + len(ids) * size].reshape(len(ids), size)
+        e1[:, E : E + n] = rows1[pairs]
+        np.cumsum(rows2[pairs], axis=1, out=ep[:, E + 1 : E + n + 1])  # sequential along each row
+        ep[:, E + n + 1 :] = ep[:, E + n, None]
+        for j, p in enumerate(ids):
+            start[p] = at + E + j * size
+        at += len(ids) * size
+    # each request reads its pair's windows from its own origin
+    origin = [start[p] + shift for _, _, p in reqs]
     f1w = _windows(ext1, width)
     pw = _windows(extp, width)
-    # each request reads its pair's windows from its own origin
-    origin = [p * size + E + shift for _, _, p in reqs]
 
     values = np.empty((len(reqs), width))
     for (cols, k1, lo, hi), count in zip(scales, counts):

@@ -479,11 +479,17 @@ def slice_tables(keys) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     coefficient rows; any other body has passes of its own.  A pass stacks
     at most ``_TABLE_ROWS`` rows, or one key.  Each row goes through the
     arithmetic and membership tests of a one-key build, so each table is its
-    one-key table exactly (docs/notes.md, note 9).
+    one-key table exactly (docs/notes.md, note 9).  A scale that is not
+    positive and finite raises ValueError.
     """
     keys = [(body, float(t)) for body, t in keys]
     if any(body.d != 1 for body, _ in keys):
         raise ValueError("slice_tables requires d = 1")
+    for _, t in keys:  # as enumerate_lattice checks its scale
+        if not t > 0:
+            raise ValueError("t must be positive")
+        if not np.isfinite(t):
+            raise ValueError("t must be finite")
     stacks = {}  # the positions of the keys of each stack, in key order
     for i, (body, _) in enumerate(keys):
         stacks.setdefault(_stack_of(body), []).append(i)

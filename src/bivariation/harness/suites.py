@@ -19,7 +19,7 @@ import numpy as np
 from .. import __version__
 from ..averages import CACHE_COUNTS, TimeGrid, _field_values
 from ..bodies import ball, body_from_descriptor
-from ..cz import _decompose_rows, cz_certify, format_cz_report
+from ..cz import _certify_rows, _decompose_rows, format_cz_report
 from ..extremal import (
     LOWER_THRESHOLD,
     UPPER_THRESHOLD,
@@ -540,13 +540,11 @@ def _suite_cz(cfg: ExperimentConfig, outdir: Path) -> bool:
 
     def evaluate(batch):
         outs = _decompose_rows([(f, p_i, alpha) for _, _, f, p_i, alpha in batch], cfg.p)
-        rows = []
-        for (trial, fam, f, p_i, alpha), out in zip(batch, outs):
-            cert = cz_certify(out, f)
-            rows.append((trial, fam, p_i, alpha, len(out.bad_pieces), out.flagged, cert.all_pass))
-            if not report:
-                report.append(format_cz_report(out, cert))
-        return rows
+        certs = _certify_rows(outs, [f for _, _, f, _, _ in batch])
+        if not report:
+            report.append(format_cz_report(outs[0], certs[0]))
+        return [(trial, fam, p_i, alpha, len(out.bad_pieces), out.flagged, cert.all_pass)
+                for (trial, fam, _, p_i, alpha), out, cert in zip(batch, outs, certs)]
 
     draws = itertools.chain.from_iterable(map(draw, range(cfg.trials)))
     # a decomposition holds its field on the root box, the good part, the

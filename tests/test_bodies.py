@@ -120,6 +120,20 @@ def test_enumerate_rejects_non_finite_t(t):
         enumerate_lattice(ball(1), t)
 
 
+@pytest.mark.parametrize("t, message", [
+    (0.0, "t must be positive"), (-1.0, "t must be positive"), (float("nan"), "t must be positive"),
+    (float("inf"), "t must be finite"),
+])
+def test_slice_tables_reject_the_scales_enumerate_rejects(t, message):
+    # t = 0 gave a one-row table, t = inf an OverflowError, and t = -1 and
+    # t = nan numpy's own errors
+    for body in (ball(1), cube(1), SLICE_BODIES[-1]):
+        with pytest.raises(ValueError, match=message):
+            enumerate_lattice(body, t)
+        with pytest.raises(ValueError, match=message):
+            slice_tables([(body, 1.0), (body, t)])
+
+
 def full_box_scan(body, t):
     # the scan the slabs replaced: the whole box at once, then a lexicographic sort
     R = int(np.ceil(t * body.r_out))

@@ -1,14 +1,19 @@
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from bivariation import cz
 from bivariation.cz import (
     MAX_ROOT_CELLS,
     CZCertificate,
     CZOutput,
+    _certify_rows,
+    _decompose_rows,
     cz_certify,
     cz_decompose,
     format_cz_report,
@@ -52,12 +57,10 @@ def test_selected_cubes_are_maximal():
     f = line(rng.normal(size=64) ** 3)
     out = cz_decompose(f, 1.0, 0.3, 1.0)
     assert out.bad_pieces
-    from bivariation.cz import _cube_lp_avg_pow
-
     fr = f.embed(out.good.box)
     for cube, _ in out.bad_pieces:
-        assert _cube_lp_avg_pow(fr, cube, 1.0) > 0.3
-        assert _cube_lp_avg_pow(fr, cube.parent(), 1.0) <= 0.3
+        assert _oracle_lp_avg_pow(fr, cube, 1.0) > 0.3
+        assert _oracle_lp_avg_pow(fr, cube.parent(), 1.0) <= 0.3
 
 
 def test_good_part_structure():
@@ -380,7 +383,10 @@ def _forgeries():
     }
 
 
-@pytest.mark.parametrize("kind", ["duplicated", "leaked", "scaled", "split"])
+FORGERIES = ["duplicated", "leaked", "scaled", "split"]
+
+
+@pytest.mark.parametrize("kind", FORGERIES)
 def test_forged_certificates_fail_their_checks(kind):
     f, out, forged = _forgeries()
     assert cz_certify(out, f).all_pass
@@ -390,6 +396,37 @@ def test_forged_certificates_fail_their_checks(kind):
     assert {name for name, ok in cert.checks.items() if not ok} == failing
     assert list(cert.checks.items()) == list(oracle.checks.items())
     assert list(cert.margins.items()) == list(oracle.margins.items())
+    # certified in one call with an honest row and the other forgeries
+    outs = [out] + [replace(out, bad_pieces=forged[k][0]) for k in FORGERIES]
+    certs = _certify_rows(outs, [f] * len(outs))
+    assert certs[0].all_pass
+    assert certs[1 + FORGERIES.index(kind)] == cert
+
+
+def _margin_reprs(cert):
+    return [(name, repr(m)) for name, m in cert.margins.items()]  # nan-aware, bit for bit
+
+
+@pytest.mark.parametrize("u", [0.3, 3.0])
+@pytest.mark.parametrize("d", [1, 2])
+def test_certify_takes_max_norms_at_p_i_inf(d, u):
+    # cz_decompose rejects p_i = inf, but cz_certify takes a hand-built
+    # output with it: its L^inf norms are max |x|, as lp_norm takes them
+    origin, shape = ((-3,), (20,)) if d == 1 else ((-2, 1), (5, 4))
+    f, p_i, alpha, _ = _normal_case(origin, shape, 0.5, 2.0, 1.0, depth=3, u=u)
+    honest = cz_decompose(f, p_i, alpha, 1.0)
+    out = replace(honest, p_i=np.inf)
+    cert, oracle = cz_certify(out, f), _oracle_certify(_on_root_box(out), f)
+    assert list(cert.checks.items()) == list(oracle.checks.items())
+    assert _margin_reprs(cert) == _margin_reprs(oracle)
+    height = 1.0  # alpha^(p/inf)
+    worst = float(np.abs(out.good.samples).max())
+    assert cert.margins["viii_good_bounds"] == max(worst / float(np.abs(f.samples).max()),
+                                                   worst / (2.0 ** (d / np.inf) * height))
+    # in one call with a finite p_i row of the same root box
+    certs = _certify_rows([out, honest], [f, f])
+    assert [_margin_reprs(c) for c in certs] == [_margin_reprs(cert),
+                                                 _margin_reprs(cz_certify(honest, f))]
 
 
 def test_pieces_live_on_their_cubes_boxes():
@@ -403,3 +440,123 @@ def test_pieces_live_on_their_cubes_boxes():
     outside = Field(Box(1, (-2,), (4,)), np.ones(4))
     with pytest.raises(ValueError):
         cz_certify(replace(out, bad_pieces=((cube, outside),)), f)
+
+
+# ---------------------------------------------------------------------------
+# The row kernels against the per-row oracles
+
+@st.composite
+def cz_batches(draw):
+    """(rows, p): one mesh and one dimension per batch, as ``_decompose_rows``
+    takes them, and rows of mixed root-box shapes, p_i and origins."""
+    d = draw(st.sampled_from([1, 2]))
+    mesh = draw(st.sampled_from([0.25, 0.37, 1.0, 2.0]))
+    p = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        f, p_i, alpha, _ = _normal_case(
+            origin=tuple(draw(st.integers(-40, 20)) for _ in range(d)),
+            shape=tuple(draw(st.integers(1, 40 if d == 1 else 9)) for _ in range(d)),
+            mesh=mesh,
+            p_i=draw(st.sampled_from([1.0, 1.5, 2.0, 3.0])),
+            p=p,
+            depth=draw(st.integers(0, 14 if d == 1 else 7)),
+            u=draw(st.floats(0.5, 2.0)),
+            density=draw(st.floats(0.2, 1.0)),
+            seed=draw(st.integers(0, 2**32 - 1)),
+        )
+        assume(np.any(f.samples))
+        rows.append((f, p_i, alpha))
+    return rows, p
+
+
+def _assert_rows_match_oracles(rows, p, outs, certs):
+    for (f, p_i, alpha), out, cert in zip(rows, outs, certs):
+        _assert_same_output(out, _oracle_decompose(f, p_i, alpha, p))
+        oracle = _oracle_certify(_on_root_box(out), f)
+        assert list(cert.checks.items()) == list(oracle.checks.items())
+        assert list(cert.margins.items()) == list(oracle.margins.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(cz_batches())
+# a flagged row among rows that share root boxes and p_i
+@example(([(line(np.full(64, 1.0e9)), 1.0, 1e-9)]
+          + [_normal_case((-20,), (37,), 1.0, p_i, 1.0, depth=6, seed=seed)[:3]
+             for seed, p_i in enumerate([1.0, 1.5, 1.0, 2.0])], 1.0))
+def test_row_kernels_match_the_per_row_oracles(batch):
+    rows, p = batch
+    outs = _decompose_rows(rows, p)
+    certs = _certify_rows(outs, [f for f, _, _ in rows])
+    _assert_rows_match_oracles(rows, p, outs, certs)
+
+
+def _mixed_batch():
+    """Rows that share root boxes, mesh and p_i, in d = 1 and d = 2."""
+    batches = []
+    for d, shape, origins in [(1, (37,), [(-20,), (3,), (-5,)]), (2, (5, 4), [(-3, 0), (2, -6)])]:
+        rows = [_normal_case(origin, shape, 0.37, p_i, 1.0, depth=depth, seed=seed)[:3]
+                for seed, (origin, p_i, depth) in enumerate(
+                    (o, p_i, depth) for o in origins for p_i in (1.0, 1.5)
+                    for depth in (2, 4))]
+        batches.append((rows, _decompose_rows(rows, 1.0)))
+    return batches
+
+
+def test_small_blocks_split_the_groups():
+    batches = _mixed_batch()
+    rows = [row for batch, _ in batches for row in batch]
+    outs = [out for _, batch in batches for out in batch]
+    # rows of both dimensions in one call, as one block per group
+    certs = _certify_rows(outs, [f for f, _, _ in rows])
+    assert len({(out.good.box.extent, out.p_i) for out in outs}) < len(outs)
+    for bound in (1, 64, 200):
+        with mock.patch.object(cz, "_BLOCK_VALUES", bound):
+            assert _certify_rows(outs, [f for f, _, _ in rows]) == certs
+    for batch, batch_outs in batches:
+        _assert_rows_match_oracles(batch, 1.0, batch_outs,
+                                   _certify_rows(batch_outs, [f for f, _, _ in batch]))
+
+
+def test_root_box_rows_sum_as_root_box_arrays():
+    # the certifier sums each piece, f, the good and the bad part as one row
+    # of a C-contiguous block; numpy must add the row as it adds the 2-D
+    # root-box array the row stands for, and raise it to p_i alike
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        shape = tuple(rng.integers(1, 300, size=2).tolist())
+        arrays = []
+        for _ in range(int(rng.integers(1, 6))):
+            a = np.zeros(shape)
+            lo = rng.integers(0, shape)
+            hi = lo + rng.integers(1, np.subtract(shape, lo) + 1)
+            a[lo[0] : hi[0], lo[1] : hi[1]] = rng.normal(size=tuple(hi - lo))
+            arrays.append(a)
+        block = np.stack([a.ravel() for a in arrays])
+        assert np.sum(block, axis=-1).tolist() == [float(np.sum(a)) for a in arrays]
+        for p_i in (1.0, 1.5, 2.0):
+            got = np.sum(np.abs(block) ** p_i, axis=-1).tolist()
+            assert got == [float(np.sum(np.abs(a) ** p_i)) for a in arrays]
+
+
+@pytest.mark.parametrize("p_i", [1.0, 1.5])
+def test_large_root_certificate_holds_one_root_row_at_a_time(p_i):
+    # a 4 x 3 field across the origin at alpha = 2^-18: a 2048 x 2048 root
+    # box and 4 pieces.  The per-piece certifier peaked at 164.0 MiB here
+    # (tracemalloc).  The row certifier holds at most three 32 MiB root rows
+    # at once (the bad part with a piece row or its |x|^p_i copy, then the
+    # good and the bad part), so a fourth live row, such as two stacked
+    # piece rows or a block kept alive past its use, fails the bound
+    f = Field(Box(2, (-2, -1), (4, 3)), np.random.default_rng(0).normal(size=(4, 3)))
+    out = cz_decompose(f, p_i, 2.0**-18, 1.0)
+    assert (out.good.box.extent, len(out.bad_pieces)) == ((2048, 2048), 4)
+    tracemalloc.start()
+    try:
+        cert = cz_certify(out, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * 2048 * 2048
+    oracle = _oracle_certify(_on_root_box(out), f)
+    assert list(cert.checks.items()) == list(oracle.checks.items())
+    assert list(cert.margins.items()) == list(oracle.margins.items())
