@@ -291,21 +291,25 @@ def _node_average(a1, a2, y1, y2, run: int, extend: str = "constant") -> np.ndar
     a2(x + y2)`` at every cell x, flattened; the arrays are extended by zeros
     (``extend="constant"``) or periodically (``"wrap"``).  Each run of ``run``
     consecutive nodes is summed pairwise per cell, and the runs are added in
-    order (docs/notes.md, notes 4 and 14)."""
-    ext = np.asarray(a1.shape)
+    order (docs/notes.md, notes 4 and 14).  ``a1`` and ``a2`` may carry a
+    leading axis of rows, which gives one flattened row each, every row the
+    bits of a one-row call (note 16)."""
+    d = y1.shape[1]
+    shape = a1.shape[a1.ndim - d :]
+    both = np.stack((a1.reshape(-1, *shape), a2.reshape(-1, *shape)))  # (2, rows, *shape)
+    ext = np.asarray(shape)
     # a coordinate past the extent reads only the extension from every cell,
     # so its class modulo the extent (wrap) or the extent itself (zeros) reads
     # the same values; the padding stays O(extent)
     clamp = (lambda y: np.mod(y, ext)) if extend == "wrap" else (lambda y: np.clip(y, -ext, ext))
     y1, y2 = clamp(y1), clamp(y2)
     R = int(max(np.abs(y1).max(), np.abs(y2).max()))
-    p1 = np.pad(a1, R, mode=extend)
-    p2 = np.pad(a2, R, mode=extend)
-    strides = np.array(p1.strides) // p1.itemsize  # flat index steps of the padded arrays
-    p1, p2 = p1.ravel(), p2.ravel()
-    # a line is a run of `inner` cells along the last axis; its flat start in the padding
-    inner = a1.shape[-1]
-    starts = (np.indices(a1.shape[:-1] + (1,)).reshape(a1.ndim, -1).T + R) @ strides
+    below = 0 if extend == "wrap" else R  # a wrapped coordinate is not negative
+    padded = [e + below + R for e in shape]
+    size = math.prod(padded)
+    strides = np.array([math.prod(padded[i + 1 :]) for i in range(d)])  # flat steps of the padding
+    # a line is a run of shape[-1] cells along the last axis; its flat start in the padding
+    starts = (np.indices(shape[:-1] + (1,)).reshape(d, -1).T + below) @ strides
     off1, off2, n = y1 @ strides, y2 @ strides, len(y1)
     del y1, y2  # the clamped copies; the offsets are all the fill reads
     # a node reads p2 at its p1 read minus delta = off1 - off2, so nodes with
@@ -315,46 +319,72 @@ def _node_average(a1, a2, y1, y2, run: int, extend: str = "constant") -> np.ndar
     lo = int(delta.min())
     seen = np.zeros(int(delta.max()) - lo + 1, dtype=bool)
     seen[delta - lo] = True
-    table = np.count_nonzero(seen) * p1.size <= 8 * _CHUNK_CELLS
+    per_row = np.count_nonzero(seen) * size  # table values per row of fields
+    table = per_row <= 8 * _CHUNK_CELLS
     if table:
-        prods = _product_table(p1, p2, np.flatnonzero(seen) + lo).ravel()
-        off1 = (np.cumsum(seen)[delta - lo] - 1) * p1.size + off1
+        deltas = np.flatnonzero(seen) + lo
+        off1 += (np.cumsum(seen)[delta - lo] - 1) * size  # the node's table row, then its read
+        off2 = None  # the table route reads p2 through the table
         piece = 4 * _CHUNK_CELLS
     else:
         piece = _CHUNK_CELLS
+    del delta
+    # the rows go in groups whose table holds at most one piece of products,
+    # at least one row; all of them in one group without a table.  Within a
+    # group they are the innermost axis of the padding and of the table, so
+    # the flat offsets above count cells of G values each, windows step G
+    # values per cell, and a line is one run of shape[-1] * G values (note 16)
+    group = max(1, piece // per_row) if table else both.shape[1]
+    cells = math.prod(shape)
+    values = np.empty((both.shape[1], cells))
+    for r0 in range(0, both.shape[1], group):
+        G = min(group, both.shape[1] - r0)
+        # (2, *shape, G), padded along the cell axes and read flat
+        block = both[:, r0 : r0 + G].transpose(0, *range(2, d + 2), 1)
+        if extend == "wrap":
+            padding = np.pad(block, [(0, 0)] + [(0, R)] * d + [(0, 0)], mode="wrap")
+        else:  # zeros around the box; np.pad takes longer than the fill of a small call
+            padding = np.zeros((2, *padded, G))
+            padding[(slice(None), *(slice(R, R + e) for e in shape))] = block
+        p1, p2 = padding.reshape(2, -1)
+        prods = _product_table(p1, p2, deltas * G).ravel() if table else None
+        inner = shape[-1] * G  # the values of a line
 
-    def fill(start, stop, out):
-        # one row per run; a short last run is alone in its block
-        rows = stop - start
-        nodes = slice(start * run, stop * run)
-        k = off1[nodes].size // rows
-        # (k, rows, 1): node j of every run of the block leads
-        o1 = off1[nodes].reshape(rows, k).T[:, :, None]
-        o2 = off2[nodes].reshape(rows, k).T[:, :, None]
-        # pieces of at most `piece` products and at least one cell: cw cells
-        # of one line, or lw whole lines when a line fits
-        cw = max(1, min(inner, piece // (rows * k)))
-        lw = max(1, piece // (rows * k * inner))
-        out = out.reshape(rows, len(starts), inner)
-        for l0 in range(0, len(starts), lw):
-            s = starts[l0 : l0 + lw]
-            for c0 in range(0, inner, cw):
-                c1 = min(c0 + cw, inner)
-                # row j of a window view is p[c0 + j : c1 + j], so each (node,
-                # run, line) is one copy of c1 - c0 consecutive values
-                if table:
-                    g = _windows(prods[c0:], c1 - c0)[s + o1]
-                else:
-                    g = _windows(p1[c0:], c1 - c0)[s + o1]
-                    g *= _windows(p2[c0:], c1 - c0)[s + o2]
-                dst = out[:, l0 : l0 + len(s), c0:c1]
-                if k == 1:  # a run of one node sums to its product
-                    dst[...] = g[0]
-                else:
-                    dst[...] = _pairwise_sum(g.reshape(1, k, -1)).reshape(dst.shape)
+        def fill(start, stop, out):
+            # one row per run; a short last run is alone in its block
+            rows = stop - start
+            nodes = slice(start * run, stop * run)
+            k = off1[nodes].size // rows
+            # (k, rows, 1): node j of every run of the block leads
+            o1 = off1[nodes].reshape(rows, k).T[:, :, None]
+            o2 = None if table else off2[nodes].reshape(rows, k).T[:, :, None]
+            # pieces of at most `piece` products and at least one value: cw
+            # values of one line, or lw whole lines when a line fits
+            cw = max(1, min(inner, piece // (rows * k)))
+            lw = max(1, piece // (rows * k * inner))
+            out = out.reshape(rows, len(starts), inner)
+            for l0 in range(0, len(starts), lw):
+                s = starts[l0 : l0 + lw]
+                for c0 in range(0, inner, cw):
+                    c1 = min(c0 + cw, inner)
+                    # row j of a window view is p[c0 + j G : c1 + j G], so each
+                    # (node, run, line) is one copy of c1 - c0 consecutive values
+                    if table:
+                        g = _windows(prods[c0:], c1 - c0, G)[s + o1]
+                    else:
+                        g = _windows(p1[c0:], c1 - c0, G)[s + o1]
+                        g *= _windows(p2[c0:], c1 - c0, G)[s + o2]
+                    dst = out[:, l0 : l0 + len(s), c0:c1]
+                    if k == 1:  # a run of one node sums to its product
+                        dst[...] = g[0]
+                    else:
+                        dst[...] = _pairwise_sum(g.reshape(1, k, -1)).reshape(dst.shape)
 
-    step = max(1, _CHUNK_CELLS // (a1.size * run)) if n % run == 0 else 1
-    return _ordered_sum(-(-n // run), a1.size, step, fill) / n
+        step = max(1, _CHUNK_CELLS // (cells * G * run)) if n % run == 0 else 1
+        sums = _ordered_sum(-(-n // run), cells * G, step, fill)
+        values[r0 : r0 + G] = sums.reshape(cells, G).T / n
+        del prods, sums  # freed before the next group's are built
+    return values if a1.ndim > d else values[0]
 
 
 def avg_field(body: ConvexBody, t: float, f1: Field, f2: Field,
@@ -509,12 +539,13 @@ def _sliced_values(box, mode: str, reqs, rows1: np.ndarray, rows2: np.ndarray,
     return values
 
 
-def _windows(a: np.ndarray, width: int) -> np.ndarray:
+def _windows(a: np.ndarray, width: int, step: int = 1) -> np.ndarray:
     """Read-only view of a C-contiguous array, read flat, whose row i is
-    a.flat[i : i + width]: the values of ``sliding_window_view(a.ravel(),
-    width)``, without its argument checks, which take about a third of a
-    one-point evaluation."""
-    view = np.ndarray((a.size - width + 1, width), a.dtype, a, 0, (a.itemsize,) * 2)
+    a.flat[i * step : i * step + width]: at step 1 the values of
+    ``sliding_window_view(a.ravel(), width)``, without its argument checks,
+    which take about a third of a one-point evaluation."""
+    shape = ((a.size - width) // step + 1, width)
+    view = np.ndarray(shape, a.dtype, a, 0, (a.itemsize * step, a.itemsize))
     view.flags.writeable = False
     return view
 

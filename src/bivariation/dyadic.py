@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "DyadicCube",
     "covering_level",
     "level_range",
-    "iter_cubes",
     "cube_cell_values",
 ]
 
@@ -145,14 +144,6 @@ def cube_slices(box, cube: DyadicCube) -> tuple[slice, ...]:
             return (slice(0, 0),) * box.dim
         sl.append(slice(a - o, b - o))
     return tuple(sl)
-
-
-def iter_cubes(f: "Field", level: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """Yield (cube coords, in-box sample values) for level cubes meeting the box."""
-    _, table, _ = cell_cube_ids(f.box, level)
-    for coords in table:
-        cube = DyadicCube(level, tuple(int(v) for v in coords))
-        yield cube.coords, cube_cell_values(f, cube)
 
 
 def cube_cell_values(f: "Field", cube: DyadicCube) -> np.ndarray:

@@ -363,22 +363,39 @@ def ergodic_avg_profile(
 
     Because torus nodes are equally spaced, each quadrature point shifts the
     whole profile by a fixed number of grid cells, so the average is a mean of
-    rolled sample products, one row per node.
+    rolled sample products, one row per node.  The one-request view of
+    :func:`_profile_rows`.
     """
     f1, f2 = _torus_samples(f1, f2, body, t)
     if f1.ndim != 1:
         raise ValueError("body dimension does not match the torus (the profile needs d = 1)")
     beta = float(_finite_shift(beta, 1, "beta")[0])
-    m = f1.size
     h = default_rotation_mesh(t) if quad_mesh is None else float(quad_mesh)
     if not (h > 0 and math.isfinite(h)):
         raise ValueError("quadrature mesh must be positive and finite")
-    pts = enumerate_lattice(body, t / h).points
-    if len(pts) == 0:
-        raise ValueError(f"no quadrature nodes at t={t}")
-    s1 = np.rint(beta * h * pts[:, :1] * m).astype(np.int64)
-    s2 = np.rint(beta * h * pts[:, 1:] * m).astype(np.int64)
-    return _node_average(f1, f2, s1, s2, 1, "wrap")
+    return _profile_rows(beta, f1[None], f2[None], body, [(t, h, 0)])[0]
+
+
+def _profile_rows(beta: float, rows1: np.ndarray, rows2: np.ndarray, body: ConvexBody,
+                  reqs) -> np.ndarray:
+    """(len(reqs), m): the rotation profile of ``ergodic_avg_profile`` for
+    every request ``(t, h, pair)``, on the m-node torus samples ``rows1[pair]``
+    and ``rows2[pair]``, each row its bits.  The requests with one (t, h)
+    share one lattice enumeration, one table of rounded shifts and one rows
+    ``_node_average`` call (docs/notes.md, note 16)."""
+    m = rows1.shape[1]
+    rows_of = {}  # the requests of each distinct (t, h), in request order
+    for i, (t, h, _) in enumerate(reqs):
+        rows_of.setdefault((t, h), []).append(i)
+    out = np.empty((len(reqs), m))
+    for (t, h), rows in rows_of.items():
+        shifts = np.rint(beta * h * enumerate_lattice(body, t / h).points * m).astype(np.int64)
+        if len(shifts) == 0:
+            raise ValueError(f"no quadrature nodes at t={t}")
+        pairs = [reqs[i][2] for i in rows]
+        out[rows] = _node_average(rows1[pairs], rows2[pairs], shifts[:, :1], shifts[:, 1:], 1,
+                                  "wrap")
+    return out
 
 
 def ergodic_bilinear_avg(

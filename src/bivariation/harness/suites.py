@@ -23,9 +23,10 @@ from ..cz import _certify_rows, _decompose_rows, format_cz_report
 from ..extremal import (
     LOWER_THRESHOLD,
     UPPER_THRESHOLD,
+    _profile_rows,
     counterexample_average,
     counterexample_variation,
-    ergodic_avg_profile,
+    default_rotation_mesh,
     interp_weights,
     make_instance,
     sample_torus,
@@ -42,12 +43,14 @@ from ..martingale import (
     _weighted_sums,
     young_convolution_check,
 )
-from ..squarefn import long_variation_check, square_function
+from ..squarefn import _long_variation_rows, _square_rows
 from ..variation import _pair_variations, _product_rule_report, _sup_report, vq_value_batch
 from .ceilings import ceiling_for, sweep_key
 from .config import SUITES, ConfigError, ExperimentConfig, with_updates
 from .generators import (
+    FAMILIES,
     random_body,
+    random_field,
     random_measurable_pair,
     random_pair,
     random_step_field,
@@ -348,9 +351,13 @@ def _martingale_structure_rows(cfg: ExperimentConfig, box) -> list[tuple]:
     50 fields, from one ladder over every field and one level-5 projection of
     their E_3 rows."""
     top = 7
-    drawn = [(trial, *random_pair(box, trial_rng(cfg.seed, 40_000 + trial)))
-             for trial in range(min(cfg.trials, 50))]
-    rows = _stack(f for _, f, *_ in drawn)
+    drawn = []
+    for trial in range(min(cfg.trials, 50)):
+        rng = trial_rng(cfg.seed, 40_000 + trial)
+        # the pair's two families, then f1: nothing reads f2 or draws after it
+        fam = FAMILIES[rng.integers(0, len(FAMILIES), size=2)[0]]
+        drawn.append((trial, random_field(box, fam, rng), fam))
+    rows = _stack(f for _, f, _ in drawn)
     e = _ladder_rows(box, rows, range(top + 1))  # E_0 f .. E_7 f
     recon = e[top].copy()
     for j in range(1, top + 1):
@@ -361,7 +368,7 @@ def _martingale_structure_rows(cfg: ExperimentConfig, box) -> list[tuple]:
     inner = np.abs(np.sum(d3 * d5, axis=1) * box.cell_volume)
     out = []
     checks = zip(err.tolist(), err_comp.tolist(), inner.tolist())
-    for (trial, f, _, fam, _), (e_tel, e_comp, orth) in zip(drawn, checks):
+    for (trial, f, fam), (e_tel, e_comp, orth) in zip(drawn, checks):
         scale = max(1.0, lp_norm(f, 2.0) ** 2)
         good = e_tel < 1e-12 and e_comp < 1e-12 and orth < 1e-10 * scale
         out.append((trial, fam, e_tel, e_comp, orth, good))
@@ -568,19 +575,33 @@ def _square_l2(cfg: ExperimentConfig) -> RatioReport:
     ||f1||_inf ||f2||_2."""
     box = standard_box(with_updates(cfg, d=1, grid=min(cfg.grid, 64)))
     body = body_from_descriptor(cfg.body, 1)
-    rows = []
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, trial)
-        f1, f2, fam1, fam2 = random_pair(box, rng)
-        sp = square_function(f1, f2, body)
-        recompute = np.sqrt(sum(p.samples**2 for p in sp.pieces.values()))
-        agg_err = float(np.abs(recompute - sp.aggregate.samples).max())
-        den = lp_norm(f1, np.inf) * lp_norm(f2, 2.0)
-        ratio = _ratio(lp_norm(sp.aggregate, 2.0), den)
-        lv_ok = long_variation_check(sp, cfg.q)[2]
-        rel = 1e-12 * max(1.0, float(np.abs(sp.aggregate.samples).max()))
-        good = agg_err <= rel and lv_ok
-        rows.append((trial, fam1, fam2, agg_err, sp.tail_max, ratio, lv_ok, good))
+    k_lo, k_hi = level_range(box)
+    ks = range(k_lo, k_hi + 2)
+
+    def draw(trial):
+        return trial, *random_pair(box, trial_rng(cfg.seed, trial))
+
+    def evaluate(batch):
+        # one sweep, one ladder and one DP batch over every trial (docs/notes.md, note 16)
+        rows1, rows2 = _stack(t[1] for t in batch), _stack(t[2] for t in batch)
+        diffs, averages, products, agg = _square_rows(box, rows1, rows2, body, ks)
+        recompute = np.sqrt(sum(p**2 for p in diffs[:-1]))
+        agg_err = np.abs(recompute - agg).max(axis=1).tolist()
+        tail_max = np.abs(diffs[-1]).max(axis=1).tolist()
+        lv_ok = _long_variation_rows(averages, products, agg, cfg.q)[2].tolist()
+        out = []
+        for i, (trial, f1, f2, fam1, fam2) in enumerate(batch):
+            den = lp_norm(f1, np.inf) * lp_norm(f2, 2.0)
+            ratio = _ratio(_lp_norm(agg[i], box.cell_volume, 2.0), den)
+            rel = 1e-12 * max(1.0, float(np.abs(agg[i]).max()))
+            good = agg_err[i] <= rel and lv_ok[i]
+            out.append((trial, fam1, fam2, agg_err[i], tail_max[i], ratio, lv_ok[i], good))
+        return out
+
+    # per level and cell a trial holds its average, product and piece, and
+    # two rows of the DP with their sequence, best sums, links and candidates
+    rows = _batched(map(draw, range(cfg.trials)), lambda _: 11 * len(ks) * box.cell_count,
+                    evaluate)
     return _report(cfg, "square_l2", rows, _sup_finite(r[5] for r in rows))
 
 
@@ -668,25 +689,41 @@ def _random_trig(rng):
     return fn
 
 
+def _mean_norm(a: np.ndarray, p: float) -> float:
+    """(mean of a^p)^(1/p) of nonnegative values ``a``; max a at p = inf."""
+    return float(a.max()) if np.isinf(p) else float(np.mean(a**p) ** (1.0 / p))
+
+
 def _ergodic_vq(cfg: ExperimentConfig) -> RatioReport:
     """Rotation averages on the torus: each row holds the mean |average| at
     t = 4, 8, 16, then the variation ratio's numerator, denominator and value."""
     m = 64
     body = ball(1)
-    beta = np.array([np.sqrt(2.0)])
-    rows = []
-    for trial in range(cfg.trials):
+    beta = float(np.sqrt(2.0))
+
+    def draw(trial):
         rng = trial_rng(cfg.seed, trial)
         f1 = sample_torus(_random_trig(rng), m, 1)
         f2 = sample_torus(_random_trig(rng), m, 1)
-        tg = TimeGrid.dyadic_spanning(0, 4, per_block=1, rng=rng)
-        mat = np.stack([ergodic_avg_profile(beta, f1, f2, body, t) for t in tg.times])
-        means = [float(np.mean(np.abs(mat[tg.times.index(t)]))) for t in (4.0, 8.0, 16.0)]
-        vq = vq_value_batch(mat.T, cfg.q)
-        num = float(np.mean(vq**cfg.p) ** (1.0 / cfg.p))
-        den = float(np.mean(np.abs(f1) ** cfg.p1) ** (1.0 / cfg.p1)
-                    * np.mean(np.abs(f2) ** cfg.p2) ** (1.0 / cfg.p2))
-        rows.append((trial, *means, num, den, _ratio(num, den)))
+        return trial, f1, f2, TimeGrid.dyadic_spanning(0, 4, per_block=1, rng=rng).times
+
+    def evaluate(batch):
+        # one node-table pass per distinct scale of the batch (docs/notes.md, note 16)
+        reqs = [(t, default_rotation_mesh(t), i) for i, (*_, times) in enumerate(batch)
+                for t in times]
+        profiles = _profile_rows(beta, np.stack([b[1] for b in batch]),
+                                 np.stack([b[2] for b in batch]), body, reqs)
+        out = []
+        splits = np.cumsum([len(b[-1]) for b in batch])[:-1]
+        for (trial, f1, f2, times), mat in zip(batch, np.split(profiles, splits)):
+            means = [float(np.mean(np.abs(mat[times.index(t)]))) for t in (4.0, 8.0, 16.0)]
+            num = _mean_norm(vq_value_batch(mat.T, cfg.q), cfg.p)
+            den = _mean_norm(np.abs(f1), cfg.p1) * _mean_norm(np.abs(f2), cfg.p2)
+            out.append((trial, *means, num, den, _ratio(num, den)))
+        return out
+
+    # a trial holds its two fields and a profile per scale
+    rows = _batched(map(draw, range(cfg.trials)), lambda t: (2 + len(t[-1])) * m, evaluate)
     return _report(cfg, "ergodic_vq", rows, _sup_finite(r[-1] for r in rows))
 
 

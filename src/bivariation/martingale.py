@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averages import AvgRequest, TimeGrid, _field_values, avg_field_sweep
+from .averages import AvgRequest, TimeGrid, _field_values
 from .bodies import ConvexBody
 from .dyadic import cell_cube_ids, cells_by_cube, cube_slices, level_range
 from .fields import Field, _bmo_rows, _lp_norm
@@ -267,14 +267,36 @@ def _domination_verdicts(average: np.ndarray, bound: np.ndarray):
 
 def compensated_terms(f1: Field, f2: Field, body: ConvexBody, ks) -> tuple[np.ndarray, np.ndarray]:
     """(averages, products) at the increasing levels ``ks``, each (len(ks), cells):
-    the averages at scales 2^k * mesh from one ``avg_field_sweep``, and
-    E_k f1 * E_k f2 from one ladder per field (docs/notes.md, note 10)."""
+    the averages at scales 2^k * mesh and E_k f1 * E_k f2.  The one-pair
+    view of :func:`_compensated_rows` (docs/notes.md, note 10)."""
+    rows1, rows2 = _compensated_checks(f1, f2, body, ks)
+    averages, products = _compensated_rows(f1.box, rows1, rows2, body, ks)
+    return averages[:, 0], products[:, 0]
+
+
+def _compensated_checks(f1: Field, f2: Field, body: ConvexBody,
+                        ks) -> tuple[np.ndarray, np.ndarray]:
+    """The checks of a compensated-terms call at the levels ``ks``, those of
+    ``avg_field_sweep`` over their scales; returns the fields' sample rows."""
     if f1.box != f2.box:
         raise ValueError("fields must share one box")
     grid = TimeGrid(tuple((2.0**k) * f1.box.mesh for k in ks))
-    averages = avg_field_sweep(body, grid, f1, f2, "continuum_quadrature")
-    rows1, rows2 = f1.samples.reshape(1, -1), f2.samples.reshape(1, -1)
-    return averages, _product_rows(f1.box, rows1, rows2, ks)[:, 0]
+    if not len(grid):
+        raise ValueError("need at least one level")
+    AvgRequest(body, grid.times[0], f1, f2)
+    return f1.samples.reshape(1, -1), f2.samples.reshape(1, -1)
+
+
+def _compensated_rows(box, rows1: np.ndarray, rows2: np.ndarray, body: ConvexBody, ks):
+    """(averages, products), each (len(ks), N, cells), of every row pair of
+    ``rows1`` and ``rows2`` at the levels ``ks``: the averages at scales
+    2^k * mesh from one ``_field_values`` call, whose memo lookups go pair
+    by pair as a loop of one-pair calls makes them, and the products from
+    one ladder over every field (docs/notes.md, notes 10 and 16)."""
+    n, ks = len(rows1), list(ks)
+    reqs = [(body, (2.0**k) * box.mesh, p) for p in range(n) for k in ks]
+    averages = _field_values(box, "continuum_quadrature", reqs, rows1, rows2)
+    return averages.reshape(n, len(ks), -1).transpose(1, 0, 2), _product_rows(box, rows1, rows2, ks)
 
 
 def square_piece(f1: Field, f2: Field, body: ConvexBody, k: int) -> Field:

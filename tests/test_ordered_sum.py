@@ -2,7 +2,8 @@
 
 ``_ordered_sum`` is checked against a plain ``acc += row`` loop, its run sums
 ``_pairwise_sum`` against ``np.sum`` of contiguous runs, and the node-table
-kernel ``_node_average`` against a plain per-node loop.  Each
+kernel ``_node_average`` against a plain per-node loop, and its rows of
+fields against loops of one-row calls.  Each
 caller is checked against the loop it replaced, copied below unchanged as an
 oracle: the d = 1 sliced kernel (``_ordered_sum``'s other caller), and the
 three callers of ``_node_average``: the d >= 2 gather, ``dtt_avg_field`` and
@@ -341,6 +342,58 @@ def test_node_average_matches_per_node_loop(shape, n, run, extend, reach, chunk,
     with mock.patch.object(averages, "_CHUNK_CELLS", chunk):
         got = _node_average(a1, a2, y1, y2, run, extend)
     assert same_bits(got, oracle_node_average(a1, a2, y1, y2, run, extend))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([(1,), (6,), (17,), (64,), (3, 4), (2, 5)]),
+    st.integers(1, 5),
+    st.integers(1, 90),
+    st.sampled_from([1, 4, 7]),
+    st.sampled_from(["constant", "wrap"]),
+    st.one_of(st.integers(0, 8), st.just(40)),
+    st.sampled_from([_CHUNK_CELLS, 100, 40, 7]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["random", "linear", "rotation"]),
+)
+@example((6,), 5, 30, 1, "wrap", 3, 100, 0, "random")  # tables of three rows, then two
+@example((6,), 5, 30, 4, "constant", 3, 100, 1, "random")  # the same with runs of 4, a short last run
+@example((17,), 3, 90, 7, "constant", 8, 40, 2, "random")  # no table: pieces of a few values
+@example((3, 4), 4, 40, 4, "wrap", 2, 100, 3, "random")  # d = 2, a table per row
+@example((3, 4), 2, 23, 5, "constant", 9, 7, 4, "random")  # d = 2, no table: one group
+@example((1,), 3, 23, 5, "constant", 1, _CHUNK_CELLS, 5, "random")  # one cell, one table of three rows
+@example((64,), 5, 1, 1, "wrap", 30, _CHUNK_CELLS, 6, "rotation")  # the ergodic suite's shape
+def test_node_average_rows_match_one_row_calls(shape, rows, n, run, extend, reach, chunk, seed,
+                                               kind):
+    """Each row of a rows call is the bits of a one-row call on its arrays,
+    whatever the table rule, the row groups and the piece sizes decide."""
+    rng = np.random.default_rng(seed)
+    size = (rows, *shape)
+    a1, a2 = (rng.normal(size=size) * 10.0 ** rng.integers(-8, 9, size=size) for _ in "12")
+    a1.reshape(rows, -1)[:, 0] = -0.0
+    y1, y2 = offset_table(kind, rng, n, run, reach, len(shape))
+    want = np.stack([_node_average(a1[i], a2[i], y1, y2, run, extend) for i in range(rows)])
+    with mock.patch.object(averages, "_CHUNK_CELLS", chunk):
+        assert same_bits(_node_average(a1, a2, y1, y2, run, extend), want)
+
+
+@pytest.mark.parametrize("chunk, groups", [(_CHUNK_CELLS, 1), (100, 3), (60, 5), (7, 0)])
+def test_node_average_splits_the_rows_into_table_groups(chunk, groups):
+    # a 6-cell line with offsets in [-3, 3]: 13 deltas of 12 padded cells, so
+    # a row's table holds 156 values; the pieces are 4 * chunk products, and
+    # a table over 8 * chunk values is not built (no groups, one gather pass)
+    rng = np.random.default_rng(0)
+    a1, a2 = rng.normal(size=(5, 6)), rng.normal(size=(5, 6))
+    y1 = np.arange(-3, 4).repeat(7).reshape(-1, 1)
+    y2 = np.tile(np.arange(-3, 4), 7).reshape(-1, 1)
+    want = np.stack([_node_average(a1[i], a2[i], y1, y2, 1) for i in range(5)])
+    with mock.patch.object(averages, "_CHUNK_CELLS", chunk), \
+            mock.patch.object(averages, "_product_table", wraps=averages._product_table) as table:
+        got = _node_average(a1, a2, y1, y2, 1)
+    assert same_bits(got, want)
+    assert table.call_count == groups
+    # no group's table holds more than one piece, unless it holds one row
+    assert all(args[2].size * args[0].size <= max(4 * chunk, 156) for args, _ in table.call_args_list)
 
 
 def test_node_average_scratch_stays_within_the_chunk():

@@ -1,5 +1,5 @@
-"""The identities, carleson, domination and cz suites evaluate their trials
-together, bit for bit.
+"""The identities, carleson, domination, cz, square and ergodic suites
+evaluate their trials together, bit for bit.
 
 The projection ladder takes many fields at once (``martingale._ladder_rows``),
 ``martingale._telescope_rows`` makes one averaging call for every piece of a
@@ -7,13 +7,16 @@ batch of telescope trials, and the suites draw their trials first and then
 make one ladder pass, one BMO scan and one q-variation DP per distinct
 length.  The domination trials make
 one averaging call and one stack of cube-value grids per level, and the cz
-decompositions one level-wise descent.  Each is held to the code it
-replaced, copied below unchanged as an oracle: the one-field projection, the
-per-piece telescope, the per-field maximal functions, the per-root descent
-with root-box pieces, the choice-based trial generators and the per-trial
-suite loops (docs/notes.md, notes 12 and 13).
+decompositions one level-wise descent.  The square trials make one sweep,
+one ladder and one DP batch, and the ergodic trials one node-table pass per
+shared scale.  Each is held to the code it replaced, copied below unchanged
+as an oracle: the one-field projection, the per-piece telescope, the
+per-field maximal functions, the per-root descent with root-box pieces, the
+choice-based trial generators and the per-trial suite loops (docs/notes.md,
+notes 12, 13 and 16).
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -22,8 +25,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bivariation import averages, bodies, martingale
-from bivariation.averages import avg_field
-from bivariation.bodies import ball, cube, gamma_body
+from bivariation.averages import TimeGrid, avg_field
+from bivariation.bodies import ball, body_from_descriptor, cube, gamma_body
 from bivariation.cz import CZCertificate, CZOutput, MAX_ROOT_CELLS, format_cz_report
 from bivariation.dyadic import (
     DyadicCube,
@@ -35,6 +38,7 @@ from bivariation.dyadic import (
     level_range,
     orthant_regions,
 )
+from bivariation.extremal import ergodic_avg_profile, sample_torus
 from bivariation.fields import Box, Field, bmo_dyadic_norm, lp_norm
 from bivariation.harness import suites
 from bivariation.harness.config import ExperimentConfig, with_updates
@@ -65,6 +69,7 @@ from bivariation.martingale import (
     star_maximal,
     young_convolution_check,
 )
+from bivariation.squarefn import long_variation_check, square_function
 from bivariation.variation import sup_vs_variation_check, vq_exact, vq_value_batch
 
 
@@ -1002,6 +1007,125 @@ def test_cz_rows_match_the_per_trial_loop(tmp_path, seed, trials, grid, d):
             assert suites.run_suite("cz", cfg) == (0 if ok else 1)
         assert (tmp_path / "cz" / "cz_certificates.csv").read_bytes() == csv, bound
         assert (tmp_path / "cz" / "cz_example_report.txt").read_text() == report, bound
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the per-trial loops of the square and ergodic suites
+
+def oracle_square_rows(cfg):
+    """One ``square_function`` and one ``long_variation_check`` per trial."""
+    box = standard_box(with_updates(cfg, d=1, grid=min(cfg.grid, 64)))
+    body = body_from_descriptor(cfg.body, 1)
+    rows = []
+    for trial in range(cfg.trials):
+        rng = trial_rng(cfg.seed, trial)
+        f1, f2, fam1, fam2 = random_pair(box, rng)
+        sp = square_function(f1, f2, body)
+        recompute = np.sqrt(sum(p.samples**2 for p in sp.pieces.values()))
+        agg_err = float(np.abs(recompute - sp.aggregate.samples).max())
+        den = lp_norm(f1, np.inf) * lp_norm(f2, 2.0)
+        ratio = suites._ratio(lp_norm(sp.aggregate, 2.0), den)
+        lv_ok = long_variation_check(sp, cfg.q)[2]
+        rel = 1e-12 * max(1.0, float(np.abs(sp.aggregate.samples).max()))
+        good = agg_err <= rel and lv_ok
+        rows.append((trial, fam1, fam2, agg_err, sp.tail_max, ratio, lv_ok, good))
+    return rows
+
+
+def oracle_ergodic_trials(cfg):
+    """(trial, f1, f2, means, vq) of each trial: one profile per scale."""
+    m = 64
+    body = ball(1)
+    beta = np.array([np.sqrt(2.0)])
+    for trial in range(cfg.trials):
+        rng = trial_rng(cfg.seed, trial)
+        f1 = sample_torus(suites._random_trig(rng), m, 1)
+        f2 = sample_torus(suites._random_trig(rng), m, 1)
+        tg = TimeGrid.dyadic_spanning(0, 4, per_block=1, rng=rng)
+        mat = np.stack([ergodic_avg_profile(beta, f1, f2, body, t) for t in tg.times])
+        means = [float(np.mean(np.abs(mat[tg.times.index(t)]))) for t in (4.0, 8.0, 16.0)]
+        yield trial, f1, f2, means, vq_value_batch(mat.T, cfg.q)
+
+
+def oracle_ergodic_rows(cfg):
+    """The per-trial rows, with the norms of finite exponents."""
+    rows = []
+    for trial, f1, f2, means, vq in oracle_ergodic_trials(cfg):
+        num = float(np.mean(vq**cfg.p) ** (1.0 / cfg.p))
+        den = float(np.mean(np.abs(f1) ** cfg.p1) ** (1.0 / cfg.p1)
+                    * np.mean(np.abs(f2) ** cfg.p2) ** (1.0 / cfg.p2))
+        rows.append((trial, *means, num, den, suites._ratio(num, den)))
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# The square and ergodic suites against their per-trial loops
+
+@pytest.mark.parametrize("seed, trials", [(6, 10), (2, 30), (3, 50)])
+def test_square_rows_match_the_per_trial_loop(tmp_path, seed, trials):
+    cfg = ExperimentConfig(suite="square", trials=trials, seed=seed, out=str(tmp_path)).validate()
+    capped = with_updates(cfg, trials=min(trials, 30))
+    rows = oracle_square_rows(capped)
+    csv = _oracle_csv(tmp_path, "square.csv",
+                      ["trial", "family1", "family2", "aggregate_err", "tail_max", "l2_ratio",
+                       "long_variation_dominated", "pass"], rows)
+    status = 0 if suites._square_l2(capped).passed and all(r[-1] for r in rows) else 1
+    for bound in BATCH_BOUNDS:
+        with mock.patch.object(suites, "_BATCH_VALUES", bound):
+            assert suites.run_suite("square", cfg) == status
+            assert repr(suites._square_l2(capped).rows) == repr(rows), bound
+        assert (tmp_path / "square" / "square_function.csv").read_bytes() == csv, bound
+
+
+@pytest.mark.parametrize("seed, trials", [(6, 3), (1, 20), (7, 50)])
+def test_ergodic_rows_match_the_per_trial_loop(tmp_path, seed, trials):
+    cfg = ExperimentConfig(suite="ergodic", trials=trials, seed=seed, out=str(tmp_path)).validate()
+    capped = with_updates(cfg, trials=min(trials, 20))
+    rows = oracle_ergodic_rows(capped)
+    equi = _oracle_csv(tmp_path, "equi.csv", ["trial", "mean_abs_t4", "mean_abs_t8", "mean_abs_t16"],
+                       [r[:4] for r in rows])
+    ratio = _oracle_csv(tmp_path, "ratio.csv", ["trial", "numerator", "denominator", "ratio"],
+                        [(r[0], *r[4:]) for r in rows])
+    for bound in BATCH_BOUNDS:
+        with mock.patch.object(suites, "_BATCH_VALUES", bound):
+            suites.run_suite("ergodic", cfg)
+            assert repr(suites._ergodic_vq(capped).rows) == repr(rows), bound
+        assert (tmp_path / "ergodic" / "equidistribution.csv").read_bytes() == equi, bound
+        assert (tmp_path / "ergodic" / "variation_ratio.csv").read_bytes() == ratio, bound
+
+
+def _lp_mean(a, p):
+    return float(np.max(a)) if p == np.inf else float(np.mean(a**p) ** (1.0 / p))
+
+
+@pytest.mark.parametrize("p1, p2, p", [(np.inf, 2.0, 2.0), (2.0, np.inf, 2.0),
+                                       (np.inf, np.inf, np.inf)])
+def test_ergodic_norms_take_the_max_at_p_inf(p1, p2, p):
+    # the mean form reads 1.0 for any field at p = inf: trial 0's
+    # denominator at (inf, 2, 2) read 0.44645, ||f2||_2 alone
+    cfg = ExperimentConfig(suite="ergodic", trials=2, seed=1, p1=p1, p2=p2, p=p).validate()
+    rows = suites._ergodic_vq(cfg).rows
+    for row, (_, f1, f2, _, vq) in zip(rows, oracle_ergodic_trials(cfg)):
+        assert row[4] == _lp_mean(vq, p)
+        assert row[5] == _lp_mean(np.abs(f1), p1) * _lp_mean(np.abs(f2), p2)
+    if p == 2.0 and p1 == np.inf:
+        assert rows[0][5] == pytest.approx(1.07327, abs=5e-6)
+
+
+@pytest.mark.parametrize("seed", [0, 6])
+@pytest.mark.parametrize("trials, mib", [(3, 1.1), (20, 1.4)])
+def test_ergodic_scratch_stays_bounded(seed, trials, mib):
+    # every row of an anchor scale shares one node table, built a group of
+    # rows at a time; unbounded, 20 trials peaked at 4.41 MiB
+    cfg = ExperimentConfig(suite="ergodic", trials=trials, seed=seed).validate()
+    suites._ergodic_vq(cfg)
+    tracemalloc.start()
+    try:
+        suites._ergodic_vq(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= mib * 2**20
 
 
 # ---------------------------------------------------------------------------
