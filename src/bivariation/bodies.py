@@ -538,6 +538,7 @@ def _table_pass(keys, sizes):
         ]
     else:
         lines = body.halfspaces if isinstance(body, PolytopeBody) else ()
+    # each row's candidate [lo, hi], and [lo0, hi0], where its stepping starts
     if isinstance(body, (Ball, CubeBody)):
         # symmetric candidates [-M, M]; M = -1 marks a row the body misses
         if isinstance(body, Ball):
@@ -547,7 +548,8 @@ def _table_pass(keys, sizes):
             r_in = body.r_in if one else np.repeat([b.r_in for b, _ in keys], sizes)
             h = r_in * t
             M = np.where(np.abs(kf) <= h, np.floor(h), -1.0)
-        lo, hi = -M.astype(np.int64), M.astype(np.int64)
+        lo = lo0 = -M.astype(np.int64)
+        hi = hi0 = M.astype(np.int64)
     else:
         lo_f, hi_f = -t, t
         for a1, a2 in lines:
@@ -557,8 +559,10 @@ def _table_pass(keys, sizes):
             slanted = np.not_equal(a2, 0.0)
             lo_f = np.where(slanted, np.maximum(lo_f, np.minimum(b1, b2)), lo_f)
             hi_f = np.where(slanted, np.minimum(hi_f, np.maximum(b1, b2)), hi_f)
-        lo = np.floor(lo_f).astype(np.int64) - 1
-        hi = np.ceil(hi_f).astype(np.int64) + 1
+        lo0 = np.floor(lo_f).astype(np.int64) - 1
+        hi0 = np.ceil(hi_f).astype(np.int64) + 1
+        lo = np.ceil(lo_f).astype(np.int64)
+        hi = np.floor(hi_f).astype(np.int64)
 
     if one or isinstance(body, Ball):  # the ball test reads no parameter
         def member(pts, rows):
@@ -585,13 +589,34 @@ def _table_pass(keys, sizes):
             m[active] += delta
         return m
 
-    # shrink the candidate onto its outermost members, then grow to the full run
+    # one membership test settles most rows (docs/notes.md, notes 4 and 9).
+    # A ball or cube row starts at its candidate [-M, M], and its test is
+    # even in m: the row is its candidate when M is a member and M + 1 is
+    # not.  A gamma or half-space row's members are one interval: the row is
+    # its candidate when both ends are members and their outer neighbours are
+    # not, and it is empty when its candidate is and none of its start cells
+    # (at most four) is a member.  Cells are (cells, rows), so each operation
+    # loops over the rows
     rows = np.arange(len(ks))
-    lo = step_while(rows, lo, 1, lambda r, m: (m <= hi[r]) & ~inside(r, m))
-    hi = step_while(rows, hi, -1, lambda r, m: (m >= lo[r]) & ~inside(r, m))
+    if type(body) in (Ball, CubeBody, GammaBody, PolytopeBody):
+        full = lo <= hi
+        if type(body) in (Ball, CubeBody):
+            m, want, care = np.stack((hi, hi + 1)), full & np.array([[True], [False]]), full
+        else:
+            m = np.where(full, np.stack((lo - 1, lo, hi, hi + 1)), lo0 + np.arange(4)[:, None])
+            want, care = full & np.array([[False], [True], [True], [False]]), full | (m <= hi0)
+        got = inside(np.tile(rows, len(m)), m.ravel()).reshape(m.shape)
+        rows = np.flatnonzero(((got != want) & care).any(axis=0))
+    # the other rows: shrink the start onto its outermost members, then grow
+    # to the full run
+    lo[rows], hi[rows] = lo0[rows], hi0[rows]
+    lo[rows] = step_while(rows, lo[rows], 1, lambda r, m: (m <= hi[r]) & ~inside(r, m))
+    hi[rows] = step_while(rows, hi[rows], -1, lambda r, m: (m >= lo[r]) & ~inside(r, m))
+    rows = rows[lo[rows] <= hi[rows]]
+    lo[rows] = step_while(rows, lo[rows], -1, lambda r, m: inside(r, m - 1))
+    hi[rows] = step_while(rows, hi[rows], 1, lambda r, m: inside(r, m + 1))
     rows = np.flatnonzero(lo <= hi)
-    lo = step_while(rows, lo[rows], -1, lambda r, m: inside(r, m - 1))
-    hi = step_while(rows, hi[rows], 1, lambda r, m: inside(r, m + 1))
+    lo, hi = lo[rows], hi[rows]
     # the kept rows of each key, still in stacking order
     ends = np.searchsorted(rows, np.cumsum(sizes)).tolist()
     ks = ks[rows]

@@ -599,7 +599,7 @@ def _square_l2(cfg: ExperimentConfig) -> RatioReport:
         return out
 
     # per level and cell a trial holds its average, product and piece, and
-    # two rows of the DP with their sequence, best sums, links and candidates
+    # two rows of the DP with their sequence, best sums and candidates
     rows = _batched(map(draw, range(cfg.trials)), lambda _: 11 * len(ks) * box.cell_count,
                     evaluate)
     return _report(cfg, "square_l2", rows, _sup_finite(r[5] for r in rows))

@@ -53,17 +53,18 @@ def _check_q(q: float):
 _RESCALE_LO, _RESCALE_HI = 1e-18, 1e18
 
 
-def _vq_rows(seqs: np.ndarray, q: float):
+def _vq_rows(seqs: np.ndarray, q: float, links: bool = False):
     """The q-variation DP on every row of ``seqs`` (N, m); docs/notes.md, note 7.
 
-    Returns the values, each row's end index (-1 when m = 0) and the
-    backpointers ``prev`` (N, m): the earliest maximizing predecessor, or -1
-    where the best chain sum is 0.  Raises ``ValueError`` on a non-finite
-    entry or an overflowing difference.
+    Returns the values, each row's end index (-1 when m = 0) and, with
+    ``links``, the backpointers ``prev`` (N, m): the earliest maximizing
+    predecessor, or -1 where the best chain sum is 0 (else None; a best sum
+    is then the maximum, the value at the earliest maximizer).  Raises
+    ``ValueError`` on a non-finite entry or an overflowing difference.
     """
     n, m = seqs.shape
     if m == 0:
-        return np.zeros(n), np.full(n, -1), np.empty((n, 0), dtype=np.int64)
+        return np.zeros(n), np.full(n, -1), np.empty((n, 0), dtype=np.int64) if links else None
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows raise below
         # the largest |difference|: rounding is monotone, so it is max - min
         tops = (seqs.max(axis=1) - seqs.min(axis=1)).tolist()
@@ -72,7 +73,7 @@ def _vq_rows(seqs: np.ndarray, q: float):
     scale = [1.0 if t == 0.0 or _RESCALE_LO < t < _RESCALE_HI else t for t in tops]
     col_scale = np.array(scale)[:, None]
     best = np.zeros((n, m))
-    prev = np.zeros((n, m), dtype=np.int64)
+    prev = np.zeros((n, m), dtype=np.int64) if links else None
     rows = np.arange(n)
     for j in range(1, m):
         cand = seqs[:, :j] - seqs[:, j : j + 1]  # column j of the power table
@@ -80,10 +81,14 @@ def _vq_rows(seqs: np.ndarray, q: float):
         cand /= col_scale
         cand **= q
         cand += best[:, :j]
-        i = cand.argmax(axis=1)  # argmax takes the earliest maximizer
-        prev[:, j] = i
-        best[:, j] = cand[rows, i]
-    prev[best == 0] = -1
+        if links:
+            i = cand.argmax(axis=1)  # argmax takes the earliest maximizer
+            prev[:, j] = i
+            best[:, j] = cand[rows, i]
+        else:
+            cand.max(axis=1, out=best[:, j])
+    if links:
+        prev[best == 0] = -1
     ends = best.argmax(axis=1)
     # scalar pow for the final root, as the enumeration oracles take it: the
     # vectorized pow can round differently in the last ulp
@@ -99,7 +104,7 @@ def vq_exact(a, q: float) -> VariationOutcome:
     to brute force enumeration with left-to-right accumulation.
     """
     _check_q(q)
-    values, ends, prev = _vq_rows(np.asarray(a, dtype=np.float64).reshape(1, -1), q)
+    values, ends, prev = _vq_rows(np.asarray(a, dtype=np.float64).reshape(1, -1), q, links=True)
     links = prev[0].tolist()
     path = []
     end = int(ends[0])

@@ -30,8 +30,10 @@ from bivariation.averages import (
     _ordered_sum,
     _pairwise_sum,
     _points,
+    avg_at,
     avg_field,
     avg_field_sweep,
+    avg_sweep,
     dtt_avg_field,
     fast_slice_avg,
 )
@@ -81,6 +83,18 @@ MESHES = [0.25, 0.37, 2.0]
 
 # ---------------------------------------------------------------------------
 # Oracles: the loops the kernel replaced
+
+def oracle_avg_at(req: AvgRequest, x) -> float:
+    """The one-scale point average ``avg_sweep`` replaced a loop of."""
+    d = req.body.d
+    x = averages._lattice_point(x, d)
+    pts = _points(req.body, req.scaled_t)
+    if len(pts) == 0:
+        raise DegenerateScale(f"no nodes in the body dilate at t={req.t}")
+    vals1 = req.f1.values_at(x[None, :] + req.sign * pts[:, :d])
+    vals2 = req.f2.values_at(x[None, :] + req.sign * pts[:, d:])
+    return float(np.sum(vals1 * vals2) / len(pts))
+
 
 def oracle_sliced_values(req: AvgRequest, xs: np.ndarray) -> tuple[np.ndarray, int]:
     body, f1, f2 = req.body, req.f1, req.f2
@@ -615,6 +629,98 @@ def test_sweep_leaves_the_memo_and_counts_of_the_loop():
         loop = run(per_scale_loop)
         assert loop[0] == {"hits": 0, "misses": 13}
         assert run(avg_field_sweep) == loop
+    finally:
+        averages._POINT_CACHE.clear()
+
+
+# ---------------------------------------------------------------------------
+# The point sweep against a loop of one-scale point averages
+
+def point_loop(at, body, grid, f1, f2, x, mode) -> np.ndarray:
+    return np.array([at(AvgRequest(body, t, f1, f2, mode), x) for t in grid.times])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, len(D1_BODIES)),
+    st.integers(-40, 10),
+    st.integers(1, 40),
+    st.sampled_from([1.0, *MESHES]),
+    st.lists(st.floats(0.3, 12.0), max_size=6),
+    st.sampled_from(RADII),
+    st.integers(-60, 60),
+    st.integers(0, 2**32 - 1),
+)
+@example(len(D1_BODIES), -20, 40, 1.0, [7.3, 30.0], 3.0, -45, 1)  # rows with gaps, x outside
+def test_avg_sweep_matches_avg_at_loop(which, origin, n, mesh, ts, radius, dx, seed):
+    body = (D1_BODIES + SLANTED_BODIES)[which]
+    box = Box(1, (origin,), (n,), mesh)
+    rng = np.random.default_rng(seed)
+    f1 = Field(box, rng.normal(size=n))
+    f2 = Field(box, rng.normal(size=n))
+    x = [origin + dx]  # up to 60 cells outside the box on either side
+    for mode in averages.MODES:
+        r = radius if mode == "lattice_counting" else radius * mesh
+        grid = TimeGrid(tuple(sorted({*ts, np.nextafter(r, 0.0), r, np.nextafter(r, np.inf)})))
+        for at in (avg_at, oracle_avg_at):
+            assert same_outcome(lambda: avg_sweep(body, grid, f1, f2, x, mode),
+                                lambda: point_loop(at, body, grid, f1, f2, x, mode))
+
+
+@pytest.mark.parametrize("body", D2_BODIES, ids=lambda b: type(b).__name__)
+def test_avg_sweep_matches_avg_at_loop_d2(body):
+    box = Box(2, (-3, -2), (3, 4), 0.37)
+    rng = np.random.default_rng(4)
+    f1 = Field(box, rng.normal(size=box.extent))
+    f2 = Field(box, rng.normal(size=box.extent))
+    for mode in averages.MODES:
+        unit = box.mesh if mode == "continuum_quadrature" else 1.0
+        grid = TimeGrid(tuple(T * unit for T in (1.0, 1.5, 2.5)))
+        for x in ([-1, 0], [-9, 5], [4, -7]):  # inside, and outside on both sides
+            expected = point_loop(oracle_avg_at, body, grid, f1, f2, x, mode)
+            assert same_bits(avg_sweep(body, grid, f1, f2, x, mode), expected)
+            assert same_bits(point_loop(avg_at, body, grid, f1, f2, x, mode), expected)
+
+
+def test_avg_sweep_raises_the_loops_degenerate_scale():
+    hollow = CustomBody(
+        d=1, r_in=0.5,
+        predicate=lambda y: (np.linalg.norm(y, axis=1) <= 1.0)
+        & (np.linalg.norm(y, axis=1) >= 0.9),
+    )
+    box = Box(1, (-5,), (11,), 1.0)
+    f = Field(box, np.arange(11.0))
+    for times, first in (((1.0, 1.3, 2.0), 1.3), ((0.5, 1.0, 1.3), 0.5)):
+        grid = TimeGrid(times)
+        for mode in averages.MODES:
+            with pytest.raises(DegenerateScale) as loop:
+                point_loop(oracle_avg_at, hollow, grid, f, f, [2], mode)
+            assert str(loop.value).endswith(f"t={first}")
+            with pytest.raises(DegenerateScale, match=f"^{re.escape(str(loop.value))}$"):
+                avg_sweep(hollow, grid, f, f, [2], mode)
+
+
+def test_avg_sweep_leaves_the_memo_and_counts_of_the_loop():
+    body = ball(1)
+    f = Field(Box(1, (-8,), (16,), 1.0), np.ones(16))
+    grid = TimeGrid(tuple(1.0 + 0.5 * i for i in range(13)))
+
+    def run(route):
+        averages._POINT_CACHE.clear()
+        # the last scale's points are cached and the memo is six entries short
+        # of clearing itself, so the seventh scale's insertion evicts them
+        for i in range(250):
+            averages._POINT_CACHE[("filler", i)] = ()
+        avg_at(AvgRequest(body, grid.times[-1], f, f), [3])
+        before = dict(averages.CACHE_COUNTS)
+        route(body, grid, f, f, [3], "continuum_quadrature")
+        counts = {k: averages.CACHE_COUNTS[k] - before[k] for k in before}
+        return counts, list(averages._POINT_CACHE)
+
+    try:
+        loop = run(lambda *args: point_loop(oracle_avg_at, *args))
+        assert loop[0] == {"hits": 0, "misses": 13}
+        assert run(avg_sweep) == loop
     finally:
         averages._POINT_CACHE.clear()
 

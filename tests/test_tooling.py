@@ -91,3 +91,19 @@ def test_run_digest_smoke():
         assert digests and all(len(d) == 2 and len(d[0]) == 64 for d in digests), run
         assert [line.split(": ")[1].split(" = ")[0] for line in lines if " = " in line] == [
             "cache_hits", "cache_misses"]
+
+
+def test_run_digest_routes_section():
+    spec = importlib.util.spec_from_file_location("run_digest", DIGEST)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    head, *lines = tool.route_digest(3)
+    assert head == "routes seed=3:"
+    digests = {line.split(maxsplit=1)[1]: line.split()[0] for line in lines}
+    assert len(digests) == len(lines) == 6 * 8 + 3
+    assert all(len(h) == 64 for h in digests.values())
+    # avg_sweep is avg_at at every scale, bit for bit, so the two hash alike
+    for name, h in digests.items():
+        if name.startswith("avg_sweep "):
+            assert digests[name.replace("avg_sweep", "avg_at", 1)] == h, name
+    assert tool.route_digest(3) == [head, *lines]  # a pure function of the seed

@@ -189,9 +189,9 @@ def test_multi_sequence_checks_batch_their_rows(monkeypatch):
     calls = []
     kernel = variation._vq_rows
 
-    def counted(seqs, q):
+    def counted(seqs, q, **kw):
         calls.append(seqs.shape)
-        return kernel(seqs, q)
+        return kernel(seqs, q, **kw)
 
     monkeypatch.setattr(variation, "_vq_rows", counted)
     rng = np.random.default_rng(7)

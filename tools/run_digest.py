@@ -7,7 +7,14 @@ CSV and report it wrote, and its manifest ``cache_hits``/``cache_misses``
 lines.  The other manifest lines hold wall-clock times and are left out.
 The package is imported from the ``src`` directory next to this file.
 
-Invoke as: python3 tools/run_digest.py [--seeds 0 3] [--trials N] > digest.txt
+``--routes`` adds, per seed, a section that the CLI never reaches: a sha256
+of the outputs of ``avg_at``, ``avg_sweep``, ``fast_slice_avg``,
+``dtt_avg_field`` and the d = 1 ``avg_field`` on inputs drawn from the seed,
+one line per route and body (every body kind, both modes, a negative box
+origin, points inside and outside the box).  A route that raises is
+digested by its exception.
+
+Invoke as: python3 tools/run_digest.py [--seeds 0 3] [--trials N] [--routes] > digest.txt
 and compare the digests of two trees with ``diff``.
 """
 
@@ -51,16 +58,75 @@ def digest(label: str, args: list[str], seed: int, trials: int | None, out: Path
     return lines
 
 
+def route_digest(seed: int) -> list[str]:
+    """The digest lines of the point routes and the d = 1 field routes on
+    inputs drawn from ``seed``."""
+    if str(ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(ROOT / "src"))
+    import numpy as np
+    from bivariation import averages, bodies
+    from bivariation.fields import Box, Field
+
+    rng = np.random.default_rng(seed)
+    box = Box(1, (-41,), (64,), 0.37)
+    f1, f2 = (Field(box, rng.normal(size=64)) for _ in "12")
+    i1, i2 = (Field(box, rng.integers(-3, 4, size=64).astype(np.float64)) for _ in "12")
+    xs = rng.integers(-61, 43, size=6).tolist()  # up to 20 cells outside the box
+    Ts = (0.6, 1.0, 1.5, 2.2, 3.0, 5.3, 8.0)
+    times = {"lattice_counting": Ts, "continuum_quadrature": tuple(box.mesh * T for T in Ts)}
+    shapes = [
+        bodies.ball(1),
+        bodies.cube(1),
+        bodies.gamma_body(1, [[1.0, 0.4], [-0.3, 0.9]]),
+        bodies.gamma_body(1, [[1, 3.1], [0.02, 0.01]]),  # slanted: tables skip rows
+        bodies.polytope_body(1, [[1.0, 1.0], [-1.0, -1.0], [1.0, -0.5], [-1.0, 0.5]]),
+        bodies.normalize(1, lambda y: np.abs(y).sum(axis=1) <= 5.0, 5.0 / np.sqrt(2), 5.0),
+    ]
+
+    def line(name, outputs):
+        try:
+            data = b"".join(np.asarray(v, dtype=np.float64).tobytes() for v in outputs())
+        except Exception as exc:  # digested, so that two trees compare their errors too
+            data = f"{type(exc).__name__}: {exc}".encode()
+        return f"  {hashlib.sha256(data).hexdigest()}  {name}"
+
+    lines = [f"routes seed={seed}:"]
+    for b, body in enumerate(shapes):
+        label = f"{b}:{type(body).__name__}"
+        for mode, ts in times.items():
+            reqs = [averages.AvgRequest(body, t, f1, f2, mode) for t in ts]
+            grid = averages.TimeGrid(ts)
+            lines.append(line(f"avg_at {label} {mode}",
+                              lambda: [[averages.avg_at(r, [x]) for r in reqs] for x in xs]))
+            lines.append(line(f"avg_sweep {label} {mode}",
+                              lambda: [averages.avg_sweep(body, grid, f1, f2, [x], mode) for x in xs]))
+            lines.append(line(f"avg_field {label} {mode}",
+                              lambda: [averages.avg_field(body, t, f1, f2, mode).samples for t in ts]))
+        for g1, g2, kind in ((i1, i2, "integer"), (f1, f2, "real")):
+            reqs = [averages.AvgRequest(body, t, g1, g2, "lattice_counting") for t in Ts]
+            lines.append(line(f"fast_slice_avg {label} {kind}",
+                              lambda: [[averages.fast_slice_avg(r, x) for r in reqs] for x in xs]))
+    for lam in ([[1.0, 0.4], [-0.3, 0.9]], [[0.8, -0.6], [0.5, 0.7]], [[-1.1, 0.2], [0.6, 0.5]]):
+        lines.append(line(f"dtt_avg_field {lam}", lambda: [
+            averages.dtt_avg_field(np.array(lam), t, f1, f2).samples for t in (0.5, 1.3, 2.9)]))
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 3])
     ap.add_argument("--trials", type=int, default=None, help="override every run's trials")
+    ap.add_argument("--routes", action="store_true",
+                    help="also digest the point and d = 1 field routes at each seed")
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
             for i, (label, run_args) in enumerate(runs()):
                 out = Path(tmp) / f"{seed}-{i}"
                 print("\n".join(digest(label, run_args, seed, args.trials, out)), flush=True)
+    if args.routes:
+        for seed in args.seeds:
+            print("\n".join(route_digest(seed)), flush=True)
     return 0
 
 
