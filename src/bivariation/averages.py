@@ -46,6 +46,10 @@ MODES = ("continuum_quadrature", "lattice_counting")
 # least one cell (docs/notes.md, notes 4 and 14)
 _CHUNK_CELLS = 16_384
 
+# nodes read per gather of the point kernel; a scale with more is read alone
+# (docs/notes.md, note 17)
+_POINT_NODES = 1 << 14
+
 
 class DegenerateScale(Exception):
     """No quadrature/lattice node fell inside the dilated body at this scale."""
@@ -207,8 +211,8 @@ def avg_sweep(body: ConvexBody, grid: TimeGrid, f1: Field, f2: Field, x,
 def _point_values(body: ConvexBody, mode: str, ts, f1: Field, f2: Field, x) -> list[float]:
     """The average at the lattice point x at every scale of ``ts``: each
     scale's nodes are looked up in order, as a loop of ``avg_at`` calls would,
-    both fields are read once over all of them, and each scale sums its own
-    contiguous run of the products (docs/notes.md, note 17)."""
+    both fields are read once per run of scales (``_node_groups``), and each
+    scale sums its own contiguous run of the products (docs/notes.md, note 17)."""
     d = body.d
     x = _lattice_point(x, d)
     pts = []
@@ -217,12 +221,26 @@ def _point_values(body: ConvexBody, mode: str, ts, f1: Field, f2: Field, x) -> l
         if len(p) == 0:
             raise DegenerateScale(f"no nodes in the body dilate at t={t}")
         pts.append(p)
-    nodes = pts[0] if len(pts) == 1 else np.concatenate(pts)
-    if mode == "lattice_counting":
-        nodes = -nodes
-    prods = f1.values_at(x + nodes[:, :d]) * f2.values_at(x + nodes[:, d:])
-    ends = list(itertools.accumulate(map(len, pts)))
-    return [float(np.sum(prods[a:b]) / (b - a)) for a, b in zip([0, *ends], ends)]
+    read = np.subtract if mode == "lattice_counting" else np.add
+    out = []
+    for group in _node_groups(pts):
+        nodes = group[0] if len(group) == 1 else np.concatenate(group)
+        prods = f1.values_at(read(x, nodes[:, :d])) * f2.values_at(read(x, nodes[:, d:]))
+        ends = list(itertools.accumulate(map(len, group)))
+        out += [float(np.sum(prods[a:b]) / (b - a)) for a, b in zip([0, *ends], ends)]
+    return out
+
+
+def _node_groups(pts):
+    """Runs of consecutive node arrays of at most ``_POINT_NODES`` nodes in
+    all; an array longer than that is a run alone."""
+    start = size = 0
+    for i, p in enumerate(pts):
+        if i > start and size + len(p) > _POINT_NODES:
+            yield pts[start:i]
+            start, size = i, 0
+        size += len(p)
+    yield pts[start:]
 
 
 # ---------------------------------------------------------------------------
@@ -477,24 +495,21 @@ def _sliced_values(box, mode: str, reqs, rows1: np.ndarray, rows2: np.ndarray,
     cols_of = {}  # the requests of each distinct (body, scale), in request order
     for i, ((body, _, _), T) in enumerate(zip(reqs, Ts)):
         cols_of.setdefault((body, T), []).append(i)
-    # each distinct scale's requests, table, node count and reach, in order
-    # of first request.  Every offset read (k, lo, hi + 1) is less than the
-    # reach in size, so one point below -R or above n + R - 1 reads only the
-    # extensions; clamping it there reads the same values and keeps the
-    # arrays O(n + R), not O(|x|).  The ks are monotone and lo <= hi, so the
-    # ends of ks, min(lo) and max(hi) bound them, in either mode.
-    scales = []
-    for cols in cols_of.values():
-        ks, lo, hi = tables[cols[0]]
-        count = int((hi - lo).sum()) + hi.size
-        if count == 0:
+    scales = [(cols, *tables[cols[0]]) for cols in cols_of.values()]
+    counts = [int((hi - lo).sum()) + hi.size for _, _, lo, hi in scales]
+    for (cols, *_), count in zip(scales, counts):
+        if count == 0:  # the scales come in order of first request
             raise DegenerateScale(f"no nodes in the body dilate at t={reqs[cols[0]][1]}")
-        reach = max(abs(int(ks[0])), abs(int(ks[-1])), 1 - int(lo.min()), int(hi.max()) + 1) + 1
-        if mode == "lattice_counting":
-            # f1 is read at x - k, and the window of f2 is x - [lo, hi]
-            ks, lo, hi = -ks, -hi, -lo
-        scales.append((cols, ks, lo, hi, count, reach))
-    reach = [s[-1] for s in scales]
+    if mode == "lattice_counting":
+        # f1 is read at x - k, and the window of f2 is x - [lo, hi]
+        scales = [(cols, -ks, -hi, -lo) for cols, ks, lo, hi in scales]
+    # every offset read (k, lo, hi + 1) is less than the reach R in size, so
+    # one point below -R or above n + R - 1 reads only the extensions;
+    # clamping it there reads the same values and keeps the arrays O(n + R),
+    # not O(|x|).  The ks are monotone and lo <= hi, so the ends of ks,
+    # min(lo) and max(hi) bound them.
+    reach = [max(abs(int(k[0])), abs(int(k[-1])), 1 - int(lo.min()), int(hi.max()) + 1) + 1
+             for _, k, lo, hi in scales]
     R = max(reach)
     # the first point's clamped shift from the box origin; a row whose reads
     # reach r needs an extension E = r + pad on each side
@@ -509,7 +524,7 @@ def _sliced_values(box, mode: str, reqs, rows1: np.ndarray, rows2: np.ndarray,
     blocks = [(slice(None), range(len(rows1)), R)]
     if len({r.bit_length() for r in reach}) > 1:
         req_reach = np.empty(len(reqs), dtype=np.int64)
-        for cols, *_, r in scales:
+        for (cols, *_), r in zip(scales, reach):
             req_reach[cols] = r
         pair_reach = np.zeros(len(rows1), dtype=np.int64)
         np.maximum.at(pair_reach, [p for _, _, p in reqs], req_reach)
@@ -518,7 +533,8 @@ def _sliced_values(box, mode: str, reqs, rows1: np.ndarray, rows2: np.ndarray,
         blocks = [(pairs, pairs.tolist(), int(pair_reach[pairs].max()))
                   for pairs in (np.flatnonzero(kind == c) for c in np.unique(kind))]
     total = sum(len(ids) * (n + 2 * (r + pad) + 1) for _, ids, r in blocks)
-    ext1, extp = np.zeros((2, total))  # f1 by zeros, the f2 prefix sums by their end values
+    ext1 = np.zeros(total)
+    extp = np.zeros(total)
     start = [0] * len(rows1)  # the flat index of each pair's box index 0
     at = 0
     for pairs, ids, r in blocks:
@@ -538,7 +554,7 @@ def _sliced_values(box, mode: str, reqs, rows1: np.ndarray, rows2: np.ndarray,
     pw = _windows(extp, width)
 
     values = np.empty((len(reqs), width))
-    for cols, k1, lo, hi, count, _ in scales:
+    for (cols, k1, lo, hi), count in zip(scales, counts):
         if len(cols) == 1:  # plain row indices and one scalar origin
             at = origin[cols[0]]
         else:  # a (rows, columns) index per read

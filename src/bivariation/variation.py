@@ -58,8 +58,7 @@ def _vq_rows(seqs: np.ndarray, q: float, links: bool = False):
 
     Returns the values, each row's end index (-1 when m = 0) and, with
     ``links``, the backpointers ``prev`` (N, m): the earliest maximizing
-    predecessor, or -1 where the best chain sum is 0 (else None; a best sum
-    is then the maximum, the value at the earliest maximizer).  Raises
+    predecessor, or -1 where the best chain sum is 0 (else None).  Raises
     ``ValueError`` on a non-finite entry or an overflowing difference.
     """
     n, m = seqs.shape
@@ -81,12 +80,9 @@ def _vq_rows(seqs: np.ndarray, q: float, links: bool = False):
         cand /= col_scale
         cand **= q
         cand += best[:, :j]
+        cand.max(axis=1, out=best[:, j])
         if links:
-            i = cand.argmax(axis=1)  # argmax takes the earliest maximizer
-            prev[:, j] = i
-            best[:, j] = cand[rows, i]
-        else:
-            cand.max(axis=1, out=best[:, j])
+            prev[:, j] = cand.argmax(axis=1)  # argmax takes the earliest maximizer
     if links:
         prev[best == 0] = -1
     ends = best.argmax(axis=1)

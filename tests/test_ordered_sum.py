@@ -650,25 +650,33 @@ def point_loop(at, body, grid, f1, f2, x, mode) -> np.ndarray:
     st.sampled_from(RADII),
     st.integers(-60, 60),
     st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 9, 40, averages._POINT_NODES]),
 )
-@example(len(D1_BODIES), -20, 40, 1.0, [7.3, 30.0], 3.0, -45, 1)  # rows with gaps, x outside
-def test_avg_sweep_matches_avg_at_loop(which, origin, n, mesh, ts, radius, dx, seed):
+@example(len(D1_BODIES), -20, 40, 1.0, [7.3, 30.0], 3.0, -45, 1, averages._POINT_NODES)  # rows with gaps, x outside
+def test_avg_sweep_matches_avg_at_loop(which, origin, n, mesh, ts, radius, dx, seed, budget):
     body = (D1_BODIES + SLANTED_BODIES)[which]
     box = Box(1, (origin,), (n,), mesh)
     rng = np.random.default_rng(seed)
     f1 = Field(box, rng.normal(size=n))
     f2 = Field(box, rng.normal(size=n))
     x = [origin + dx]  # up to 60 cells outside the box on either side
-    for mode in averages.MODES:
-        r = radius if mode == "lattice_counting" else radius * mesh
-        grid = TimeGrid(tuple(sorted({*ts, np.nextafter(r, 0.0), r, np.nextafter(r, np.inf)})))
-        for at in (avg_at, oracle_avg_at):
-            assert same_outcome(lambda: avg_sweep(body, grid, f1, f2, x, mode),
-                                lambda: point_loop(at, body, grid, f1, f2, x, mode))
+    default, averages._POINT_NODES = averages._POINT_NODES, budget  # scales per gather
+    try:
+        for mode in averages.MODES:
+            r = radius if mode == "lattice_counting" else radius * mesh
+            grid = TimeGrid(tuple(sorted({*ts, np.nextafter(r, 0.0), r, np.nextafter(r, np.inf)})))
+            for at in (avg_at, oracle_avg_at):
+                assert same_outcome(lambda: avg_sweep(body, grid, f1, f2, x, mode),
+                                    lambda: point_loop(at, body, grid, f1, f2, x, mode))
+    finally:
+        averages._POINT_NODES = default
 
 
+@pytest.mark.parametrize("budget", [1, 100, None])
 @pytest.mark.parametrize("body", D2_BODIES, ids=lambda b: type(b).__name__)
-def test_avg_sweep_matches_avg_at_loop_d2(body):
+def test_avg_sweep_matches_avg_at_loop_d2(body, budget, monkeypatch):
+    if budget is not None:  # the scales per gather: one each, a few, all
+        monkeypatch.setattr(averages, "_POINT_NODES", budget)
     box = Box(2, (-3, -2), (3, 4), 0.37)
     rng = np.random.default_rng(4)
     f1 = Field(box, rng.normal(size=box.extent))
@@ -680,6 +688,18 @@ def test_avg_sweep_matches_avg_at_loop_d2(body):
             expected = point_loop(oracle_avg_at, body, grid, f1, f2, x, mode)
             assert same_bits(avg_sweep(body, grid, f1, f2, x, mode), expected)
             assert same_bits(point_loop(avg_at, body, grid, f1, f2, x, mode), expected)
+
+
+@pytest.mark.parametrize("sizes, budget, runs", [
+    ([], 4, [[]]),
+    ([3], 1, [[3]]),
+    ([1, 2, 3, 9, 1, 1], 4, [[1, 2], [3], [9], [1, 1]]),
+    ([5, 5, 5], 10, [[5, 5], [5]]),
+    ([2] * 5, 2**14, [[2] * 5]),
+])
+def test_node_groups_keep_order_under_the_budget(sizes, budget, runs, monkeypatch):
+    monkeypatch.setattr(averages, "_POINT_NODES", budget)
+    assert [list(map(len, g)) for g in averages._node_groups([np.zeros((k, 2)) for k in sizes])] == runs
 
 
 def test_avg_sweep_raises_the_loops_degenerate_scale():

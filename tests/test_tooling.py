@@ -76,11 +76,15 @@ def test_shipped_ceiling_bounds_statistic(key, calibrate):
 
 def test_run_digest_smoke():
     # every shipped config and default suite, each with its exit status,
-    # one sha256 per report and its manifest's two cache lines
+    # one sha256 per report and its manifest's two cache lines, then the
+    # routes section
     proc = subprocess.run([sys.executable, str(DIGEST), "--seeds", "0", "--trials", "1"],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    runs = proc.stdout.split("\nrun ")
+    cli, routes = proc.stdout.split("\nroutes seed=")
+    head, *lines = routes.splitlines()
+    assert head == "0:" and len(lines) == 6 * 8 + 3  # the point routes, checked below
+    runs = cli.split("\nrun ")
     labels = [p.name for p in sorted((ROOT / "configs").glob("*.cfg"))]
     labels += [f"default {s}" for s in ("square", "cz", "ergodic", "interp")]
     assert [r.split(" seed=")[0].removeprefix("run ") for r in runs] == labels

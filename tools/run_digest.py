@@ -7,14 +7,14 @@ CSV and report it wrote, and its manifest ``cache_hits``/``cache_misses``
 lines.  The other manifest lines hold wall-clock times and are left out.
 The package is imported from the ``src`` directory next to this file.
 
-``--routes`` adds, per seed, a section that the CLI never reaches: a sha256
-of the outputs of ``avg_at``, ``avg_sweep``, ``fast_slice_avg``,
+After the runs comes, per seed, a section that the CLI never reaches: a
+sha256 of the outputs of ``avg_at``, ``avg_sweep``, ``fast_slice_avg``,
 ``dtt_avg_field`` and the d = 1 ``avg_field`` on inputs drawn from the seed,
 one line per route and body (every body kind, both modes, a negative box
 origin, points inside and outside the box).  A route that raises is
 digested by its exception.
 
-Invoke as: python3 tools/run_digest.py [--seeds 0 3] [--trials N] [--routes] > digest.txt
+Invoke as: python3 tools/run_digest.py [--seeds 0 3] [--trials N] > digest.txt
 and compare the digests of two trees with ``diff``.
 """
 
@@ -116,17 +116,14 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 3])
     ap.add_argument("--trials", type=int, default=None, help="override every run's trials")
-    ap.add_argument("--routes", action="store_true",
-                    help="also digest the point and d = 1 field routes at each seed")
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
             for i, (label, run_args) in enumerate(runs()):
                 out = Path(tmp) / f"{seed}-{i}"
                 print("\n".join(digest(label, run_args, seed, args.trials, out)), flush=True)
-    if args.routes:
-        for seed in args.seeds:
-            print("\n".join(route_digest(seed)), flush=True)
+    for seed in args.seeds:
+        print("\n".join(route_digest(seed)), flush=True)
     return 0
 
 
