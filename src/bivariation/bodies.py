@@ -559,6 +559,10 @@ def _table_pass(keys, sizes):
             slanted = np.not_equal(a2, 0.0)
             lo_f = np.where(slanted, np.maximum(lo_f, np.minimum(b1, b2)), lo_f)
             hi_f = np.where(slanted, np.minimum(hi_f, np.maximum(b1, b2)), hi_f)
+            if not slanted.all():  # it holds at every m of such a row, or at none
+                v = a1 * kf  # as the membership test computes it
+                shut = ~slanted & (v * v >= t * t if isinstance(body, GammaBody) else v > t)
+                hi_f = np.where(shut, -t - 1.0, hi_f)  # empty, and no start cell is a member
         lo0 = np.floor(lo_f).astype(np.int64) - 1
         hi0 = np.ceil(hi_f).astype(np.int64) + 1
         lo = np.ceil(lo_f).astype(np.int64)

@@ -44,7 +44,7 @@ from ..martingale import (
     young_convolution_check,
 )
 from ..squarefn import _long_variation_rows, _square_rows
-from ..variation import _pair_variations, _product_rule_report, _sup_report, vq_value_batch
+from ..variation import _product_rule_report, _sup_report, _vq_blocks
 from .ceilings import ceiling_for, sweep_key
 from .config import SUITES, ConfigError, ExperimentConfig, with_updates
 from .generators import (
@@ -172,20 +172,15 @@ def run_norm_sweep(cfg: ExperimentConfig) -> RatioReport:
 def _sweep_rows(cfg: ExperimentConfig, body, box, batch: list[tuple]) -> list[tuple]:
     """The CSV rows of drawn trials ``(trial, f1, f2, fam1, fam2, grid)``,
     each the bytes of a trial evaluated alone: one averaging call for every
-    trial's scales, one q-variation DP per distinct grid length and, for the
-    BMO norm, one scan (docs/notes.md, note 11)."""
+    trial's scales, one q-variation DP and, for the BMO norm, one scan
+    (docs/notes.md, note 11)."""
     reqs = [(body, t, i) for i, (*_, grid) in enumerate(batch) for t in grid.times]
     mat = _field_values(box, "continuum_quadrature", reqs,
                         _stack(t[1] for t in batch), _stack(t[2] for t in batch))
-    sizes = [len(grid) for *_, grid in batch]
-    starts = np.cumsum([0, *sizes]).tolist()
-    vq = np.empty((len(batch), box.cell_count))
-    for m in sorted(set(sizes)):
-        ps = [i for i, size in enumerate(sizes) if size == m]
-        # (m, trials, cells): row j holds every trial's j-th scale, so the
-        # transpose gives each cell its sequence as a one-trial call does
-        seqs = np.stack([mat[starts[i] : starts[i] + m] for i in ps], axis=1)
-        vq[ps] = vq_value_batch(seqs.reshape(m, -1).T, cfg.q).reshape(len(ps), -1)
+    # trial i's scales are its len(grid) rows of mat; the transpose gives
+    # each cell its sequence as a one-trial call does
+    starts = np.cumsum([len(grid) for *_, grid in batch])[:-1]
+    vq = _vq_blocks([rows.T for rows in np.split(mat, starts)], cfg.q).reshape(len(batch), -1)
     if cfg.norm == "bmo":
         nums = _bmo_rows(box, vq).tolist()
         p1 = p2 = np.inf
@@ -277,10 +272,10 @@ def _ao_rows(batch: list[tuple]) -> list[tuple]:
 
 def _suite_identities(cfg: ExperimentConfig, outdir: Path) -> bool:
     def variation_reports(batch):
-        # one DP per distinct length over the rows a*b, b, a of every trial
-        values = _pair_variations([(a, b) for _, a, b, _ in batch], cfg.q).tolist()
+        # one DP over the rows a*b, b, a of every trial
+        values = _vq_blocks([np.stack([a * b, b, a]) for _, a, b, _ in batch], cfg.q)
         return [(trial, _product_rule_report(a, b, *v), _sup_report(a, t0, v[2]))
-                for (trial, a, b, t0), v in zip(batch, values)]
+                for (trial, a, b, t0), v in zip(batch, values.reshape(-1, 3).tolist())]
 
     draws = (_identity_trial(cfg, trial) for trial in range(cfg.trials))
     reports = _batched(draws, lambda t: 3 * t[1].size, variation_reports)
@@ -713,11 +708,12 @@ def _ergodic_vq(cfg: ExperimentConfig) -> RatioReport:
                 for t in times]
         profiles = _profile_rows(beta, np.stack([b[1] for b in batch]),
                                  np.stack([b[2] for b in batch]), body, reqs)
+        mats = np.split(profiles, np.cumsum([len(b[-1]) for b in batch])[:-1])
+        vqs = _vq_blocks([mat.T for mat in mats], cfg.q).reshape(len(batch), m)
         out = []
-        splits = np.cumsum([len(b[-1]) for b in batch])[:-1]
-        for (trial, f1, f2, times), mat in zip(batch, np.split(profiles, splits)):
+        for (trial, f1, f2, times), mat, vq in zip(batch, mats, vqs):
             means = [float(np.mean(np.abs(mat[times.index(t)]))) for t in (4.0, 8.0, 16.0)]
-            num = _mean_norm(vq_value_batch(mat.T, cfg.q), cfg.p)
+            num = _mean_norm(vq, cfg.p)
             den = _mean_norm(np.abs(f1), cfg.p1) * _mean_norm(np.abs(f2), cfg.p2)
             out.append((trial, *means, num, den, _ratio(num, den)))
         return out

@@ -116,8 +116,23 @@ def vq_value_batch(seqs: np.ndarray, q: float) -> np.ndarray:
     return _vq_rows(np.atleast_2d(np.asarray(seqs, dtype=np.float64)), q)[0]
 
 
+def _vq_blocks(blocks, q: float) -> np.ndarray:
+    """:func:`vq_value_batch` of every row of the 2-D ``blocks`` of any widths,
+    concatenated, from one DP over the rows padded to one width with their own
+    last value, or zeros for an empty row (docs/notes.md, note 7)."""
+    _check_q(q)
+    width = max((b.shape[1] for b in blocks), default=0)
+    # column-major: each step of the DP reads one column of every row
+    seqs = np.zeros((sum(map(len, blocks)), width), order="F")
+    for b, end in zip(blocks, np.cumsum([len(b) for b in blocks]).tolist()):
+        seqs[end - len(b) : end, : b.shape[1]] = b
+        seqs[end - len(b) : end, b.shape[1] :] = b[:, -1:] if b.shape[1] else 0.0
+    return _vq_rows(seqs, q)[0]
+
+
 def long_variation(grid: TimeGrid, a, q: float) -> float:
     """Variation of the subsequence at the grid's dyadic anchors."""
+    _check_q(q)
     a = np.asarray(a, dtype=np.float64).ravel()
     if a.size != len(grid):
         raise ValueError("value sequence does not match the grid")
@@ -136,12 +151,9 @@ def short_variation(grid: TimeGrid, a, q: float) -> float:
         raise ValueError("value sequence does not match the grid")
     # the times increase, so each block is a run of consecutive indices
     ks = np.array([TimeGrid.block_of(t) for t in grid.times], dtype=np.int64)
-    _, starts, sizes = np.unique(ks, return_index=True, return_counts=True)
-    vq = np.zeros(len(starts))
-    for m in np.unique(sizes).tolist():  # one DP call per block length
-        vq[sizes == m] = vq_value_batch(a[starts[sizes == m, None] + np.arange(m)], q)
+    _, starts = np.unique(ks, return_index=True)
     total = 0.0
-    for v in vq.tolist():
+    for v in _vq_blocks([row[None] for row in np.split(a, starts[1:])], q).tolist():
         total += v**q
     return float(total ** (1.0 / q))
 
@@ -152,7 +164,7 @@ def product_rule_check(a, b, q: float) -> InequalityReport:
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.size != b.size:
         raise ValueError("sequences must have equal length")
-    return _product_rule_report(a, b, *_pair_variations([(a, b)], q)[0].tolist())
+    return _product_rule_report(a, b, *vq_value_batch(np.stack([a * b, b, a]), q).tolist())
 
 
 def sup_vs_variation_check(a, q: float, t0: int = 0) -> InequalityReport:
@@ -163,19 +175,6 @@ def sup_vs_variation_check(a, q: float, t0: int = 0) -> InequalityReport:
     if not 0 <= t0 < a.size:
         raise ValueError(f"t0 must lie in [0, {a.size}), got {t0}")
     return _sup_report(a, t0, vq_exact(a, q).value)
-
-
-def _pair_variations(pairs, q: float) -> np.ndarray:
-    """(len(pairs), 3): V_q(a*b), V_q(b) and V_q(a) of every pair of
-    equal-length float64 sequences, from one DP per distinct length over the
-    rows a*b, b, a of every pair with that length (docs/notes.md, note 12)."""
-    out = np.empty((len(pairs), 3))
-    sizes = [a.size for a, _ in pairs]
-    for m in sorted(set(sizes)):
-        ps = [i for i, size in enumerate(sizes) if size == m]
-        seqs = np.stack([row for a, b in (pairs[i] for i in ps) for row in (a * b, b, a)])
-        out[ps] = vq_value_batch(seqs, q).reshape(len(ps), 3)
-    return out
 
 
 def _product_rule_report(a: np.ndarray, b: np.ndarray, lhs: float, vb: float,

@@ -362,6 +362,8 @@ STACK_BODIES = SLICE_BODIES + [
     CubeBody(d=1, r_in=0.4),
     Ball(d=1, r_in=0.5),
     polytope_body(1, [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+    gamma_body(1, [[0.0, 1.0], [1.0, 0.0]]),  # the a2 = 0 row second
+    body_from_descriptor("custom:0.5,0;-0.5,0;0,1;0,-1", 1),
 ]
 
 
@@ -548,6 +550,8 @@ def oracle_stacked_tables(keys):
 @example([(0, 5.0990195135927845), (0, 9.055385138137416), (2, 16.212354732805306),
           (2, 15.63334206377654), (3, 21.989896669960853), (3, 20.615528128088304)])
 @example([(6, 30.0), (2, 0.5), (6, 7.3), (7, 3.0), (2, 9.5), (8, 2.0), (6, 0.5)])  # gamma rows with gaps
+# rows that a constraint with a2 = 0 shuts, the boundary scale 8 sqrt(2) among them
+@example([(i, t) for i in (8, 11, 12, 13) for t in (0.7, 5.3, 33.0, 100.1, 8 * np.sqrt(2))])
 def test_one_test_pass_matches_the_stepping_pass(picks):
     keys = [(STACK_BODIES[i], float(t)) for i, t in picks]
     want = oracle_stacked_tables(keys)
@@ -581,6 +585,22 @@ def test_one_key_build_makes_at_most_two_membership_calls(body, t):
     size = 2 * int(np.ceil(t)) + 1
     assert count_membership_calls(body, lambda: oracle_table_pass([(body, t)], [size])) >= 4
     assert count_membership_calls(body, lambda: slice_tables([(body, t)])) <= 2
+
+
+# bodies with a constraint whose a2 is 0, in both row orders, and an
+# axis-aligned custom polytope
+SHUT_BODIES = [STACK_BODIES[i] for i in (8, 12, 11, 13)]
+
+
+@pytest.mark.parametrize("body", SHUT_BODIES, ids=["gamma", "gamma-swapped", "square", "custom"])
+@pytest.mark.parametrize("t, calls", [(0.7, 1), (5.3, 1), (33.0, 1), (100.1, 1), (8 * np.sqrt(2), 9)])
+def test_constraints_without_a2_shut_their_rows(body, t, calls):
+    # the rows that such a constraint excludes are empty before the one
+    # membership test; stepped, the gamma bodies made 8 / 14 / 54 / 148
+    # calls at the first four scales and 26 at the boundary scale 8 sqrt(2)
+    size = 2 * int(np.ceil(t * body.r_out)) + 1
+    assert same_table(slice_tables([(body, t)])[0], oracle_table_pass([(body, t)], [size])[0])
+    assert count_membership_calls(body, lambda: slice_tables([(body, t)])) <= calls
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,8 +4,8 @@ evaluate their trials together, bit for bit.
 The projection ladder takes many fields at once (``martingale._ladder_rows``),
 ``martingale._telescope_rows`` makes one averaging call for every piece of a
 batch of telescope trials, and the suites draw their trials first and then
-make one ladder pass, one BMO scan and one q-variation DP per distinct
-length.  The domination trials make
+make one ladder pass, one BMO scan and one q-variation DP, whose rows of
+different lengths are padded.  The domination trials make
 one averaging call and one stack of cube-value grids per level, and the cz
 decompositions one level-wise descent.  The square trials make one sweep,
 one ladder and one DP batch, and the ergodic trials one node-table pass per
@@ -24,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bivariation import averages, bodies, martingale
+from bivariation import averages, bodies, martingale, variation
 from bivariation.averages import TimeGrid, avg_field
 from bivariation.bodies import ball, body_from_descriptor, cube, gamma_body
 from bivariation.cz import CZCertificate, CZOutput, MAX_ROOT_CELLS, format_cz_report
@@ -1092,6 +1092,40 @@ def test_ergodic_rows_match_the_per_trial_loop(tmp_path, seed, trials):
             assert repr(suites._ergodic_vq(capped).rows) == repr(rows), bound
         assert (tmp_path / "ergodic" / "equidistribution.csv").read_bytes() == equi, bound
         assert (tmp_path / "ergodic" / "variation_ratio.csv").read_bytes() == ratio, bound
+
+
+def test_identities_and_ergodic_batches_make_one_dp_call(tmp_path):
+    # the identities rows have lengths 4-23: one padded DP call
+    ident = ExperimentConfig(suite="identities", trials=20, seed=3, out=str(tmp_path)).validate()
+    assert len({suites._identity_trial(ident, t)[1].size for t in range(20)}) > 1
+    with mock.patch.object(variation, "_vq_rows", wraps=variation._vq_rows) as dp:
+        suites.run_suite("identities", ident)
+    assert dp.call_count == 1
+    ergodic = ExperimentConfig(suite="ergodic", trials=3, seed=6).validate()
+    with mock.patch.object(variation, "_vq_rows", wraps=variation._vq_rows) as dp:
+        suites._ergodic_vq(ergodic)
+    assert dp.call_count == 1
+
+
+@pytest.mark.parametrize("setting", [dict(norm="strong", p1=2.0, p2=2.0, p=1.0),
+                                     dict(norm="bmo", p1=np.inf, p2=np.inf, p=np.inf)],
+                         ids=lambda s: s["norm"])
+def test_mixed_length_sweep_batch_makes_one_dp_call(setting):
+    cfg = ExperimentConfig(suite="sweep", grid=16, trials=5, seed=2, **setting).validate()
+    body, box = body_from_descriptor(cfg.body, cfg.d), standard_box(cfg)
+    batch = []
+    for trial in range(cfg.trials):
+        rng = trial_rng(cfg.seed, trial)
+        f1, f2, fam1, fam2 = random_pair(box, rng)
+        grid = TimeGrid.dyadic_spanning(0, 6, per_block=1, rng=rng)
+        if trial % 2:
+            grid = TimeGrid(grid.times[:5] + grid.times[6:])
+        batch.append((trial, f1, f2, fam1, fam2, grid))
+    assert {len(t[-1]) for t in batch} == {12, 13}
+    want = [suites._sweep_rows(cfg, body, box, [t])[0] for t in batch]
+    with mock.patch.object(variation, "_vq_rows", wraps=variation._vq_rows) as dp:
+        assert repr(suites._sweep_rows(cfg, body, box, batch)) == repr(want)
+    assert dp.call_count == 1
 
 
 def _lp_mean(a, p):

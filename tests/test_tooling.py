@@ -74,6 +74,11 @@ def test_shipped_ceiling_bounds_statistic(key, calibrate):
     _within_ceiling({key: calibrate.tracked_max(key, CEILING_TRIALS[key])})
 
 
+# 8 point and field routes per body of 6, 3 dtt_avg_field lines, and 6
+# q-variation views at each of 3 q
+ROUTE_LINES = 6 * 8 + 3 + 6 * 3
+
+
 def test_run_digest_smoke():
     # every shipped config and default suite, each with its exit status,
     # one sha256 per report and its manifest's two cache lines, then the
@@ -83,7 +88,7 @@ def test_run_digest_smoke():
     assert proc.returncode == 0, proc.stderr
     cli, routes = proc.stdout.split("\nroutes seed=")
     head, *lines = routes.splitlines()
-    assert head == "0:" and len(lines) == 6 * 8 + 3  # the point routes, checked below
+    assert head == "0:" and len(lines) == ROUTE_LINES  # checked below
     runs = cli.split("\nrun ")
     labels = [p.name for p in sorted((ROOT / "configs").glob("*.cfg"))]
     labels += [f"default {s}" for s in ("square", "cz", "ergodic", "interp")]
@@ -104,8 +109,11 @@ def test_run_digest_routes_section():
     head, *lines = tool.route_digest(3)
     assert head == "routes seed=3:"
     digests = {line.split(maxsplit=1)[1]: line.split()[0] for line in lines}
-    assert len(digests) == len(lines) == 6 * 8 + 3
+    assert len(digests) == len(lines) == ROUTE_LINES
     assert all(len(h) == 64 for h in digests.values())
+    assert {name.split(" q=")[0] for name in digests if " q=" in name} == {
+        "vq_exact", "vq_value_batch", "long_variation", "short_variation",
+        "product_rule_check", "sup_vs_variation_check"}
     # avg_sweep is avg_at at every scale, bit for bit, so the two hash alike
     for name, h in digests.items():
         if name.startswith("avg_sweep "):

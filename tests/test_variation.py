@@ -183,6 +183,54 @@ def test_non_finite_input_raises(a):
         vq_exact(a, 3.0)
     with pytest.raises(ValueError, match="finite"):
         vq_value_batch(np.stack([np.zeros(len(a)), a]), 3.0)
+    with pytest.raises(ValueError, match="finite"):  # padded to the widest block
+        variation._vq_blocks([np.zeros((2, 5)), np.array([a]), np.zeros((1, 0))], 3.0)
+
+
+# the padding's rows: besides ROW_KINDS, near-ties of tiny steps (many
+# chains within an ulp of each other at q = 16) and rows whose largest
+# difference sits at an edge of the rescale band
+PAD_KINDS = ROW_KINDS + ("steps", "band")
+BAND_EDGES = [np.nextafter(e, e * s) for e in (1e-18, 1e18) for s in (0.5, 2.0)] + [1e-18, 1e18]
+
+
+def draw_pad_row(kind, m, rng):
+    if kind == "steps":
+        steps = rng.choice([-1.0, 0.0, 1.0], size=m) + rng.choice([0.0, 2.0**-12], size=m)
+        return 1.0 + np.cumsum(steps) * 2.0**-40
+    if kind == "band":
+        row = rng.normal(size=m)
+        top = row.max(initial=0.0) - row.min(initial=0.0)
+        return row / top * rng.choice(BAND_EDGES) if top > 0 else row
+    return draw_row(kind, m, rng)
+
+
+@st.composite
+def ragged_blocks(draw):
+    """0-5 blocks of 0-4 rows each, of widths 0-40, every row of its own kind."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for _ in range(draw(st.integers(0, 5))):
+        m = draw(st.sampled_from([0, 1, 2, 3, 40]) | st.integers(0, 40))
+        kinds = draw(st.lists(st.sampled_from(PAD_KINDS), max_size=4))
+        blocks.append(np.array([draw_pad_row(k, m, rng) for k in kinds]).reshape(len(kinds), m))
+    return blocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(ragged_blocks(), st.sampled_from([1.5, 2.5, 3.0, Q_MAX]) | st.floats(1.0, Q_MAX, exclude_min=True))
+def test_padded_blocks_keep_every_bit(blocks, q):
+    got = variation._vq_blocks(blocks, q)
+    want = np.concatenate([vq_value_batch(b, q) for b in blocks] + [np.empty(0)])
+    assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+    at = 0
+    for b in blocks:
+        for row in b[:2]:  # a few rows against the other routes
+            assert got[at].hex() == vq_exact(row, q).value.hex()
+            if 2 <= row.size <= 8 and q <= 5.0 and 1e-18 < np.ptp(row) < 1e18:
+                assert got[at] == brute_force_vq(row, q)
+            at += 1
+        at += max(len(b) - 2, 0)
 
 
 def test_multi_sequence_checks_batch_their_rows(monkeypatch):
@@ -198,11 +246,11 @@ def test_multi_sequence_checks_batch_their_rows(monkeypatch):
     product_rule_check(rng.normal(size=5), rng.normal(size=5), 3.0)
     assert calls == [(3, 5)]
     calls.clear()
-    # blocks (0.5, 1], (1, 2], (2, 4], (4, 8] of lengths 1, 2, 2, 3
+    # blocks (0.5, 1], (1, 2], (2, 4], (4, 8] of lengths 1, 2, 2, 3, padded to 3
     grid = TimeGrid((0.75, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0))
     a = rng.normal(size=len(grid))
     sv = short_variation(grid, a, 2.5)
-    assert sorted(calls) == [(1, 1), (1, 3), (2, 2)]
+    assert calls == [(4, 3)]
     total = 0.0  # the per-block loop, in block order
     for idx in ([0], [1, 2], [3, 4], [5, 6, 7]):
         total += vq_exact(a[idx], 2.5).value ** 2.5
@@ -248,6 +296,15 @@ def test_long_variation_no_anchors_warns():
     g = TimeGrid((1.1, 2.3))
     with pytest.warns(UserWarning):
         assert long_variation(g, [5.0, 9.0], 2.0) == 0.0
+
+
+@pytest.mark.parametrize("q", [0.5, np.nan, 100.0])
+def test_variations_reject_bad_q_on_a_grid_without_anchors(q):
+    # long_variation returned 0.0 here, before it looked at q
+    g = TimeGrid((1.5, 3.0, 5.0))
+    for route in (long_variation, short_variation):
+        with pytest.raises(ValueError, match="q must lie"):
+            route(g, [0.0, 1.0, 0.0], q)
 
 
 def test_short_variation_pure_dyadic():

@@ -11,8 +11,9 @@ After the runs comes, per seed, a section that the CLI never reaches: a
 sha256 of the outputs of ``avg_at``, ``avg_sweep``, ``fast_slice_avg``,
 ``dtt_avg_field`` and the d = 1 ``avg_field`` on inputs drawn from the seed,
 one line per route and body (every body kind, both modes, a negative box
-origin, points inside and outside the box).  A route that raises is
-digested by its exception.
+origin, points inside and outside the box), then of the public q-variation
+views on ragged sequences drawn from the seed, one line per view and q.  A
+route that raises is digested by its exception.
 
 Invoke as: python3 tools/run_digest.py [--seeds 0 3] [--trials N] > digest.txt
 and compare the digests of two trees with ``diff``.
@@ -26,6 +27,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,12 +61,12 @@ def digest(label: str, args: list[str], seed: int, trials: int | None, out: Path
 
 
 def route_digest(seed: int) -> list[str]:
-    """The digest lines of the point routes and the d = 1 field routes on
-    inputs drawn from ``seed``."""
+    """The digest lines of the point routes, the d = 1 field routes and the
+    q-variation views on inputs drawn from ``seed``."""
     if str(ROOT / "src") not in sys.path:
         sys.path.insert(0, str(ROOT / "src"))
     import numpy as np
-    from bivariation import averages, bodies
+    from bivariation import averages, bodies, variation
     from bivariation.fields import Box, Field
 
     rng = np.random.default_rng(seed)
@@ -109,6 +111,35 @@ def route_digest(seed: int) -> list[str]:
     for lam in ([[1.0, 0.4], [-0.3, 0.9]], [[0.8, -0.6], [0.5, 0.7]], [[-1.1, 0.2], [0.6, 0.5]]):
         lines.append(line(f"dtt_avg_field {lam}", lambda: [
             averages.dtt_avg_field(np.array(lam), t, f1, f2).samples for t in (0.5, 1.3, 2.9)]))
+
+    # ragged sequences of lengths 0-23: normal rows, rows outside the rescale
+    # band and an integer plateau; a grid with no dyadic anchor among the grids
+    scales = (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1e-20, 1e20, 1.0)
+    seqs = [rng.normal(size=n) * s for n, s in zip(rng.integers(0, 24, size=9).tolist(), scales)]
+    seqs.append(rng.integers(-2, 3, size=17).astype(np.float64))
+    partners = [rng.normal(size=a.size) for a in seqs]
+    t0s = [int(rng.integers(0, max(a.size, 1))) for a in seqs]
+    grids = [averages.TimeGrid.dyadic_spanning(-1, 5, per_block=2, rng=rng),
+             averages.TimeGrid.dyadic_spanning(0, 6, per_block=1, rng=rng),
+             averages.TimeGrid((1.5, 3.0, 5.0))]
+    values = [rng.normal(size=len(grid)) for grid in grids]
+    with warnings.catch_warnings():  # the grid without anchors warns
+        warnings.simplefilter("ignore", UserWarning)
+        for q in (1.5, 3.0, 16.0):
+            lines.append(line(f"vq_exact q={q}", lambda: [
+                (out.value, *out.witness) for out in (variation.vq_exact(a, q) for a in seqs)]))
+            lines.append(line(f"vq_value_batch q={q}", lambda: [
+                variation.vq_value_batch(a, q) for a in seqs]))
+            lines.append(line(f"long_variation q={q}", lambda: [
+                variation.long_variation(g, v, q) for g, v in zip(grids, values)]))
+            lines.append(line(f"short_variation q={q}", lambda: [
+                variation.short_variation(g, v, q) for g, v in zip(grids, values)]))
+            lines.append(line(f"product_rule_check q={q}", lambda: [
+                (r.lhs, r.rhs, r.holds) for r in (variation.product_rule_check(a, b, q)
+                                                  for a, b in zip(seqs, partners))]))
+            lines.append(line(f"sup_vs_variation_check q={q}", lambda: [
+                (r.lhs, r.rhs, r.holds) for r in (variation.sup_vs_variation_check(a, q, t0)
+                                                  for a, t0 in zip(seqs, t0s) if a.size)]))
     return lines
 
 
