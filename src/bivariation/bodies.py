@@ -144,8 +144,17 @@ class CustomBody(ConvexBody):
 def _cube_contains(points, r_in, t) -> np.ndarray:
     """Membership of points (n, 2d) in the closed cube dilate of inner radius
     ``r_in`` at ``t``; each is one value, or an (n,) array."""
-    p = np.asarray(points, dtype=np.float64)
-    return np.max(np.abs(p), axis=1) <= r_in * t
+    return _abs_max(np.asarray(points, dtype=np.float64)) <= r_in * t
+
+
+def _abs_max(p: np.ndarray) -> np.ndarray:
+    """max_j |p[:, j]| of an (n, k) array, one column at a time: a reduction
+    along each short row took six times as long.  Max is exact, and a nan
+    propagates as it does through ``np.max``."""
+    top = np.abs(p[:, 0])
+    for j in range(1, p.shape[1]):
+        np.maximum(top, np.abs(p[:, j]), out=top)
+    return top
 
 
 def _gamma_contains(points, rows, t) -> np.ndarray:
@@ -296,27 +305,30 @@ class LatticePointSet:
         return {tuple(int(v) for v in p) for p in self.points}
 
 
-_SLAB_ROWS = 1 << 16  # box rows tested at once; bounds the scan's scratch memory
+_SLAB_ROWS = 1 << 16  # box rows tested at once; bounds the d = 1 scan's scratch memory
 
 
 def enumerate_lattice(body: ConvexBody, t: float) -> LatticePointSet:
-    """Exact integer points of G_t by a scan of the box [-ceil(t), ceil(t)]^(2d).
+    """Exact integer points of G_t, sorted lexicographically, in one array of
+    their final size.
 
-    The box is scanned in row-major order, in slabs of consecutive first
-    coordinates of about ``_SLAB_ROWS`` rows each, so the points come out
-    sorted lexicographically.  The membership pass keeps one boolean mask per
-    slab; the points are then written slab by slab into one array of their
-    final size, so the scratch memory is about one slab plus one byte per
-    box point.
+    For d = 1 the box [-R, R]^2, R = ceil(t), is scanned in row-major order,
+    in slabs of consecutive first coordinates of about ``_SLAB_ROWS`` rows
+    each, keeping one boolean mask per slab.  For d >= 2 each prefix row
+    p in [-R, R]^(2d-1) meets G_t in an integer interval of the last
+    coordinate, and the prefix rows are read in row-major order from slice-
+    table passes of at most ``_TABLE_ROWS`` rows (docs/notes.md, note 4);
+    the scratch memory is about one pass plus the nonempty rows' intervals.
     """
     if not t > 0:
         raise ValueError("t must be positive")
     if not np.isfinite(t):
         raise ValueError("t must be finite")
     R = int(np.ceil(t * body.r_out))
+    if body.d > 1:
+        return LatticePointSet(t, _prefix_points(body, t, R))
     side = np.arange(-R, R + 1, dtype=np.int64)
-    rest = np.stack(np.meshgrid(*[side] * (body.ambient - 1), indexing="ij"), axis=-1)
-    rest = rest.reshape(-1, body.ambient - 1)
+    rest = side[:, None]
     per_slab = max(1, _SLAB_ROWS // len(rest))
     firsts = [side[start : start + per_slab] for start in range(0, side.size, per_slab)]
     masks = []
@@ -460,9 +472,11 @@ def _linear_rows(body: ConvexBody):
 
 
 # ---------------------------------------------------------------------------
-# One-dimensional slices (d = 1 only): {m : (k, m) in G_t} is an integer interval
+# Slices: for a prefix row p in Z^(2d-1), {m : (p, m) in G_t} is an integer
+# interval.  ``slice_tables`` gives the d = 1 tables, and the d >= 2
+# enumeration reads the prefix rows' intervals
 
-_TABLE_ROWS = 1 << 12  # stacked rows of one slice-table pass; bounds its scratch memory
+_TABLE_ROWS = 1 << 12  # prefix rows of one slice-table pass; bounds its scratch memory
 
 
 def slice_tables(keys) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -517,20 +531,54 @@ def _stacked_tables(keys):
         # no row reads another, so the tables do not depend on the split
         half = len(keys) // 2
         return _stacked_tables(keys[:half]) + _stacked_tables(keys[half:])
-    return _table_pass(keys, sizes)
-
-
-def _table_pass(keys, sizes):
-    """One stacked pass: rows k = -K..K of each key, ``sizes[i] = 2K + 1``."""
-    body = keys[0][0]
     ks = np.concatenate([np.arange(-(s // 2), s // 2 + 1, dtype=np.int64) for s in sizes])
-    kf = ks.astype(np.float64)
+    lo, hi = _table_pass(keys, sizes, ks[:, None])
+    rows = np.flatnonzero(lo <= hi)
+    # the kept rows of each key, still in stacking order
+    ends = np.searchsorted(rows, np.cumsum(sizes)).tolist()
+    ks, lo, hi = ks[rows], lo[rows], hi[rows]
+    return [(ks[a:b], lo[a:b], hi[a:b]) for a, b in zip([0, *ends], ends)]
+
+
+def _prefix_points(body: ConvexBody, t: float, R: int) -> np.ndarray:
+    """The integer points of G_t for d >= 2 from the intervals of the prefix
+    rows p in [-R, R]^(2d-1), in row-major passes of at most ``_TABLE_ROWS``
+    rows, written into one array of their final size."""
+    shape = (2 * R + 1,) * (body.ambient - 1)
+    total = (2 * R + 1) ** (body.ambient - 1)
+    passes = []  # the nonempty rows of each pass: row-major indices, lo, hi
+    for start in range(0, total, _TABLE_ROWS):
+        at = np.arange(start, min(start + _TABLE_ROWS, total))
+        lo, hi = _table_pass([(body, t)], [len(at)], np.stack(np.unravel_index(at, shape), axis=1) - R)
+        rows = np.flatnonzero(lo <= hi)
+        passes.append((at[rows], lo[rows], hi[rows]))
+    points = np.empty((sum(int((hi - lo).sum()) + len(lo) for _, lo, hi in passes), body.ambient),
+                      dtype=np.int64)
+    at = 0
+    for rows, lo, hi in passes:
+        n = hi - lo + 1
+        end = at + int(n.sum())
+        for j, p in enumerate(np.unravel_index(rows, shape)):  # a column at a time
+            points[at:end, j] = np.repeat(p - R, n)
+        # a point's last coordinate is its row's lo plus its place in the row
+        points[at:end, -1] = np.arange(end - at) - np.repeat(np.cumsum(n) - n - lo, n)
+        at = end
+    return points
+
+
+def _table_pass(keys, sizes, pre):
+    """One stacked pass: ``sizes[i]`` consecutive prefix rows ``pre`` (rows,
+    2d - 1) of each key, returning each row's interval [lo, hi] of the last
+    coordinate m, lo > hi for a row the body misses."""
+    body = keys[0][0]
+    d = body.d
+    pf = pre.astype(np.float64)
     t = np.repeat(np.array([t for _, t in keys]), sizes)  # each row's scale
     # the parameters of each row's body: given once when the pass has one
     # body, else one per row
     one = all(b == body for b, _ in keys)
-    # the linear kinds' constraints (a1, a2): |a1 k + a2 m| < t for a gamma
-    # body, a1 k + a2 m <= t for a half-space list
+    # the linear kinds' constraints: |w1 y1 + w2 y2| < t for a gamma body,
+    # given as (w1, w2), and a.y <= t for a half-space list, given as a
     if isinstance(body, GammaBody):
         lines = body.rows if one else [
             tuple(np.repeat(a, sizes) for a in zip(*line))
@@ -540,29 +588,54 @@ def _table_pass(keys, sizes):
         lines = body.halfspaces if isinstance(body, PolytopeBody) else ()
     # each row's candidate [lo, hi], and [lo0, hi0], where its stepping starts
     if isinstance(body, (Ball, CubeBody)):
-        # symmetric candidates [-M, M]; M = -1 marks a row the body misses
+        # symmetric candidates [-M, M]; M = -1 marks a row the body misses.
+        # Integer prefixes make |p|^2 exact (note 4)
         if isinstance(body, Ball):
-            r2 = t * t - kf * kf
+            r2 = t * t - np.einsum("ij,ij->i", pf, pf)
             M = np.where(r2 >= 0, np.floor(np.sqrt(np.abs(r2))), -1.0)
         else:
             r_in = body.r_in if one else np.repeat([b.r_in for b, _ in keys], sizes)
             h = r_in * t
-            M = np.where(np.abs(kf) <= h, np.floor(h), -1.0)
+            M = np.where(_abs_max(pf) <= h, np.floor(h), -1.0)
         lo = lo0 = -M.astype(np.int64)
         hi = hi0 = M.astype(np.int64)
     else:
         lo_f, hi_f = -t, t
-        for a1, a2 in lines:
+        # every row's point at m = 0, where each constraint's value is what
+        # the membership test computes for every m when the constraint's m
+        # coefficient a2 is 0
+        at_zero = np.zeros((len(pf), body.ambient))
+        at_zero[:, :-1] = pf
+        if lines and isinstance(body, PolytopeBody):
+            dots = at_zero @ np.array(lines).T
+        for j, line in enumerate(lines):
+            a2, u, gap = line[-1], t, 0.0
+            if isinstance(body, GammaBody):
+                # |c + a2 m| < u with u^2 = t^2 - s^2, s^2 over the components
+                # of v that the prefix fixes
+                w1, w2 = (np.reshape(w, (-1, 1)) for w in line)
+                v = w1 * at_zero[:, :d] + w2 * at_zero[:, d:]
+                c = v[:, -1]
+                if d > 1:
+                    u2 = t * t - np.einsum("ij,ij->i", v[:, :-1], v[:, :-1])
+                    u = np.sqrt(np.maximum(u2, 0.0))
+                    # a row with u^2 < 0 has no member: an empty candidate
+                    # whose start holds the cells around -c / a2
+                    gap = np.where(u2 < 0, 0.5, 0.0)
+            else:  # |c + a2 m| <= t, as the half-spaces come in opposite pairs
+                c = dots[:, j]
             # a row whose a2 is 0 takes no bound from the constraint
             with np.errstate(divide="ignore", invalid="ignore"):
-                b1, b2 = (-t - a1 * kf) / a2, (t - a1 * kf) / a2
+                b1, b2 = (-u - c) / a2, (u - c) / a2
             slanted = np.not_equal(a2, 0.0)
-            lo_f = np.where(slanted, np.maximum(lo_f, np.minimum(b1, b2)), lo_f)
-            hi_f = np.where(slanted, np.minimum(hi_f, np.maximum(b1, b2)), hi_f)
+            lo_f = np.where(slanted, np.maximum(lo_f, np.minimum(b1, b2) + gap), lo_f)
+            hi_f = np.where(slanted, np.minimum(hi_f, np.maximum(b1, b2) - gap), hi_f)
             if not slanted.all():  # it holds at every m of such a row, or at none
-                v = a1 * kf  # as the membership test computes it
-                shut = ~slanted & (v * v >= t * t if isinstance(body, GammaBody) else v > t)
-                hi_f = np.where(shut, -t - 1.0, hi_f)  # empty, and no start cell is a member
+                if isinstance(body, GammaBody):
+                    out = np.einsum("ij,ij->i", v, v) >= t * t
+                else:
+                    out = c > t
+                hi_f = np.where(~slanted & out, -t - 1.0, hi_f)  # empty, and no start cell is a member
         lo0 = np.floor(lo_f).astype(np.int64) - 1
         hi0 = np.ceil(hi_f).astype(np.int64) + 1
         lo = np.ceil(lo_f).astype(np.int64)
@@ -580,9 +653,9 @@ def _table_pass(keys, sizes):
                                    t[rows])
 
     def inside(rows, m):
-        pts = np.empty((len(rows), 2))  # np.stack here took about 14% of a build
-        pts[:, 0] = kf[rows]
-        pts[:, 1] = m
+        pts = np.empty((len(rows), body.ambient))  # np.stack here took about 14% of a build
+        pts[:, :-1] = pf[rows]
+        pts[:, -1] = m
         return member(pts, rows)
 
     def step_while(rows, m, delta, test):
@@ -601,7 +674,7 @@ def _table_pass(keys, sizes):
     # not, and it is empty when its candidate is and none of its start cells
     # (at most four) is a member.  Cells are (cells, rows), so each operation
     # loops over the rows
-    rows = np.arange(len(ks))
+    rows = np.arange(len(pf))
     if type(body) in (Ball, CubeBody, GammaBody, PolytopeBody):
         full = lo <= hi
         if type(body) in (Ball, CubeBody):
@@ -609,8 +682,21 @@ def _table_pass(keys, sizes):
         else:
             m = np.where(full, np.stack((lo - 1, lo, hi, hi + 1)), lo0 + np.arange(4)[:, None])
             want, care = full & np.array([[False], [True], [True], [False]]), full | (m <= hi0)
-        got = inside(np.tile(rows, len(m)), m.ravel()).reshape(m.shape)
+        # only the cells that can show a fault are tested
+        got = np.zeros(m.shape, dtype=bool)
+        cell, row = np.nonzero(np.broadcast_to(care, m.shape))
+        got[cell, row] = inside(row, m[cell, row])
         rows = np.flatnonzero(((got != want) & care).any(axis=0))
+        if len(m) == 4:
+            # a linear row's cells increase and its members are one interval:
+            # when a cell is a member, each end of the row lies between the
+            # outermost member cell and the next cell out
+            hit = got[:, rows]
+            known = hit.any(axis=0)
+            k, hit = rows[known], hit[:, known]
+            first, last = hit.argmax(axis=0), 3 - hit[::-1].argmax(axis=0)
+            lo0[k] = np.where(first > 0, m[first - 1, k] + 1, m[0, k])
+            hi0[k] = np.where(last < 3, m[(last + 1) % 4, k] - 1, m[3, k])
     # the other rows: shrink the start onto its outermost members, then grow
     # to the full run
     lo[rows], hi[rows] = lo0[rows], hi0[rows]
@@ -619,12 +705,7 @@ def _table_pass(keys, sizes):
     rows = rows[lo[rows] <= hi[rows]]
     lo[rows] = step_while(rows, lo[rows], -1, lambda r, m: inside(r, m - 1))
     hi[rows] = step_while(rows, hi[rows], 1, lambda r, m: inside(r, m + 1))
-    rows = np.flatnonzero(lo <= hi)
-    lo, hi = lo[rows], hi[rows]
-    # the kept rows of each key, still in stacking order
-    ends = np.searchsorted(rows, np.cumsum(sizes)).tolist()
-    ks = ks[rows]
-    return [(ks[a:b], lo[a:b], hi[a:b]) for a, b in zip([0, *ends], ends)]
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

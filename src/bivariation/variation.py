@@ -64,31 +64,34 @@ def _vq_rows(seqs: np.ndarray, q: float, links: bool = False):
     n, m = seqs.shape
     if m == 0:
         return np.zeros(n), np.full(n, -1), np.empty((n, 0), dtype=np.int64) if links else None
+    # the DP runs on an (m, N) C-contiguous copy, so each step reduces over
+    # rows of N values; a column-major ``seqs`` is read without a copy
+    cols = np.ascontiguousarray(seqs.T)
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows raise below
         # the largest |difference|: rounding is monotone, so it is max - min
-        tops = (seqs.max(axis=1) - seqs.min(axis=1)).tolist()
+        tops = (cols.max(axis=0) - cols.min(axis=0)).tolist()
     if not all(map(math.isfinite, tops)):
         raise ValueError("q-variation needs finite values with finite differences")
     scale = [1.0 if t == 0.0 or _RESCALE_LO < t < _RESCALE_HI else t for t in tops]
-    col_scale = np.array(scale)[:, None]
-    best = np.zeros((n, m))
-    prev = np.zeros((n, m), dtype=np.int64) if links else None
-    rows = np.arange(n)
+    row_scale = np.array(scale)
+    best = np.zeros((m, n))
+    prev = np.zeros((m, n), dtype=np.int64) if links else None
     for j in range(1, m):
-        cand = seqs[:, :j] - seqs[:, j : j + 1]  # column j of the power table
+        cand = cols[:j] - cols[j]  # column j of the power table, transposed
         np.abs(cand, out=cand)
-        cand /= col_scale
+        cand /= row_scale
         cand **= q
-        cand += best[:, :j]
-        cand.max(axis=1, out=best[:, j])
+        cand += best[:j]
+        np.maximum.reduce(cand, axis=0, out=best[j])
         if links:
-            prev[:, j] = cand.argmax(axis=1)  # argmax takes the earliest maximizer
+            prev[j] = cand.argmax(axis=0)  # argmax takes the earliest maximizer
     if links:
         prev[best == 0] = -1
-    ends = best.argmax(axis=1)
+        prev = prev.T
+    ends = best.argmax(axis=0)
     # scalar pow for the final root, as the enumeration oracles take it: the
     # vectorized pow can round differently in the last ulp
-    values = [s * b ** (1.0 / q) for s, b in zip(scale, best[rows, ends].tolist())]
+    values = [s * b ** (1.0 / q) for s, b in zip(scale, best[ends, np.arange(n)].tolist())]
     return np.array(values, dtype=np.float64), ends, prev
 
 
@@ -122,12 +125,12 @@ def _vq_blocks(blocks, q: float) -> np.ndarray:
     last value, or zeros for an empty row (docs/notes.md, note 7)."""
     _check_q(q)
     width = max((b.shape[1] for b in blocks), default=0)
-    # column-major: each step of the DP reads one column of every row
-    seqs = np.zeros((sum(map(len, blocks)), width), order="F")
+    # (width, rows): the DP reads it as its (m, N) layout, with no copy
+    cols = np.zeros((width, sum(map(len, blocks))))
     for b, end in zip(blocks, np.cumsum([len(b) for b in blocks]).tolist()):
-        seqs[end - len(b) : end, : b.shape[1]] = b
-        seqs[end - len(b) : end, b.shape[1] :] = b[:, -1:] if b.shape[1] else 0.0
-    return _vq_rows(seqs, q)[0]
+        cols[: b.shape[1], end - len(b) : end] = b.T
+        cols[b.shape[1] :, end - len(b) : end] = b[:, -1] if b.shape[1] else 0.0
+    return _vq_rows(cols.T, q)[0]
 
 
 def long_variation(grid: TimeGrid, a, q: float) -> float:

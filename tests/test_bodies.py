@@ -176,6 +176,44 @@ def test_slab_scan_matches_full_box(monkeypatch, d, which, slab_rows):
         assert got.tobytes() == want.tobytes()
 
 
+
+# d >= 2 bodies for the prefix-row enumeration: every kind, and gamma bodies
+# with a zero coefficient, whose constraint without a2 shuts prefix rows
+PREFIX_BODIES = {
+    2: [*SCAN_BODIES[2], gamma_body(2, [[1.0, 0.0], [0.0, 1.0]]),
+        gamma_body(2, [[0.0, 1.0], [1.0, 0.0]]), gamma_body(2, [[1.0, 0.5], [-0.5, 1.0]])],
+    3: [
+        ball(3),
+        cube(3),
+        gamma_body(3, [[1.0, 0.3], [-0.2, 0.9]]),
+        polytope_body(3, np.vstack([np.eye(6), -np.eye(6), [[0.4] * 6], [[-0.4] * 6]])),
+        normalize(3, lambda y: np.abs(y).sum(axis=1) <= 5.0, 5.0 / np.sqrt(6), 5.0),
+        gamma_body(3, [[0.0, 1.0], [1.0, 0.0]]),
+    ],
+}
+
+
+def prefix_scales(body):
+    """Drawn scales, the boundary scales 1, 2, 4 and 8 sqrt(2), and the scales
+    at which t r_in is an integer, kept to boxes a full scan can hold."""
+    top = 12.0 if body.d == 2 else 3.0
+    drawn = np.random.default_rng(body.d).uniform(0.5, top, size=3).tolist()
+    edges = [1.0, 2.0, 4.0, 8 * np.sqrt(2)] + [k / body.r_in for k in (1, 2, 3)]
+    return [0.7, *drawn, *(t for t in edges if t * body.r_out <= top)]
+
+
+@pytest.mark.parametrize("table_rows", [5, bodies._TABLE_ROWS])
+@pytest.mark.parametrize("d, which", [(d, i) for d in (2, 3) for i in range(len(PREFIX_BODIES[d]))])
+def test_prefix_rows_match_full_box(monkeypatch, d, which, table_rows):
+    # passes of 5 prefix rows split every box into many passes
+    monkeypatch.setattr(bodies, "_TABLE_ROWS", table_rows)
+    body = PREFIX_BODIES[d][which]
+    for t in prefix_scales(body):
+        got = enumerate_lattice(body, t).points
+        want = full_box_scan(body, t)
+        assert got.dtype == np.int64 and got.shape == want.shape, t
+        assert got.tobytes() == want.tobytes(), t
+
 def concatenating_scan(body, t):
     # the slab scan that kept each slab's points and concatenated the pieces
     R = int(np.ceil(t * body.r_out))

@@ -977,9 +977,9 @@ def test_calibration_batch_passes_stay_within_the_table_rows():
     table_pass = bodies._table_pass
     passes = []
 
-    def counting(keys, sizes):
+    def counting(keys, sizes, pre):
         passes.append((len(keys), sum(sizes)))
-        return table_pass(keys, sizes)
+        return table_pass(keys, sizes, pre)
 
     rows1 = np.stack([h1.samples.ravel() for *_, h1, _, _ in batch])
     rows2 = np.stack([h2.samples.ravel() for *_, h2, _ in batch])

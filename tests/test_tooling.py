@@ -74,9 +74,10 @@ def test_shipped_ceiling_bounds_statistic(key, calibrate):
     _within_ceiling({key: calibrate.tracked_max(key, CEILING_TRIALS[key])})
 
 
-# 8 point and field routes per body of 6, 3 dtt_avg_field lines, and 6
+# 8 point and field routes per body of 6, 3 dtt_avg_field lines, the
+# lattice points of 5 body kinds at d = 2 and 3 and 3 scales, and 6
 # q-variation views at each of 3 q
-ROUTE_LINES = 6 * 8 + 3 + 6 * 3
+ROUTE_LINES = 6 * 8 + 3 + 5 * 2 * 3 + 6 * 3
 
 
 def test_run_digest_smoke():

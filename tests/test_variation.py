@@ -378,3 +378,18 @@ def test_sup_vs_variation_random():
         m = int(rng.integers(1, 20))
         a = rng.normal(size=m)
         assert sup_vs_variation_check(a, 2.5, t0=int(rng.integers(0, m))).holds
+
+
+@pytest.mark.parametrize("q", [1.5, 3.0, 16.0])
+def test_dp_rows_give_one_result_in_either_memory_order(q):
+    # the DP runs on an (m, N) C-contiguous copy: row-major and column-major
+    # input give the same values, ends and links, bit for bit
+    rng = np.random.default_rng(11)
+    seqs = rng.normal(size=(40, 13)) * np.logspace(-25, 25, 40)[:, None]
+    seqs[3] = np.repeat(rng.integers(-2, 3, size=13 // 3 + 1), 3)[:13]  # plateaus
+    c = variation._vq_rows(np.ascontiguousarray(seqs), q, links=True)
+    f = variation._vq_rows(np.asfortranarray(seqs), q, links=True)
+    assert c[0].view(np.int64).tolist() == f[0].view(np.int64).tolist()
+    assert np.array_equal(c[1], f[1]) and np.array_equal(c[2], f[2])
+    for row, value in zip(seqs, c[0]):
+        assert variation.vq_exact(row, q).value == value
