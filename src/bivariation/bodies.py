@@ -142,19 +142,15 @@ class CustomBody(ConvexBody):
 # row against its own body (docs/notes.md, note 9)
 
 def _cube_contains(points, r_in, t) -> np.ndarray:
-    """Membership of points (n, 2d) in the closed cube dilate of inner radius
-    ``r_in`` at ``t``; each is one value, or an (n,) array."""
-    return _abs_max(np.asarray(points, dtype=np.float64)) <= r_in * t
-
-
-def _abs_max(p: np.ndarray) -> np.ndarray:
-    """max_j |p[:, j]| of an (n, k) array, one column at a time: a reduction
-    along each short row took six times as long.  Max is exact, and a nan
-    propagates as it does through ``np.max``."""
+    """Membership of points (n, k) in the closed cube dilate of inner radius
+    ``r_in`` at ``t``; each is one value, or an (n,) array.  max_j |p_j| is
+    taken a column at a time: a reduction along each short row took six
+    times as long.  Max is exact, and a nan propagates as through ``np.max``."""
+    p = np.asarray(points, dtype=np.float64)
     top = np.abs(p[:, 0])
     for j in range(1, p.shape[1]):
         np.maximum(top, np.abs(p[:, j]), out=top)
-    return top
+    return top <= r_in * t
 
 
 def _gamma_contains(points, rows, t) -> np.ndarray:
@@ -310,15 +306,11 @@ _SLAB_ROWS = 1 << 16  # box rows tested at once; bounds the d = 1 scan's scratch
 
 def enumerate_lattice(body: ConvexBody, t: float) -> LatticePointSet:
     """Exact integer points of G_t, sorted lexicographically, in one array of
-    their final size.
-
-    For d = 1 the box [-R, R]^2, R = ceil(t), is scanned in row-major order,
-    in slabs of consecutive first coordinates of about ``_SLAB_ROWS`` rows
-    each, keeping one boolean mask per slab.  For d >= 2 each prefix row
-    p in [-R, R]^(2d-1) meets G_t in an integer interval of the last
-    coordinate, and the prefix rows are read in row-major order from slice-
-    table passes of at most ``_TABLE_ROWS`` rows (docs/notes.md, note 4);
-    the scratch memory is about one pass plus the nonempty rows' intervals.
+    their final size.  For d = 1 the box [-R, R]^2, R = ceil(t), is scanned
+    in slabs of consecutive first coordinates of about ``_SLAB_ROWS`` rows,
+    one boolean mask per slab.  For d >= 2 each prefix row p in [-R, R]^(2d-1)
+    meets G_t in an interval of the last coordinate, read from slice-table
+    passes of at most ``_TABLE_ROWS`` rows (docs/notes.md, note 4).
     """
     if not t > 0:
         raise ValueError("t must be positive")
@@ -328,23 +320,21 @@ def enumerate_lattice(body: ConvexBody, t: float) -> LatticePointSet:
     if body.d > 1:
         return LatticePointSet(t, _prefix_points(body, t, R))
     side = np.arange(-R, R + 1, dtype=np.int64)
-    rest = side[:, None]
-    per_slab = max(1, _SLAB_ROWS // len(rest))
+    per_slab = max(1, _SLAB_ROWS // side.size)
     firsts = [side[start : start + per_slab] for start in range(0, side.size, per_slab)]
     masks = []
     for first in firsts:
-        # slab row (a, b) is (first[a], *rest[b]), as floats for the test
-        slab = np.empty((first.size, len(rest), body.ambient))
+        # slab row (a, b) is the point (first[a], side[b]), as floats for the test
+        slab = np.empty((first.size, side.size, 2))
         slab[:, :, 0] = first[:, None]
-        slab[:, :, 1:] = rest
-        inside = body.contains_dilated(slab.reshape(-1, body.ambient), t)
-        masks.append(inside.reshape(first.size, len(rest)))
-    points = np.empty((sum(map(np.count_nonzero, masks)), body.ambient), dtype=np.int64)
+        slab[:, :, 1] = side
+        masks.append(body.contains_dilated(slab.reshape(-1, 2), t).reshape(first.size, side.size))
+    points = np.empty((sum(map(np.count_nonzero, masks)), 2), dtype=np.int64)
     at = 0
     for first, mask in zip(firsts, masks):
         a, b = np.nonzero(mask)
         points[at : at + a.size, 0] = first[a]
-        points[at : at + a.size, 1:] = rest[b]
+        points[at : at + a.size, 1] = side[b]
         at += a.size
     return LatticePointSet(t, points)
 
@@ -596,7 +586,7 @@ def _table_pass(keys, sizes, pre):
         else:
             r_in = body.r_in if one else np.repeat([b.r_in for b, _ in keys], sizes)
             h = r_in * t
-            M = np.where(_abs_max(pf) <= h, np.floor(h), -1.0)
+            M = np.where(_cube_contains(pf, r_in, t), np.floor(h), -1.0)
         lo = lo0 = -M.astype(np.int64)
         hi = hi0 = M.astype(np.int64)
     else:

@@ -144,6 +144,8 @@ def full_box_scan(body, t):
     return pts[np.lexsort(pts.T[::-1])]
 
 
+# every kind at each d; for d >= 2 also gamma bodies with a zero
+# coefficient, whose constraint without a2 shuts prefix rows
 SCAN_BODIES = {
     1: [
         ball(1),
@@ -159,29 +161,10 @@ SCAN_BODIES = {
         polytope_body(2, np.vstack([np.eye(4), -np.eye(4), [[0.5, 0.5, 0.5, 0.5]],
                                     [[-0.5, -0.5, -0.5, -0.5]]])),
         normalize(2, lambda y: np.abs(y).sum(axis=1) <= 5.0, 2.5, 5.0),
+        gamma_body(2, [[1.0, 0.0], [0.0, 1.0]]),
+        gamma_body(2, [[0.0, 1.0], [1.0, 0.0]]),
+        gamma_body(2, [[1.0, 0.5], [-0.5, 1.0]]),
     ],
-}
-
-
-@pytest.mark.parametrize("slab_rows", [7, bodies._SLAB_ROWS])
-@pytest.mark.parametrize("d, which", [(d, i) for d in (1, 2) for i in range(5)])
-def test_slab_scan_matches_full_box(monkeypatch, d, which, slab_rows):
-    # 7 rows per slab splits every box into many slabs, a partial last one included
-    monkeypatch.setattr(bodies, "_SLAB_ROWS", slab_rows)
-    body = SCAN_BODIES[d][which]
-    for t in ((0.7, 3.0, 12.5, 40.0) if d == 1 else (0.7, 3.0, 5.5, 9.0)):
-        got = enumerate_lattice(body, t).points
-        want = full_box_scan(body, t)
-        assert got.dtype == np.int64 and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-
-
-# d >= 2 bodies for the prefix-row enumeration: every kind, and gamma bodies
-# with a zero coefficient, whose constraint without a2 shuts prefix rows
-PREFIX_BODIES = {
-    2: [*SCAN_BODIES[2], gamma_body(2, [[1.0, 0.0], [0.0, 1.0]]),
-        gamma_body(2, [[0.0, 1.0], [1.0, 0.0]]), gamma_body(2, [[1.0, 0.5], [-0.5, 1.0]])],
     3: [
         ball(3),
         cube(3),
@@ -193,26 +176,34 @@ PREFIX_BODIES = {
 }
 
 
-def prefix_scales(body):
-    """Drawn scales, the boundary scales 1, 2, 4 and 8 sqrt(2), and the scales
-    at which t r_in is an integer, kept to boxes a full scan can hold."""
+def scan_scales(body):
+    """Fixed and, for d >= 2, drawn scales, the boundary scales 1, 2, 4 and
+    8 sqrt(2), and the scales at which t r_in is an integer; at d = 3 only
+    those whose box a full scan can hold."""
+    if body.d == 1:
+        return [0.7, 3.0, 12.5, 40.0]
     top = 12.0 if body.d == 2 else 3.0
     drawn = np.random.default_rng(body.d).uniform(0.5, top, size=3).tolist()
+    fixed = [0.7, 3.0, 5.5, 9.0] if body.d == 2 else [0.7]
     edges = [1.0, 2.0, 4.0, 8 * np.sqrt(2)] + [k / body.r_in for k in (1, 2, 3)]
-    return [0.7, *drawn, *(t for t in edges if t * body.r_out <= top)]
+    return [*fixed, *drawn, *(t for t in edges if t * body.r_out <= top)]
 
 
-@pytest.mark.parametrize("table_rows", [5, bodies._TABLE_ROWS])
-@pytest.mark.parametrize("d, which", [(d, i) for d in (2, 3) for i in range(len(PREFIX_BODIES[d]))])
-def test_prefix_rows_match_full_box(monkeypatch, d, which, table_rows):
-    # passes of 5 prefix rows split every box into many passes
-    monkeypatch.setattr(bodies, "_TABLE_ROWS", table_rows)
-    body = PREFIX_BODIES[d][which]
-    for t in prefix_scales(body):
+@pytest.mark.parametrize("pass_rows", [7, bodies._SLAB_ROWS])
+@pytest.mark.parametrize("d, which", [(d, i) for d in (1, 2, 3) for i in range(len(SCAN_BODIES[d]))])
+def test_slab_scan_matches_full_box(monkeypatch, d, which, pass_rows):
+    # the pass size of each path: box rows per slab of the d = 1 scan, prefix
+    # rows per table pass for d >= 2.  7 splits every box into many slabs or
+    # passes, a partial last one included; 65536 holds each box here in one
+    # (test_enumeration_peak_stays_near_its_points splits at the default)
+    monkeypatch.setattr(bodies, "_SLAB_ROWS" if d == 1 else "_TABLE_ROWS", pass_rows)
+    body = SCAN_BODIES[d][which]
+    for t in scan_scales(body):
         got = enumerate_lattice(body, t).points
         want = full_box_scan(body, t)
         assert got.dtype == np.int64 and got.shape == want.shape, t
         assert got.tobytes() == want.tobytes(), t
+
 
 def concatenating_scan(body, t):
     # the slab scan that kept each slab's points and concatenated the pieces

@@ -74,22 +74,27 @@ def test_shipped_ceiling_bounds_statistic(key, calibrate):
     _within_ceiling({key: calibrate.tracked_max(key, CEILING_TRIALS[key])})
 
 
-# 8 point and field routes per body of 6, 3 dtt_avg_field lines, the
-# lattice points of 5 body kinds at d = 2 and 3 and 3 scales, and 6
+# 8 point and field routes per body of 6, 3 dtt_avg_field lines and 6
 # q-variation views at each of 3 q
-ROUTE_LINES = 6 * 8 + 3 + 5 * 2 * 3 + 6 * 3
+ROUTE_LINES = 6 * 8 + 3 + 6 * 3
+# the lattice points of 5 body kinds at d = 2 and 3 and 3 scales, once
+LATTICE_LINES = 5 * 2 * 3
 
 
 def test_run_digest_smoke():
     # every shipped config and default suite, each with its exit status,
     # one sha256 per report and its manifest's two cache lines, then the
-    # routes section
+    # routes section and the lattice section
     proc = subprocess.run([sys.executable, str(DIGEST), "--seeds", "0", "--trials", "1"],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     cli, routes = proc.stdout.split("\nroutes seed=")
+    routes, lattice = routes.split("\nlattice points:\n")
     head, *lines = routes.splitlines()
     assert head == "0:" and len(lines) == ROUTE_LINES  # checked below
+    digests = {line.split(maxsplit=1)[1]: line.split()[0] for line in lattice.splitlines()}
+    assert len(digests) == LATTICE_LINES
+    assert all(len(h) == 64 and name.startswith("enumerate_lattice d=") for name, h in digests.items())
     runs = cli.split("\nrun ")
     labels = [p.name for p in sorted((ROOT / "configs").glob("*.cfg"))]
     labels += [f"default {s}" for s in ("square", "cz", "ergodic", "interp")]

@@ -11,11 +11,11 @@ After the runs comes, per seed, a section that the CLI never reaches: a
 sha256 of the outputs of ``avg_at``, ``avg_sweep``, ``fast_slice_avg``,
 ``dtt_avg_field`` and the d = 1 ``avg_field`` on inputs drawn from the seed,
 one line per route and body (every body kind, both modes, a negative box
-origin, points inside and outside the box), then of ``enumerate_lattice``
-for every body kind at d = 2 and 3 and three scales, then of the public
-q-variation views on ragged sequences drawn from the seed, one line per view
-and q.  A
-route that raises is digested by its exception.
+origin, points inside and outside the box), then of the public q-variation
+views on ragged sequences drawn from the seed, one line per view and q.  A
+route that raises is digested by its exception.  A last section, which no
+seed draws, holds a sha256 of ``enumerate_lattice`` for every body kind at
+d = 2 and 3 and three scales.
 
 Invoke as: python3 tools/run_digest.py [--seeds 0 3] [--trials N] > digest.txt
 and compare the digests of two trees with ``diff``.
@@ -62,10 +62,20 @@ def digest(label: str, args: list[str], seed: int, trials: int | None, out: Path
     return lines
 
 
+def line(name, outputs) -> str:
+    """The digest line of the float64 bytes of ``outputs()``."""
+    import numpy as np
+
+    try:
+        data = b"".join(np.asarray(v, dtype=np.float64).tobytes() for v in outputs())
+    except Exception as exc:  # digested, so that two trees compare their errors too
+        data = f"{type(exc).__name__}: {exc}".encode()
+    return f"  {hashlib.sha256(data).hexdigest()}  {name}"
+
+
 def route_digest(seed: int) -> list[str]:
-    """The digest lines of the point routes, the d = 1 field routes, the
-    d >= 2 lattice points and the q-variation views on inputs drawn from
-    ``seed``."""
+    """The digest lines of the point routes, the d = 1 field routes and the
+    q-variation views on inputs drawn from ``seed``."""
     if str(ROOT / "src") not in sys.path:
         sys.path.insert(0, str(ROOT / "src"))
     import numpy as np
@@ -88,13 +98,6 @@ def route_digest(seed: int) -> list[str]:
         bodies.normalize(1, lambda y: np.abs(y).sum(axis=1) <= 5.0, 5.0 / np.sqrt(2), 5.0),
     ]
 
-    def line(name, outputs):
-        try:
-            data = b"".join(np.asarray(v, dtype=np.float64).tobytes() for v in outputs())
-        except Exception as exc:  # digested, so that two trees compare their errors too
-            data = f"{type(exc).__name__}: {exc}".encode()
-        return f"  {hashlib.sha256(data).hexdigest()}  {name}"
-
     lines = [f"routes seed={seed}:"]
     for b, body in enumerate(shapes):
         label = f"{b}:{type(body).__name__}"
@@ -114,16 +117,6 @@ def route_digest(seed: int) -> list[str]:
     for lam in ([[1.0, 0.4], [-0.3, 0.9]], [[0.8, -0.6], [0.5, 0.7]], [[-1.1, 0.2], [0.6, 0.5]]):
         lines.append(line(f"dtt_avg_field {lam}", lambda: [
             averages.dtt_avg_field(np.array(lam), t, f1, f2).samples for t in (0.5, 1.3, 2.9)]))
-
-    # the d >= 2 lattice points, read from the prefix rows' intervals
-    for d in (2, 3):
-        for body in (bodies.ball(d), bodies.cube(d), bodies.gamma_body(d, [[1.0, 0.5], [-0.5, 1.0]]),
-                     bodies.polytope_body(d, np.vstack([np.eye(2 * d), -np.eye(2 * d)])),
-                     bodies.normalize(d, lambda y: np.abs(y).sum(axis=1) <= 1.0,
-                                      1.0 / np.sqrt(2 * d), 1.0)):
-            for t in (0.7, 3.0, 8.0):
-                lines.append(line(f"enumerate_lattice d={d} {type(body).__name__} t={t}",
-                                  lambda: [bodies.enumerate_lattice(body, t).points]))
 
     # ragged sequences of lengths 0-23: normal rows, rows outside the rescale
     # band and an integer plateau; a grid with no dyadic anchor among the grids
@@ -156,6 +149,26 @@ def route_digest(seed: int) -> list[str]:
     return lines
 
 
+def lattice_digest() -> list[str]:
+    """The digest lines of the d >= 2 lattice points, read from the prefix
+    rows' intervals: one per body kind, d in {2, 3} and scale."""
+    if str(ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(ROOT / "src"))
+    import numpy as np
+    from bivariation import bodies
+
+    lines = ["lattice points:"]
+    for d in (2, 3):
+        for body in (bodies.ball(d), bodies.cube(d), bodies.gamma_body(d, [[1.0, 0.5], [-0.5, 1.0]]),
+                     bodies.polytope_body(d, np.vstack([np.eye(2 * d), -np.eye(2 * d)])),
+                     bodies.normalize(d, lambda y: np.abs(y).sum(axis=1) <= 1.0,
+                                      1.0 / np.sqrt(2 * d), 1.0)):
+            for t in (0.7, 3.0, 8.0):
+                lines.append(line(f"enumerate_lattice d={d} {type(body).__name__} t={t}",
+                                  lambda: [bodies.enumerate_lattice(body, t).points]))
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 3])
@@ -168,6 +181,7 @@ def main(argv=None) -> int:
                 print("\n".join(digest(label, run_args, seed, args.trials, out)), flush=True)
     for seed in args.seeds:
         print("\n".join(route_digest(seed)), flush=True)
+    print("\n".join(lattice_digest()), flush=True)
     return 0
 
 
