@@ -591,22 +591,25 @@ def _table_pass(keys, sizes, pre):
         hi = hi0 = M.astype(np.int64)
     else:
         lo_f, hi_f = -t, t
-        # every row's point at m = 0, where each constraint's value is what
-        # the membership test computes for every m when the constraint's m
-        # coefficient a2 is 0
-        at_zero = np.zeros((len(pf), body.ambient))
-        at_zero[:, :-1] = pf
         if lines and isinstance(body, PolytopeBody):
+            # each constraint's value at m = 0, as the membership test
+            # computes it for every m when the constraint's m coefficient
+            # a2 is 0
+            at_zero = np.zeros((len(pf), body.ambient))
+            at_zero[:, :-1] = pf
             dots = at_zero @ np.array(lines).T
         for j, line in enumerate(lines):
             a2, u, gap = line[-1], t, 0.0
             if isinstance(body, GammaBody):
-                # |c + a2 m| < u with u^2 = t^2 - s^2, s^2 over the components
-                # of v that the prefix fixes
-                w1, w2 = (np.reshape(w, (-1, 1)) for w in line)
-                v = w1 * at_zero[:, :d] + w2 * at_zero[:, d:]
-                c = v[:, -1]
+                # |c + a2 m| < u: c is the part of v = w1 y1 + w2 y2's last
+                # component that the prefix fixes, u^2 = t^2 - s^2 with s^2
+                # over v's other components; v is its value at m = 0
+                w1, w2 = line
+                c = w1 * pf[:, d - 1]
+                v = c[:, None]
                 if d > 1:
+                    w1, w2 = np.reshape(w1, (-1, 1)), np.reshape(w2, (-1, 1))
+                    v = np.column_stack((w1 * pf[:, : d - 1] + w2 * pf[:, d:], c))
                     u2 = t * t - np.einsum("ij,ij->i", v[:, :-1], v[:, :-1])
                     u = np.sqrt(np.maximum(u2, 0.0))
                     # a row with u^2 < 0 has no member: an empty candidate
@@ -672,12 +675,15 @@ def _table_pass(keys, sizes, pre):
         else:
             m = np.where(full, np.stack((lo - 1, lo, hi, hi + 1)), lo0 + np.arange(4)[:, None])
             want, care = full & np.array([[False], [True], [True], [False]]), full | (m <= hi0)
-        # only the cells that can show a fault are tested
-        got = np.zeros(m.shape, dtype=bool)
-        cell, row = np.nonzero(np.broadcast_to(care, m.shape))
-        got[cell, row] = inside(row, m[cell, row])
+        if d == 1:  # nearly every cell of a d = 1 pass can show a fault
+            got = inside(np.tile(rows, len(m)), m.ravel()).reshape(m.shape)
+        else:  # most prefix rows miss the body: only the cells that can show a fault
+            got = np.zeros(m.size, dtype=bool)
+            at = np.flatnonzero(np.broadcast_to(care, m.shape))
+            got[at] = inside(at % len(pf), m.ravel()[at])
+            got = got.reshape(m.shape)
         rows = np.flatnonzero(((got != want) & care).any(axis=0))
-        if len(m) == 4:
+        if len(m) == 4 and rows.size:
             # a linear row's cells increase and its members are one interval:
             # when a cell is a member, each end of the row lies between the
             # outermost member cell and the next cell out
