@@ -88,7 +88,9 @@ def _vq_rows(seqs: np.ndarray, q: float, links: bool = False):
     if links:
         prev[best == 0] = -1
         prev = prev.T
-    ends = best.argmax(axis=0)
+    # the earliest maximizer of each column; argmax along axis 0 would
+    # reduce a transposed copy of ``best``
+    ends = (best == best.max(axis=0)).argmax(axis=0)
     # scalar pow for the final root, as the enumeration oracles take it: the
     # vectorized pow can round differently in the last ulp
     values = [s * b ** (1.0 / q) for s, b in zip(scale, best[ends, np.arange(n)].tolist())]
